@@ -798,6 +798,50 @@ mod tests {
     }
 
     #[test]
+    fn serve_reports_a_remote_edge_outside_the_graph_as_inconclusive() {
+        // The wire decoder cannot bound endpoints by n, so a player whose
+        // one-round message posts (0, n) — as an edge list or as a bitset
+        // over a larger n — must end the run `inconclusive`, naming the
+        // player, instead of panicking the coordinator's referee.
+        use std::borrow::Cow;
+        use triad_comm::{Payload, PlayerSession, PlayerState, SimMessage};
+        use triad_graph::kernels::EdgeBitset;
+        use triad_graph::{Edge, VertexId};
+        let dir = std::env::temp_dir().join(format!("triad-cli-range-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let n = 50usize;
+        let bad = Edge::new(VertexId(0), VertexId(n as u32));
+        for payload in ["edges", "bits"] {
+            let port_file = dir.join(format!("port-{payload}"));
+            let serve_cmd = format!(
+                "serve --bind 127.0.0.1:0 --k 1 --protocol low --n {n} --d 4 --seed 3 \
+                 --port-file {} --timeout-secs 20",
+                port_file.display()
+            );
+            let server = std::thread::spawn(move || run(&argv(&serve_cmd)));
+            let addr = wait_for_port_file(&port_file);
+            let session = PlayerSession::connect_with(addr.as_str(), &Default::default()).unwrap();
+            let state = PlayerState::new(0, n, &[]);
+            let summary = session
+                .serve(&state, move |_, _| {
+                    SimMessage::of(match payload {
+                        "edges" => Payload::Edges(vec![bad].into()),
+                        _ => Payload::EdgeBits(Cow::Owned(EdgeBitset::from_edges(n + 1, [bad]))),
+                    })
+                })
+                .unwrap();
+            let served = server.join().unwrap().unwrap();
+            assert!(served.starts_with("inconclusive"), "{payload}: {served}");
+            assert!(
+                served.contains(&format!("player 0 posted edge {bad}")),
+                "{payload}: {served}"
+            );
+            assert!(summary.farewell.unwrap().starts_with("inconclusive"));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn out_of_core_pipeline_runs_every_protocol_graph_free() {
         // gen --format csr writes the docs/IO.md container; test, chaos
         // and bench then run straight over the mapping (or the buffered

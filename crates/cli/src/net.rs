@@ -212,6 +212,10 @@ pub fn serve(args: &ArgMap) -> Result<String, CliError> {
 /// message, then run the referee locally. Charging happens in the same
 /// `finish` the in-process paths use, so accounting matches
 /// `run_simultaneous_prepared` bit for bit.
+///
+/// The wire decoder cannot bound endpoints by `n`, so every gathered
+/// edge is checked here: a remote edge outside `0..n` aborts the run
+/// (reported `inconclusive`) instead of reaching the referee.
 fn collect_and_referee(
     handle: &Mutex<TcpTransport>,
     protocol: &str,
@@ -222,6 +226,13 @@ fn collect_and_referee(
     shared: SharedRandomness,
 ) -> Result<(TestOutcome, CommStats), triad_comm::RunError> {
     let messages = lock(handle).collect_sim_messages()?;
+    for (player, m) in messages.iter().enumerate() {
+        if let Some(e) = m.edges().find(|e| e.v().index() >= n) {
+            return Err(triad_comm::RunError::Aborted {
+                reason: format!("player {player} posted edge {e} outside the {n}-vertex graph"),
+            });
+        }
+    }
     let (output, stats) = match protocol {
         "low" => {
             let p = AlgLow::new(tuning, d);

@@ -3,12 +3,12 @@
 use crate::message::Payload;
 use crate::rand::SharedRandomness;
 use crate::request::PlayerRequest;
-use std::collections::HashSet;
 use std::sync::OnceLock;
 use triad_graph::kernels::EdgeBitset;
-use triad_graph::{Edge, Triangle, VertexId};
+use triad_graph::{Edge, Graph, GraphBuilder, Triangle, VertexId};
 
-/// One player's private input `E_j` with precomputed local adjacency.
+/// One player's private input `E_j`, held as a CSR [`Graph`]: the
+/// deduplicated share in sorted order plus sorted local adjacency.
 ///
 /// Players never see each other's state; all interaction flows through
 /// [`PlayerRequest`]s (unrestricted protocols) or one-shot messages
@@ -16,13 +16,10 @@ use triad_graph::{Edge, Triangle, VertexId};
 #[derive(Debug, Clone)]
 pub struct PlayerState {
     id: usize,
-    n: usize,
-    edges: HashSet<Edge>,
-    /// The deduplicated share in sorted order — a stable slice the
-    /// simultaneous baselines can borrow into a [`Payload::Edges`]
-    /// without cloning (see `docs/RUNTIME.md`).
-    share: Vec<Edge>,
-    adj: Vec<Vec<VertexId>>,
+    /// The share over the global vertex-id space `0..n`. Its sorted edge
+    /// array is the stable slice the simultaneous baselines borrow into a
+    /// [`Payload::Edges`] without cloning (see `docs/RUNTIME.md`).
+    graph: Graph,
     /// Vertices with positive local degree, for suspect-set scans.
     occupied: Vec<VertexId>,
     /// The share packed as an [`EdgeBitset`], built lazily on first use
@@ -40,30 +37,13 @@ impl PlayerState {
     ///
     /// Panics if an edge endpoint is `>= n`.
     pub fn new(id: usize, n: usize, share: &[Edge]) -> Self {
-        let mut edges = HashSet::with_capacity(share.len());
-        let mut adj = vec![Vec::new(); n];
-        for e in share {
-            assert!(e.v().index() < n, "edge endpoint out of range");
-            if edges.insert(*e) {
-                adj[e.u().index()].push(e.v());
-                adj[e.v().index()].push(e.u());
-            }
-        }
-        for list in &mut adj {
-            list.sort_unstable();
-        }
-        let occupied = (0..n)
-            .filter(|v| !adj[*v].is_empty())
-            .map(VertexId::from_index)
-            .collect();
-        let mut share: Vec<Edge> = edges.iter().copied().collect();
-        share.sort_unstable();
+        let mut b = GraphBuilder::with_capacity(n, share.len());
+        b.extend_edges(share.iter().copied());
+        let graph = b.build();
+        let occupied = graph.vertices().filter(|v| graph.degree(*v) > 0).collect();
         PlayerState {
             id,
-            n,
-            edges,
-            share,
-            adj,
+            graph,
             occupied,
             share_bits: OnceLock::new(),
         }
@@ -72,7 +52,7 @@ impl PlayerState {
     /// The player's distinct edges, sorted — the borrowable counterpart of
     /// [`edges`](Self::edges) for zero-copy message construction.
     pub fn share(&self) -> &[Edge] {
-        &self.share
+        self.graph.edges()
     }
 
     /// The share as a packed [`EdgeBitset`], built once per player and
@@ -81,7 +61,7 @@ impl PlayerState {
     /// [`share`](Self::share).
     pub fn share_bitset(&self) -> &EdgeBitset {
         self.share_bits
-            .get_or_init(|| EdgeBitset::from_edges(self.n, self.share.iter().copied()))
+            .get_or_init(|| EdgeBitset::from_edges(self.n(), self.share().iter().copied()))
     }
 
     /// The player's index `j ∈ 0..k`.
@@ -91,38 +71,39 @@ impl PlayerState {
 
     /// The number of vertices in the (global) graph.
     pub fn n(&self) -> usize {
-        self.n
+        self.graph.vertex_count()
     }
 
     /// Number of distinct edges this player holds.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.graph.edge_count()
     }
 
     /// The player's local degree `d_j(v)`.
     pub fn local_degree(&self, v: VertexId) -> usize {
-        self.adj[v.index()].len()
+        self.graph.degree(v)
     }
 
     /// The player's local neighbors of `v`, sorted.
     pub fn local_neighbors(&self, v: VertexId) -> &[VertexId] {
-        &self.adj[v.index()]
+        self.graph.neighbors(v)
     }
 
     /// The average degree `d̄_j` of the player's own input — the quantity
     /// the degree-oblivious simultaneous protocol keys its guesses on.
     pub fn local_average_degree(&self) -> f64 {
-        2.0 * self.edges.len() as f64 / self.n.max(1) as f64
+        2.0 * self.edge_count() as f64 / self.n().max(1) as f64
     }
 
-    /// Does the player hold `e`?
+    /// Does the player hold `e`? (`false` for endpoints outside `0..n`.)
     pub fn has_edge(&self, e: Edge) -> bool {
-        self.edges.contains(&e)
+        self.graph.has_edge(e)
     }
 
-    /// Iterates the player's distinct edges (arbitrary order).
+    /// Iterates the player's distinct edges in sorted order, so a capped
+    /// scan posts the same prefix in every process.
     pub fn edges(&self) -> impl Iterator<Item = &Edge> {
-        self.edges.iter()
+        self.share().iter()
     }
 
     /// Handles one coordinator request. Pure with respect to the player's
@@ -133,7 +114,8 @@ impl PlayerState {
         match req {
             PlayerRequest::HasEdge(e) => Payload::Bit(self.has_edge(*e)),
             PlayerRequest::FirstIncidentEdge { v, perm_tag } => {
-                let best = self.adj[v.index()]
+                let best = self
+                    .local_neighbors(*v)
                     .iter()
                     .map(|u| Edge::new(*v, *u))
                     .min_by_key(|e| shared.edge_rank(*perm_tag, *e));
@@ -141,16 +123,15 @@ impl PlayerState {
             }
             PlayerRequest::FirstEdge { perm_tag } => {
                 let best = self
-                    .edges
-                    .iter()
+                    .edges()
                     .copied()
                     .min_by_key(|e| shared.edge_rank(*perm_tag, *e));
                 Payload::Edge(best)
             }
             PlayerRequest::LocalDegree { v } => Payload::Count(self.local_degree(*v) as u64),
-            PlayerRequest::LocalEdgeCount => Payload::Count(self.edges.len() as u64),
+            PlayerRequest::LocalEdgeCount => Payload::Count(self.edge_count() as u64),
             PlayerRequest::EdgeCountMsb => {
-                let c = self.edges.len() as u64;
+                let c = self.edge_count() as u64;
                 Payload::Count(if c == 0 {
                     0
                 } else {
@@ -158,7 +139,7 @@ impl PlayerState {
                 })
             }
             PlayerRequest::GlobalSampleHit { tag, p } => {
-                Payload::Bit(self.edges.iter().any(|e| shared.edge_sampled(*tag, *e, *p)))
+                Payload::Bit(self.edges().any(|e| shared.edge_sampled(*tag, *e, *p)))
             }
             PlayerRequest::DegreeMsb { v } => {
                 let d = self.local_degree(*v) as u64;
@@ -182,7 +163,8 @@ impl PlayerState {
                 Payload::Bits(truncated, cost as u32)
             }
             PlayerRequest::SampleHit { v, tag, p } => {
-                let hit = self.adj[v.index()]
+                let hit = self
+                    .local_neighbors(*v)
                     .iter()
                     .any(|u| shared.vertex_sampled(*tag, *u, *p));
                 Payload::Bit(hit)
@@ -210,7 +192,7 @@ impl PlayerState {
             }
             PlayerRequest::IncidentEdgesSampled { v, tag, p, cap } => {
                 let mut out = Vec::new();
-                for u in &self.adj[v.index()] {
+                for u in self.local_neighbors(*v) {
                     if shared.vertex_sampled(*tag, *u, *p) {
                         out.push(Edge::new(*v, *u));
                         if out.len() >= *cap {
@@ -225,7 +207,7 @@ impl PlayerState {
             }
             PlayerRequest::InducedEdges { tag, p, cap } => {
                 let mut out = Vec::new();
-                for e in &self.edges {
+                for e in self.edges() {
                     if shared.vertex_sampled(*tag, e.u(), *p)
                         && shared.vertex_sampled(*tag, e.v(), *p)
                     {
@@ -247,7 +229,7 @@ impl PlayerState {
                 let in_r = |v: VertexId| shared.vertex_sampled(*r_tag, v, *p_r);
                 let in_rs = |v: VertexId| in_r(v) || shared.vertex_sampled(*s_tag, v, *p_s);
                 let mut out = Vec::new();
-                for e in &self.edges {
+                for e in self.edges() {
                     let (u, v) = e.endpoints();
                     if (in_r(u) && in_rs(v)) || (in_r(v) && in_rs(u)) {
                         out.push(*e);
@@ -312,6 +294,7 @@ pub fn players_from_shares(n: usize, shares: &[Vec<Edge>]) -> Vec<PlayerState> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn e(a: u32, b: u32) -> Edge {
         Edge::new(VertexId(a), VertexId(b))
@@ -579,6 +562,265 @@ mod tests {
         ) {
             Payload::Edges(es) => assert!(es.is_empty()),
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// A test oracle answering every request from a `HashSet` of edges and
+    /// per-vertex sorted neighbor lists; capped scans take the sorted
+    /// prefix of the qualifying edges.
+    struct Oracle {
+        set: HashSet<Edge>,
+        adj: Vec<Vec<VertexId>>,
+    }
+
+    impl Oracle {
+        fn new(n: usize, share: &[Edge]) -> Self {
+            let set: HashSet<Edge> = share.iter().copied().collect();
+            let mut adj = vec![Vec::new(); n];
+            for e in &set {
+                adj[e.u().index()].push(e.v());
+                adj[e.v().index()].push(e.u());
+            }
+            for list in &mut adj {
+                list.sort_unstable();
+            }
+            Oracle { set, adj }
+        }
+
+        fn degree(&self, v: VertexId) -> u64 {
+            self.adj[v.index()].len() as u64
+        }
+
+        fn capped(&self, keep: impl Fn(Edge) -> bool, cap: usize) -> Payload<'static> {
+            let mut sorted: Vec<Edge> = self.set.iter().copied().collect();
+            sorted.sort_unstable();
+            sorted.retain(|e| keep(*e));
+            sorted.truncate(cap);
+            Payload::Edges(sorted.into())
+        }
+
+        fn suspects(&self, bucket: usize, k: usize) -> Vec<VertexId> {
+            let (lo, hi) = (
+                3f64.powi(bucket as i32) / k as f64,
+                3f64.powi(bucket as i32 + 1),
+            );
+            (0..self.adj.len())
+                .map(VertexId::from_index)
+                .filter(|v| {
+                    let d = self.degree(*v) as f64;
+                    d > 0.0 && d >= lo && d <= hi
+                })
+                .collect()
+        }
+
+        fn answer(&self, req: &PlayerRequest, s: &SharedRandomness) -> Payload<'static> {
+            let msb = |x: u64| 64 - u64::from(x.leading_zeros());
+            match req {
+                PlayerRequest::HasEdge(e) => Payload::Bit(self.set.contains(e)),
+                PlayerRequest::FirstIncidentEdge { v, perm_tag } => Payload::Edge(
+                    self.adj[v.index()]
+                        .iter()
+                        .map(|u| Edge::new(*v, *u))
+                        .min_by_key(|e| s.edge_rank(*perm_tag, *e)),
+                ),
+                PlayerRequest::FirstEdge { perm_tag } => Payload::Edge(
+                    self.set
+                        .iter()
+                        .copied()
+                        .min_by_key(|e| s.edge_rank(*perm_tag, *e)),
+                ),
+                PlayerRequest::LocalDegree { v } => Payload::Count(self.degree(*v)),
+                PlayerRequest::LocalEdgeCount => Payload::Count(self.set.len() as u64),
+                PlayerRequest::EdgeCountMsb => Payload::Count(msb(self.set.len() as u64)),
+                PlayerRequest::GlobalSampleHit { tag, p } => {
+                    Payload::Bit(self.set.iter().any(|e| s.edge_sampled(*tag, *e, *p)))
+                }
+                PlayerRequest::DegreeMsb { v } => Payload::Count(msb(self.degree(*v))),
+                PlayerRequest::DegreePrefix { v, prefix_bits } => {
+                    let d = self.degree(*v);
+                    let width = msb(d).max(1);
+                    let drop = width.saturating_sub(u64::from(*prefix_bits));
+                    let cost = u64::from(*prefix_bits) + crate::bits::bits_for_count(width);
+                    Payload::Bits((d >> drop) << drop, cost as u32)
+                }
+                PlayerRequest::SampleHit { v, tag, p } => Payload::Bit(
+                    self.adj[v.index()]
+                        .iter()
+                        .any(|u| s.vertex_sampled(*tag, *u, *p)),
+                ),
+                PlayerRequest::FirstSuspectInBucket {
+                    bucket,
+                    k,
+                    perm_tag,
+                } => Payload::Vertex(
+                    self.suspects(*bucket, *k)
+                        .into_iter()
+                        .min_by_key(|v| s.vertex_rank(*perm_tag, *v)),
+                ),
+                PlayerRequest::SuspectSample {
+                    bucket,
+                    k,
+                    perm_tag,
+                    count,
+                } => {
+                    let mut ranked = self.suspects(*bucket, *k);
+                    ranked.sort_by_key(|v| s.vertex_rank(*perm_tag, *v));
+                    ranked.truncate(*count);
+                    Payload::Vertices(ranked)
+                }
+                PlayerRequest::IncidentEdgesSampled { v, tag, p, cap } => self.capped(
+                    |e| e.other(*v).is_some_and(|u| s.vertex_sampled(*tag, u, *p)),
+                    *cap,
+                ),
+                PlayerRequest::FindClosingTriangle { edges } => {
+                    // Any triangle made of two candidates and one held edge.
+                    let found = edges.iter().enumerate().find_map(|(i, a)| {
+                        edges[i + 1..].iter().find_map(|b| {
+                            let s = a.shared_endpoint(*b)?;
+                            let (x, y) = (a.other(s)?, b.other(s)?);
+                            (x != y && self.set.contains(&Edge::new(x, y)))
+                                .then(|| Triangle::new(s, x, y))
+                        })
+                    });
+                    Payload::Triangle(found)
+                }
+                PlayerRequest::InducedEdges { tag, p, cap } => self.capped(
+                    |e| s.vertex_sampled(*tag, e.u(), *p) && s.vertex_sampled(*tag, e.v(), *p),
+                    *cap,
+                ),
+                PlayerRequest::RsEdges {
+                    r_tag,
+                    p_r,
+                    s_tag,
+                    p_s,
+                    cap,
+                } => {
+                    let in_r = |v: VertexId| s.vertex_sampled(*r_tag, v, *p_r);
+                    let in_rs = |v: VertexId| in_r(v) || s.vertex_sampled(*s_tag, v, *p_s);
+                    self.capped(
+                        |e| (in_r(e.u()) && in_rs(e.v())) || (in_r(e.v()) && in_rs(e.u())),
+                        *cap,
+                    )
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_request_matches_a_hash_set_oracle_on_random_shares() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(13);
+        for trial in 0..40 {
+            let n: usize = rng.gen_range(2..40);
+            let mut share = Vec::new();
+            for _ in 0..rng.gen_range(0..3 * n) {
+                let a = VertexId(rng.gen_range(0..n as u32));
+                let b = VertexId(rng.gen_range(0..n as u32));
+                if a != b {
+                    // Both endpoint orders, and some edges twice.
+                    share.push(Edge::new(a, b));
+                    if rng.gen_bool(0.3) {
+                        share.push(Edge::new(b, a));
+                    }
+                }
+            }
+            let state = PlayerState::new(0, n, &share);
+            let oracle = Oracle::new(n, &share);
+            let shared = SharedRandomness::new(trial);
+            let v = |rng: &mut ChaCha8Rng| VertexId(rng.gen_range(0..n as u32));
+            let p = |rng: &mut ChaCha8Rng| [0.0, 0.3, 0.7, 1.0][rng.gen_range(0..4usize)];
+            let mut requests = vec![
+                PlayerRequest::LocalEdgeCount,
+                PlayerRequest::EdgeCountMsb,
+                PlayerRequest::FirstEdge {
+                    perm_tag: trial + 1,
+                },
+            ];
+            for _ in 0..n {
+                let (a, b) = (v(&mut rng), v(&mut rng));
+                if a != b {
+                    requests.push(PlayerRequest::HasEdge(Edge::new(a, b)));
+                }
+                let cands: Vec<Edge> = (0..rng.gen_range(0..6usize))
+                    .map(|_| (v(&mut rng), v(&mut rng)))
+                    .filter(|(a, b)| a != b)
+                    .map(|(a, b)| Edge::new(a, b))
+                    .collect();
+                let (bucket, k) = (rng.gen_range(0..4), rng.gen_range(1..5));
+                let (tag, cap) = (rng.gen_range(0..9), rng.gen_range(1..6));
+                let v = v(&mut rng);
+                requests.extend([
+                    PlayerRequest::FirstIncidentEdge { v, perm_tag: tag },
+                    PlayerRequest::LocalDegree { v },
+                    PlayerRequest::GlobalSampleHit {
+                        tag,
+                        p: p(&mut rng),
+                    },
+                    PlayerRequest::DegreeMsb { v },
+                    PlayerRequest::DegreePrefix {
+                        v,
+                        prefix_bits: rng.gen_range(1..4),
+                    },
+                    PlayerRequest::SampleHit {
+                        v,
+                        tag,
+                        p: p(&mut rng),
+                    },
+                    PlayerRequest::FirstSuspectInBucket {
+                        bucket,
+                        k,
+                        perm_tag: tag,
+                    },
+                    PlayerRequest::SuspectSample {
+                        bucket,
+                        k,
+                        perm_tag: tag,
+                        count: cap,
+                    },
+                    PlayerRequest::IncidentEdgesSampled {
+                        v,
+                        tag,
+                        p: p(&mut rng),
+                        cap,
+                    },
+                    PlayerRequest::FindClosingTriangle { edges: cands },
+                    PlayerRequest::InducedEdges {
+                        tag,
+                        p: p(&mut rng),
+                        cap,
+                    },
+                    PlayerRequest::RsEdges {
+                        r_tag: tag,
+                        p_r: p(&mut rng),
+                        s_tag: tag + 1,
+                        p_s: p(&mut rng),
+                        cap,
+                    },
+                ]);
+            }
+            for req in &requests {
+                let (got, want) = (state.handle(req, &shared), oracle.answer(req, &shared));
+                match (&got, &want, req) {
+                    // Any closing triangle is a correct answer: check that
+                    // the player's is real rather than the same one.
+                    (
+                        Payload::Triangle(Some(t)),
+                        Payload::Triangle(Some(_)),
+                        PlayerRequest::FindClosingTriangle { edges },
+                    ) => {
+                        let held = t.edges().iter().filter(|e| oracle.set.contains(e)).count();
+                        let posted = t.edges().iter().filter(|e| edges.contains(e)).count();
+                        assert!(held >= 1 && posted >= 2, "trial {trial}: {t} for {req:?}");
+                    }
+                    _ => assert_eq!(got, want, "trial {trial}: {req:?}"),
+                }
+            }
+            // Endpoints outside the vertex range are simply not held.
+            for far in [n as u32, n as u32 + 7] {
+                assert!(!state.has_edge(Edge::new(VertexId(0), VertexId(far))));
+            }
+            assert!(!state.has_edge(Edge::new(VertexId(n as u32), VertexId(n as u32 + 1))));
         }
     }
 

@@ -45,20 +45,20 @@ impl Graph {
             edges.windows(2).all(|w| w[0] < w[1]),
             "edges must be sorted+dedup"
         );
-        let mut degrees = vec![0usize; n];
+        // One counting pass: `offsets[v + 1]` starts as deg(v).
+        let mut offsets = vec![0usize; n + 1];
         for e in &edges {
-            degrees[e.u().index()] += 1;
-            degrees[e.v().index()] += 1;
+            offsets[e.u().index() + 1] += 1;
+            offsets[e.v().index() + 1] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for d in &degrees {
-            acc += d;
-            offsets.push(acc);
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
         }
-        let mut cursor = offsets.clone();
-        let mut adj = vec![VertexId(0); acc];
+        let mut cursor = offsets[..n].to_vec();
+        let mut adj = vec![VertexId(0); offsets[n]];
+        // Sorted canonical edges fill every list in ascending order: `w`'s
+        // lower neighbors (edges `(x, w)`, `x < w`) all precede its upper
+        // ones (edges `(w, y)`), and each run arrives ascending.
         for e in &edges {
             let (u, v) = e.endpoints();
             adj[cursor[u.index()]] = v;
@@ -66,9 +66,12 @@ impl Graph {
             adj[cursor[v.index()]] = u;
             cursor[v.index()] += 1;
         }
-        for v in 0..n {
-            adj[offsets[v]..offsets[v + 1]].sort_unstable();
-        }
+        debug_assert!(
+            (0..n).all(|v| adj[offsets[v]..offsets[v + 1]]
+                .windows(2)
+                .all(|w| w[0] < w[1])),
+            "adjacency lists must come out sorted"
+        );
         Graph {
             n,
             offsets,

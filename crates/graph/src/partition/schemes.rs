@@ -1,5 +1,5 @@
 use super::Partition;
-use crate::{triangles, AsCsr, Graph};
+use crate::{triangles, AsCsr, Graph, VertexId};
 use rand::Rng;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -90,10 +90,20 @@ pub fn adversarial_triangle_split<R: Rng + ?Sized>(g: &Graph, k: usize, rng: &mu
 pub fn by_vertex<G: AsCsr + ?Sized>(g: &G, k: usize) -> Partition {
     assert!(k >= 1, "need at least one player");
     let mut shares = vec![Vec::new(); k];
+    // Canonical edge order groups edges by `u`, so each source vertex is
+    // hashed once and its owner reused for the rest of its run.
+    let mut last: Option<(VertexId, usize)> = None;
     g.for_each_edge(&mut |_, e| {
-        let mut h = DefaultHasher::new();
-        e.u().hash(&mut h);
-        shares[(h.finish() % k as u64) as usize].push(e);
+        let j = match last {
+            Some((u, j)) if u == e.u() => j,
+            _ => {
+                let mut h = DefaultHasher::new();
+                e.u().hash(&mut h);
+                (h.finish() % k as u64) as usize
+            }
+        };
+        last = Some((e.u(), j));
+        shares[j].push(e);
     });
     Partition::new(shares)
 }
@@ -162,6 +172,33 @@ mod tests {
         assert!(p.is_disjoint());
         // stability: same partition every time
         assert_eq!(p, by_vertex(&g, 5));
+    }
+
+    #[test]
+    fn by_vertex_matches_per_edge_hashing_on_graph_and_store() {
+        // The partition must be the one hashing every edge's `u` gives.
+        let per_edge = |edges: &[crate::Edge], k: usize| {
+            let mut shares = vec![Vec::new(); k];
+            for e in edges {
+                let mut h = DefaultHasher::new();
+                e.u().hash(&mut h);
+                shares[(h.finish() % k as u64) as usize].push(*e);
+            }
+            Partition::new(shares)
+        };
+        let g = sample_graph();
+        let dir = std::env::temp_dir().join(format!("triad-by-vertex-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("g.csr");
+        crate::store::write_csr(&path, &g).unwrap();
+        let store = crate::CsrStore::open(&path).unwrap();
+        for k in [1, 2, 4, 7] {
+            let expected = per_edge(g.edges(), k);
+            assert_eq!(by_vertex(&g, k), expected, "graph, k = {k}");
+            assert_eq!(by_vertex(&store, k), expected, "store, k = {k}");
+        }
+        drop(store);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -159,4 +159,67 @@ mod tests {
         let msg = alg.message(&player, &shared);
         assert!(msg.edges().count() <= alg.cap(2001));
     }
+
+    #[test]
+    fn capped_messages_are_the_sorted_prefix_whatever_the_share_order() {
+        // Two states over differently ordered copies of one share (one
+        // with duplicates) must post identical capped messages and
+        // handler payloads: the first `cap` qualifying edges in sorted
+        // order.
+        use triad_comm::PlayerRequest;
+        let edges: Vec<Edge> = (1..=2000u32)
+            .map(|i| Edge::new(VertexId(0), VertexId(i)))
+            .collect();
+        let mut shuffled: Vec<Edge> = edges.iter().rev().copied().collect();
+        shuffled.extend(edges.iter().step_by(3).copied());
+        let states = [
+            PlayerState::new(0, 2001, &edges),
+            PlayerState::new(0, 2001, &shuffled),
+        ];
+        let alg = AlgLow::new(Tuning::practical(0.2).with_scale(0.1), 1.0);
+        let (p1, p2) = alg.probabilities(2001);
+        let cap = alg.cap(2001);
+        // A seed that puts the hub in R, so every edge qualifies.
+        let shared = (0..)
+            .map(SharedRandomness::new)
+            .find(|s| alg.in_r(s, VertexId(0), p2))
+            .unwrap();
+        let qualifying: Vec<Edge> = edges
+            .iter()
+            .copied()
+            .filter(|e| {
+                let (u, v) = e.endpoints();
+                let (ru, rv) = (alg.in_r(&shared, u, p2), alg.in_r(&shared, v, p2));
+                (ru && (rv || alg.in_s(&shared, v, p1))) || (rv && (ru || alg.in_s(&shared, u, p1)))
+            })
+            .collect();
+        assert!(qualifying.len() > cap, "the cap must bind");
+        for state in &states {
+            let posted: Vec<Edge> = alg.message(state, &shared).edges().collect();
+            assert_eq!(posted, qualifying[..cap]);
+        }
+        let requests = [
+            PlayerRequest::InducedEdges {
+                tag: 7,
+                p: 1.0,
+                cap: 5,
+            },
+            PlayerRequest::RsEdges {
+                r_tag: 1,
+                p_r: 1.0,
+                s_tag: 2,
+                p_s: 0.0,
+                cap: 5,
+            },
+        ];
+        for req in &requests {
+            for state in &states {
+                assert_eq!(
+                    state.handle(req, &shared),
+                    Payload::Edges(edges[..5].to_vec().into()),
+                    "{req:?}"
+                );
+            }
+        }
+    }
 }

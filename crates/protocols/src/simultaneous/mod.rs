@@ -31,19 +31,20 @@ use triad_comm::{
 };
 use triad_graph::kernels::{bitset, EdgeBitset};
 use triad_graph::partition::Partition;
-use triad_graph::{triangles, Graph, GraphBuilder, Triangle};
+use triad_graph::{triangles, Edge, Graph, GraphBuilder, Triangle, VertexId};
 
 /// The referee of every §3.4 protocol: union all posted edges and look
 /// for a triangle in the exposed subgraph.
 ///
 /// Representation-aware: when every payload is an edge list, the union
-/// builds a [`Graph`] and the search runs on the `O(m^{3/2})` forward
-/// kernel. When any player posted a bitset payload, the union stays in
-/// bitset space (word-parallel ORs, `O(words)` per dense row) and the
-/// search runs the AND-popcount kernel instead. The two kernels return
-/// the **same witness** on the same edge set (pinned in `triad-graph`),
-/// so payload representation can never change the verdict — the
-/// `tests/payload_differential.rs` contract.
+/// builds a [`Graph`] over the posted edges' endpoints only and the
+/// search runs on the `O(m^{3/2})` forward kernel, so the referee's work
+/// scales with the posted edges, not with `n`. When any player posted a
+/// bitset payload, the union stays in bitset space (word-parallel ORs,
+/// `O(words)` per dense row) and the search runs the AND-popcount kernel
+/// instead. The two kernels return the **same witness** on the same edge
+/// set (pinned in `triad-graph`), so payload representation can never
+/// change the verdict — the `tests/payload_differential.rs` contract.
 pub(crate) fn referee_find_triangle(n: usize, messages: &[SimMessage]) -> Option<Triangle> {
     let any_bits = messages
         .iter()
@@ -66,13 +67,39 @@ pub(crate) fn referee_find_triangle(n: usize, messages: &[SimMessage]) -> Option
         }
         return bitset::find_triangle(&set);
     }
-    let mut b = GraphBuilder::new(n);
-    for m in messages {
-        for e in m.edges() {
-            b.add_edge(e);
+    // Relabel the distinct endpoints monotonically onto `0..t`: bit `v` of
+    // `marks` flags an endpoint, and its new id is the number of flagged
+    // ids below it — `O(m + n/64)` word work, no sort. The forward
+    // kernel's witness depends only on degrees, relative id order and
+    // canonical edge order, which a monotone relabel keeps, so the witness
+    // mapped back is the one the n-vertex search would return.
+    let posted = || messages.iter().flat_map(SimMessage::edges);
+    let mut marks = vec![0u64; n.div_ceil(64)];
+    for e in posted() {
+        for v in [e.u().index(), e.v().index()] {
+            marks[v / 64] |= 1 << (v % 64);
         }
     }
-    triangles::find_triangle(&b.build())
+    let mut below = Vec::with_capacity(marks.len());
+    let mut ids = Vec::new();
+    for (i, &word) in marks.iter().enumerate() {
+        below.push(ids.len());
+        let mut w = word;
+        while w != 0 {
+            ids.push(VertexId::from_index(i * 64 + w.trailing_zeros() as usize));
+            w &= w - 1;
+        }
+    }
+    let local = |v: VertexId| {
+        let (i, bit) = (v.index() / 64, v.index() % 64);
+        VertexId::from_index(below[i] + (marks[i] & ((1u64 << bit) - 1)).count_ones() as usize)
+    };
+    let mut compact = GraphBuilder::new(ids.len());
+    compact.extend_edges(posted().map(|e| Edge::new(local(e.u()), local(e.v()))));
+    triangles::find_triangle(&compact.build()).map(|t| {
+        let [a, b, c] = t.vertices().map(|v| ids[v.index()]);
+        Triangle::new(a, b, c)
+    })
 }
 
 /// Which simultaneous protocol to run.
@@ -377,26 +404,77 @@ mod tests {
 
     #[test]
     fn referee_witness_is_representation_independent() {
+        use rand::Rng;
         use std::borrow::Cow;
         use triad_comm::Payload;
-        let e = |a, b| triad_graph::Edge::new(triad_graph::VertexId(a), triad_graph::VertexId(b));
-        // A graph with several triangles, split across two players.
-        let half_a = vec![e(0, 1), e(1, 2), e(3, 4), e(4, 5), e(1, 3)];
-        let half_b = vec![e(0, 2), e(3, 5), e(2, 3), e(1, 4)];
-        let n = 6;
-        let as_edges =
-            |es: &[triad_graph::Edge]| SimMessage::of(Payload::Edges(es.to_vec().into()));
-        let as_bits = |es: &[triad_graph::Edge]| {
+        let e = |a, b| Edge::new(VertexId(a), VertexId(b));
+        let as_edges = |es: &[Edge]| SimMessage::of(Payload::Edges(es.to_vec().into()));
+        let as_bits = |n: usize, es: &[Edge]| {
             SimMessage::of(Payload::EdgeBits(Cow::Owned(EdgeBitset::from_edges(
                 n,
                 es.iter().copied(),
             ))))
         };
-        let pure = referee_find_triangle(n, &[as_edges(&half_a), as_edges(&half_b)]);
-        let bits = referee_find_triangle(n, &[as_bits(&half_a), as_bits(&half_b)]);
-        let mixed = referee_find_triangle(n, &[as_edges(&half_a), as_bits(&half_b)]);
-        assert!(pure.is_some());
-        assert_eq!(pure, bits, "bitset referee must return the same witness");
-        assert_eq!(pure, mixed, "mixed representations must agree too");
+        // A graph with several triangles, split across two players.
+        let half_a = vec![e(0, 1), e(1, 2), e(3, 4), e(4, 5), e(1, 3)];
+        let half_b = vec![e(0, 2), e(3, 5), e(2, 3), e(1, 4)];
+        let mut cases = vec![(6, vec![half_a, half_b])];
+        // Random posted-edge sets with endpoints spread over `[0, n)`, the
+        // largest id included, split over three players.
+        let mut rng = ChaCha8Rng::seed_from_u64(21);
+        for (n, trials) in [(50usize, 24), (3000, 12), (1_000_000, 2)] {
+            for _ in 0..trials {
+                let t = rng.gen_range(3..40usize).min(n);
+                let mut ids: Vec<u32> = (0..t).map(|_| rng.gen_range(0..n as u32)).collect();
+                ids[0] = n as u32 - 1;
+                let mut posted = Vec::new();
+                for _ in 0..rng.gen_range(1..3 * t) {
+                    let (a, b) = (ids[rng.gen_range(0..t)], ids[rng.gen_range(0..t)]);
+                    if a != b {
+                        posted.push(e(a, b));
+                    }
+                }
+                let third = posted.len().div_ceil(3).max(1);
+                cases.push((n, posted.chunks(third).map(<[Edge]>::to_vec).collect()));
+            }
+        }
+        let mut found = 0;
+        for (n, shares) in &cases {
+            let n = *n;
+            let mut full = GraphBuilder::new(n);
+            full.extend_edges(shares.iter().flatten().copied());
+            let expected = triangles::find_triangle(&full.build());
+            let pure: Vec<SimMessage> = shares.iter().map(|s| as_edges(s)).collect();
+            assert_eq!(
+                referee_find_triangle(n, &pure),
+                expected,
+                "n = {n}: the compacted referee must name the n-vertex witness"
+            );
+            // The bitset branch packs n²/64 words, so it only runs small.
+            if n <= 4096 {
+                let bits: Vec<SimMessage> = shares.iter().map(|s| as_bits(n, s)).collect();
+                let mixed: Vec<SimMessage> = shares
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| if i == 0 { as_edges(s) } else { as_bits(n, s) })
+                    .collect();
+                assert_eq!(
+                    referee_find_triangle(n, &bits),
+                    expected,
+                    "n = {n}: bitset referee must return the same witness"
+                );
+                assert_eq!(
+                    referee_find_triangle(n, &mixed),
+                    expected,
+                    "n = {n}: mixed representations must agree too"
+                );
+            }
+            found += usize::from(expected.is_some());
+        }
+        assert!(
+            found > 1 && found < cases.len(),
+            "{found} of {} cases close a triangle",
+            cases.len()
+        );
     }
 }

@@ -5,10 +5,14 @@ use crate::rand::SharedRandomness;
 use crate::request::PlayerRequest;
 use std::sync::OnceLock;
 use triad_graph::kernels::EdgeBitset;
-use triad_graph::{Edge, Graph, GraphBuilder, Triangle, VertexId};
+use triad_graph::{CsrAdjacency, Edge, Triangle, VertexId};
 
-/// One player's private input `E_j`, held as a CSR [`Graph`]: the
-/// deduplicated share in sorted order plus sorted local adjacency.
+/// One player's private input `E_j`: the deduplicated share in sorted
+/// order, plus its local adjacency built on first use.
+///
+/// Every tester reads the sorted share; only requests about local
+/// neighbourhoods, degrees or edge membership (the unrestricted
+/// protocols') read the adjacency, so a one-round tester never builds it.
 ///
 /// Players never see each other's state; all interaction flows through
 /// [`PlayerRequest`]s (unrestricted protocols) or one-shot messages
@@ -16,17 +20,27 @@ use triad_graph::{Edge, Graph, GraphBuilder, Triangle, VertexId};
 #[derive(Debug, Clone)]
 pub struct PlayerState {
     id: usize,
-    /// The share over the global vertex-id space `0..n`. Its sorted edge
-    /// array is the stable slice the simultaneous baselines borrow into a
-    /// [`Payload::Edges`] without cloning (see `docs/RUNTIME.md`).
-    graph: Graph,
-    /// Vertices with positive local degree, for suspect-set scans.
-    occupied: Vec<VertexId>,
+    n: usize,
+    /// The share over the global vertex-id space `0..n`, sorted and
+    /// deduplicated: the stable slice the simultaneous baselines borrow
+    /// into a [`Payload::Edges`] without cloning (see `docs/RUNTIME.md`).
+    edges: Vec<Edge>,
+    /// The share's local adjacency, built by the first call that reads a
+    /// neighbourhood, a degree or edge membership.
+    local: OnceLock<Local>,
     /// The share packed as an [`EdgeBitset`], built lazily on first use
     /// and reused for every repetition — the bitset counterpart of the
     /// borrowable [`share`](Self::share) slice, so dense-representation
     /// baselines stay allocation-free per run too.
     share_bits: OnceLock<EdgeBitset>,
+}
+
+/// The lazily built local index over a player's share.
+#[derive(Debug, Clone)]
+struct Local {
+    adjacency: CsrAdjacency,
+    /// Vertices with positive local degree, for suspect-set scans.
+    occupied: Vec<VertexId>,
 }
 
 impl PlayerState {
@@ -37,22 +51,51 @@ impl PlayerState {
     ///
     /// Panics if an edge endpoint is `>= n`.
     pub fn new(id: usize, n: usize, share: &[Edge]) -> Self {
-        let mut b = GraphBuilder::with_capacity(n, share.len());
-        b.extend_edges(share.iter().copied());
-        let graph = b.build();
-        let occupied = graph.vertices().filter(|v| graph.degree(*v) > 0).collect();
+        // Canonical edges have `u < v`, so `v` bounds both endpoints.
+        assert!(
+            share.iter().all(|e| e.v().index() < n),
+            "edge endpoint out of range"
+        );
+        let mut edges = share.to_vec();
+        // A `by_vertex` share off a CSR store arrives sorted and distinct.
+        if !edges.is_sorted_by(|a, b| a < b) {
+            edges.sort_unstable();
+            edges.dedup();
+        }
         PlayerState {
             id,
-            graph,
-            occupied,
+            n,
+            edges,
+            local: OnceLock::new(),
             share_bits: OnceLock::new(),
         }
+    }
+
+    /// The local adjacency, built on first use.
+    fn local(&self) -> &Local {
+        self.local.get_or_init(|| {
+            let adjacency = CsrAdjacency::from_sorted_edges(self.n, &self.edges);
+            let occupied = (0..self.n)
+                .map(VertexId::from_index)
+                .filter(|v| adjacency.degree(*v) > 0)
+                .collect();
+            Local {
+                adjacency,
+                occupied,
+            }
+        })
+    }
+
+    /// Whether the local adjacency has been built yet.
+    #[cfg(test)]
+    fn adjacency_built(&self) -> bool {
+        self.local.get().is_some()
     }
 
     /// The player's distinct edges, sorted — the borrowable counterpart of
     /// [`edges`](Self::edges) for zero-copy message construction.
     pub fn share(&self) -> &[Edge] {
-        self.graph.edges()
+        &self.edges
     }
 
     /// The share as a packed [`EdgeBitset`], built once per player and
@@ -61,7 +104,7 @@ impl PlayerState {
     /// [`share`](Self::share).
     pub fn share_bitset(&self) -> &EdgeBitset {
         self.share_bits
-            .get_or_init(|| EdgeBitset::from_edges(self.n(), self.share().iter().copied()))
+            .get_or_init(|| EdgeBitset::from_edges(self.n, self.edges.iter().copied()))
     }
 
     /// The player's index `j ∈ 0..k`.
@@ -71,22 +114,22 @@ impl PlayerState {
 
     /// The number of vertices in the (global) graph.
     pub fn n(&self) -> usize {
-        self.graph.vertex_count()
+        self.n
     }
 
     /// Number of distinct edges this player holds.
     pub fn edge_count(&self) -> usize {
-        self.graph.edge_count()
+        self.edges.len()
     }
 
     /// The player's local degree `d_j(v)`.
     pub fn local_degree(&self, v: VertexId) -> usize {
-        self.graph.degree(v)
+        self.local().adjacency.degree(v)
     }
 
     /// The player's local neighbors of `v`, sorted.
     pub fn local_neighbors(&self, v: VertexId) -> &[VertexId] {
-        self.graph.neighbors(v)
+        self.local().adjacency.neighbors(v)
     }
 
     /// The average degree `d̄_j` of the player's own input — the quantity
@@ -97,13 +140,13 @@ impl PlayerState {
 
     /// Does the player hold `e`? (`false` for endpoints outside `0..n`.)
     pub fn has_edge(&self, e: Edge) -> bool {
-        self.graph.has_edge(e)
+        self.local().adjacency.has_edge(e)
     }
 
     /// Iterates the player's distinct edges in sorted order, so a capped
     /// scan posts the same prefix in every process.
     pub fn edges(&self) -> impl Iterator<Item = &Edge> {
-        self.share().iter()
+        self.edges.iter()
     }
 
     /// Handles one coordinator request. Pure with respect to the player's
@@ -249,8 +292,9 @@ impl PlayerState {
     fn suspects(&self, bucket: usize, k: usize) -> impl Iterator<Item = VertexId> + '_ {
         let lo = 3f64.powi(bucket as i32) / k as f64;
         let hi = 3f64.powi(bucket as i32 + 1);
-        self.occupied.iter().copied().filter(move |v| {
-            let d = self.local_degree(*v) as f64;
+        let local = self.local();
+        local.occupied.iter().copied().filter(move |v| {
+            let d = local.adjacency.degree(*v) as f64;
             d >= lo && d <= hi
         })
     }
@@ -262,18 +306,21 @@ impl PlayerState {
     /// vee-finding sufficient for triangle-finding in the communication
     /// setting (§3.3's key observation).
     pub fn close_any_vee(&self, candidates: &[Edge]) -> Option<Triangle> {
-        // Group candidate edges by endpoint, then try to close each pair.
-        let mut by_vertex: std::collections::HashMap<VertexId, Vec<VertexId>> =
-            std::collections::HashMap::new();
-        for e in candidates {
-            by_vertex.entry(e.u()).or_default().push(e.v());
-            by_vertex.entry(e.v()).or_default().push(e.u());
-        }
-        for (s, others) in &by_vertex {
-            for (i, a) in others.iter().enumerate() {
-                for b in &others[i + 1..] {
-                    if a != b && *a != *s && *b != *s && self.has_edge(Edge::new(*a, *b)) {
-                        return Some(Triangle::new(*s, *a, *b));
+        // Group candidate edges by endpoint in vertex order, so the
+        // triangle named depends only on the candidate set: sorted
+        // (endpoint, other) pairs, then every pair within one endpoint.
+        let mut ends: Vec<(VertexId, VertexId)> = candidates
+            .iter()
+            .flat_map(|e| [(e.u(), e.v()), (e.v(), e.u())])
+            .collect();
+        ends.sort_unstable();
+        ends.dedup();
+        let adjacency = &self.local().adjacency;
+        for group in ends.chunk_by(|x, y| x.0 == y.0) {
+            for (i, &(s, a)) in group.iter().enumerate() {
+                for &(_, b) in &group[i + 1..] {
+                    if adjacency.has_edge(Edge::new(a, b)) {
+                        return Some(Triangle::new(s, a, b));
                     }
                 }
             }
@@ -294,7 +341,9 @@ pub fn players_from_shares(n: usize, shares: &[Vec<Edge>]) -> Vec<PlayerState> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use std::collections::{HashMap, HashSet};
 
     fn e(a: u32, b: u32) -> Edge {
         Edge::new(VertexId(a), VertexId(b))
@@ -706,100 +755,107 @@ mod tests {
         }
     }
 
+    /// A random share on `n` vertices, with both endpoint orders and some
+    /// edges twice.
+    fn random_share(rng: &mut ChaCha8Rng, n: usize) -> Vec<Edge> {
+        let mut share = Vec::new();
+        for _ in 0..rng.gen_range(0..3 * n) {
+            let a = VertexId(rng.gen_range(0..n as u32));
+            let b = VertexId(rng.gen_range(0..n as u32));
+            if a != b {
+                share.push(Edge::new(a, b));
+                if rng.gen_bool(0.3) {
+                    share.push(Edge::new(b, a));
+                }
+            }
+        }
+        share
+    }
+
+    /// Random requests of every variant over `0..n`.
+    fn random_requests(rng: &mut ChaCha8Rng, n: usize, trial: u64) -> Vec<PlayerRequest> {
+        let v = |rng: &mut ChaCha8Rng| VertexId(rng.gen_range(0..n as u32));
+        let p = |rng: &mut ChaCha8Rng| [0.0, 0.3, 0.7, 1.0][rng.gen_range(0..4usize)];
+        let mut requests = vec![
+            PlayerRequest::LocalEdgeCount,
+            PlayerRequest::EdgeCountMsb,
+            PlayerRequest::FirstEdge {
+                perm_tag: trial + 1,
+            },
+        ];
+        for _ in 0..n {
+            let (a, b) = (v(rng), v(rng));
+            if a != b {
+                requests.push(PlayerRequest::HasEdge(Edge::new(a, b)));
+            }
+            let cands: Vec<Edge> = (0..rng.gen_range(0..6usize))
+                .map(|_| (v(rng), v(rng)))
+                .filter(|(a, b)| a != b)
+                .map(|(a, b)| Edge::new(a, b))
+                .collect();
+            let (bucket, k) = (rng.gen_range(0..4), rng.gen_range(1..5));
+            let (tag, cap) = (rng.gen_range(0..9), rng.gen_range(1..6));
+            let v = v(rng);
+            requests.extend([
+                PlayerRequest::FirstIncidentEdge { v, perm_tag: tag },
+                PlayerRequest::LocalDegree { v },
+                PlayerRequest::GlobalSampleHit { tag, p: p(rng) },
+                PlayerRequest::DegreeMsb { v },
+                PlayerRequest::DegreePrefix {
+                    v,
+                    prefix_bits: rng.gen_range(1..4),
+                },
+                PlayerRequest::SampleHit { v, tag, p: p(rng) },
+                PlayerRequest::FirstSuspectInBucket {
+                    bucket,
+                    k,
+                    perm_tag: tag,
+                },
+                PlayerRequest::SuspectSample {
+                    bucket,
+                    k,
+                    perm_tag: tag,
+                    count: cap,
+                },
+                PlayerRequest::IncidentEdgesSampled {
+                    v,
+                    tag,
+                    p: p(rng),
+                    cap,
+                },
+                PlayerRequest::FindClosingTriangle { edges: cands },
+                PlayerRequest::InducedEdges {
+                    tag,
+                    p: p(rng),
+                    cap,
+                },
+                PlayerRequest::RsEdges {
+                    r_tag: tag,
+                    p_r: p(rng),
+                    s_tag: tag + 1,
+                    p_s: p(rng),
+                    cap,
+                },
+            ]);
+        }
+        requests
+    }
+
     #[test]
     fn every_request_matches_a_hash_set_oracle_on_random_shares() {
-        use rand::{Rng, SeedableRng};
-        use rand_chacha::ChaCha8Rng;
         let mut rng = ChaCha8Rng::seed_from_u64(13);
         for trial in 0..40 {
             let n: usize = rng.gen_range(2..40);
-            let mut share = Vec::new();
-            for _ in 0..rng.gen_range(0..3 * n) {
-                let a = VertexId(rng.gen_range(0..n as u32));
-                let b = VertexId(rng.gen_range(0..n as u32));
-                if a != b {
-                    // Both endpoint orders, and some edges twice.
-                    share.push(Edge::new(a, b));
-                    if rng.gen_bool(0.3) {
-                        share.push(Edge::new(b, a));
-                    }
-                }
-            }
-            let state = PlayerState::new(0, n, &share);
+            let share = random_share(&mut rng, n);
             let oracle = Oracle::new(n, &share);
             let shared = SharedRandomness::new(trial);
-            let v = |rng: &mut ChaCha8Rng| VertexId(rng.gen_range(0..n as u32));
-            let p = |rng: &mut ChaCha8Rng| [0.0, 0.3, 0.7, 1.0][rng.gen_range(0..4usize)];
-            let mut requests = vec![
-                PlayerRequest::LocalEdgeCount,
-                PlayerRequest::EdgeCountMsb,
-                PlayerRequest::FirstEdge {
-                    perm_tag: trial + 1,
-                },
-            ];
-            for _ in 0..n {
-                let (a, b) = (v(&mut rng), v(&mut rng));
-                if a != b {
-                    requests.push(PlayerRequest::HasEdge(Edge::new(a, b)));
-                }
-                let cands: Vec<Edge> = (0..rng.gen_range(0..6usize))
-                    .map(|_| (v(&mut rng), v(&mut rng)))
-                    .filter(|(a, b)| a != b)
-                    .map(|(a, b)| Edge::new(a, b))
-                    .collect();
-                let (bucket, k) = (rng.gen_range(0..4), rng.gen_range(1..5));
-                let (tag, cap) = (rng.gen_range(0..9), rng.gen_range(1..6));
-                let v = v(&mut rng);
-                requests.extend([
-                    PlayerRequest::FirstIncidentEdge { v, perm_tag: tag },
-                    PlayerRequest::LocalDegree { v },
-                    PlayerRequest::GlobalSampleHit {
-                        tag,
-                        p: p(&mut rng),
-                    },
-                    PlayerRequest::DegreeMsb { v },
-                    PlayerRequest::DegreePrefix {
-                        v,
-                        prefix_bits: rng.gen_range(1..4),
-                    },
-                    PlayerRequest::SampleHit {
-                        v,
-                        tag,
-                        p: p(&mut rng),
-                    },
-                    PlayerRequest::FirstSuspectInBucket {
-                        bucket,
-                        k,
-                        perm_tag: tag,
-                    },
-                    PlayerRequest::SuspectSample {
-                        bucket,
-                        k,
-                        perm_tag: tag,
-                        count: cap,
-                    },
-                    PlayerRequest::IncidentEdgesSampled {
-                        v,
-                        tag,
-                        p: p(&mut rng),
-                        cap,
-                    },
-                    PlayerRequest::FindClosingTriangle { edges: cands },
-                    PlayerRequest::InducedEdges {
-                        tag,
-                        p: p(&mut rng),
-                        cap,
-                    },
-                    PlayerRequest::RsEdges {
-                        r_tag: tag,
-                        p_r: p(&mut rng),
-                        s_tag: tag + 1,
-                        p_s: p(&mut rng),
-                        cap,
-                    },
-                ]);
-            }
-            for req in &requests {
+            // A fresh state per request variant, so every handler is also
+            // checked as the first call to touch the lazy adjacency.
+            let mut states = HashMap::new();
+            for req in &random_requests(&mut rng, n, trial) {
+                let state = states
+                    .entry(std::mem::discriminant(req))
+                    .or_insert_with(|| PlayerState::new(0, n, &share));
                 let (got, want) = (state.handle(req, &shared), oracle.answer(req, &shared));
                 match (&got, &want, req) {
                     // Any closing triangle is a correct answer: check that
@@ -817,11 +873,121 @@ mod tests {
                 }
             }
             // Endpoints outside the vertex range are simply not held.
+            let state = PlayerState::new(0, n, &share);
             for far in [n as u32, n as u32 + 7] {
                 assert!(!state.has_edge(Edge::new(VertexId(0), VertexId(far))));
             }
             assert!(!state.has_edge(Edge::new(VertexId(n as u32), VertexId(n as u32 + 1))));
         }
+    }
+
+    #[test]
+    fn share_reads_leave_the_adjacency_unbuilt() {
+        let p = player();
+        let s = SharedRandomness::new(3);
+        // Everything a one-round tester reads: the sorted share, its
+        // size, the bitset, and the share-scanning requests.
+        assert_eq!(p.edges().count(), p.share().len());
+        assert_eq!((p.n(), p.edge_count()), (6, 4));
+        assert!(p.local_average_degree() > 0.0);
+        assert_eq!(p.share_bitset().len(), 4);
+        for req in [
+            PlayerRequest::FirstEdge { perm_tag: 1 },
+            PlayerRequest::LocalEdgeCount,
+            PlayerRequest::EdgeCountMsb,
+            PlayerRequest::GlobalSampleHit { tag: 1, p: 0.5 },
+            PlayerRequest::InducedEdges {
+                tag: 2,
+                p: 0.5,
+                cap: 3,
+            },
+            PlayerRequest::RsEdges {
+                r_tag: 3,
+                p_r: 0.5,
+                s_tag: 4,
+                p_s: 0.5,
+                cap: 3,
+            },
+        ] {
+            p.handle(&req, &s);
+        }
+        assert!(!p.adjacency_built());
+        // Each neighbourhood, degree or membership read builds it.
+        let reads: [&dyn Fn(&PlayerState); 5] = [
+            &|p| assert_eq!(p.local_degree(VertexId(0)), 2),
+            &|p| assert_eq!(p.local_neighbors(VertexId(3)), &[VertexId(4)]),
+            &|p| assert!(p.has_edge(e(1, 2))),
+            &|p| assert!(p.close_any_vee(&[e(0, 3), e(0, 4)]).is_some()),
+            &|p| {
+                let suspects = PlayerRequest::FirstSuspectInBucket {
+                    bucket: 0,
+                    k: 1,
+                    perm_tag: 0,
+                };
+                assert!(matches!(p.handle(&suspects, &s), Payload::Vertex(Some(_))));
+            },
+        ];
+        for read in reads {
+            let p = player();
+            read(&p);
+            assert!(p.adjacency_built());
+        }
+    }
+
+    #[test]
+    fn concurrent_first_requests_agree_with_a_serial_state() {
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        let n = 60;
+        let share = random_share(&mut rng, n);
+        let requests = random_requests(&mut rng, n, 8);
+        let shared = SharedRandomness::new(8);
+        let serial = PlayerState::new(0, n, &share);
+        let want: Vec<Payload<'static>> =
+            requests.iter().map(|r| serial.handle(r, &shared)).collect();
+        let state = PlayerState::new(0, n, &share);
+        let barrier = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                let (state, requests, want, barrier) = (&state, &requests, &want, &barrier);
+                let shared = &shared;
+                scope.spawn(move || {
+                    barrier.wait();
+                    // Each thread starts at a different request, so
+                    // different handlers race to build the adjacency.
+                    for i in 0..requests.len() {
+                        let j = (i + t * 13) % requests.len();
+                        assert_eq!(
+                            state.handle(&requests[j], shared),
+                            want[j],
+                            "{:?}",
+                            requests[j]
+                        );
+                    }
+                });
+            }
+        });
+        assert!(state.adjacency_built());
+    }
+
+    #[test]
+    fn closing_triangle_is_the_same_on_every_call_and_state() {
+        // Four hubs 13..17 each close a vee over one held edge; grouping
+        // in vertex order names the lowest hub's triangle.
+        let share = [e(1, 2), e(3, 4), e(5, 6), e(7, 8)];
+        let mut edges = Vec::new();
+        for (hub, (a, b)) in (13..17).zip([(1, 2), (3, 4), (5, 6), (7, 8)]).rev() {
+            edges.extend([e(hub, b), e(a, hub)]);
+        }
+        let req = PlayerRequest::FindClosingTriangle { edges };
+        let s = SharedRandomness::new(1);
+        let answers: Vec<Payload<'static>> = (0..2)
+            .flat_map(|_| {
+                let p = PlayerState::new(0, 18, &share);
+                [p.handle(&req, &s), p.handle(&req, &s)]
+            })
+            .collect();
+        let want = Payload::Triangle(Some(Triangle::new(VertexId(13), VertexId(1), VertexId(2))));
+        assert!(answers.iter().all(|a| *a == want), "{answers:?}");
     }
 
     #[test]

@@ -18,10 +18,8 @@ use crate::{Edge, VertexId};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
-    n: usize,
-    /// CSR offsets: `adj[offsets[v]..offsets[v+1]]` are v's neighbors, sorted.
-    offsets: Vec<usize>,
-    adj: Vec<VertexId>,
+    /// Sorted neighbor lists over `0..n`, built from `edges`.
+    adjacency: CsrAdjacency,
     /// All edges in canonical order, sorted.
     edges: Vec<Edge>,
 }
@@ -41,41 +39,8 @@ impl Graph {
     }
 
     pub(crate) fn from_sorted_dedup_edges(n: usize, edges: Vec<Edge>) -> Self {
-        debug_assert!(
-            edges.windows(2).all(|w| w[0] < w[1]),
-            "edges must be sorted+dedup"
-        );
-        // One counting pass: `offsets[v + 1]` starts as deg(v).
-        let mut offsets = vec![0usize; n + 1];
-        for e in &edges {
-            offsets[e.u().index() + 1] += 1;
-            offsets[e.v().index() + 1] += 1;
-        }
-        for v in 0..n {
-            offsets[v + 1] += offsets[v];
-        }
-        let mut cursor = offsets[..n].to_vec();
-        let mut adj = vec![VertexId(0); offsets[n]];
-        // Sorted canonical edges fill every list in ascending order: `w`'s
-        // lower neighbors (edges `(x, w)`, `x < w`) all precede its upper
-        // ones (edges `(w, y)`), and each run arrives ascending.
-        for e in &edges {
-            let (u, v) = e.endpoints();
-            adj[cursor[u.index()]] = v;
-            cursor[u.index()] += 1;
-            adj[cursor[v.index()]] = u;
-            cursor[v.index()] += 1;
-        }
-        debug_assert!(
-            (0..n).all(|v| adj[offsets[v]..offsets[v + 1]]
-                .windows(2)
-                .all(|w| w[0] < w[1])),
-            "adjacency lists must come out sorted"
-        );
         Graph {
-            n,
-            offsets,
-            adj,
+            adjacency: CsrAdjacency::from_sorted_edges(n, &edges),
             edges,
         }
     }
@@ -83,7 +48,7 @@ impl Graph {
     /// Number of vertices `n`.
     #[inline]
     pub fn vertex_count(&self) -> usize {
-        self.n
+        self.adjacency.vertex_count()
     }
 
     /// Number of edges `|E|`.
@@ -97,10 +62,11 @@ impl Graph {
     /// This is the paper's density parameter; protocols are analyzed in
     /// terms of it and the degree-oblivious protocol estimates it.
     pub fn average_degree(&self) -> f64 {
-        if self.n == 0 {
+        let n = self.vertex_count();
+        if n == 0 {
             0.0
         } else {
-            2.0 * self.edges.len() as f64 / self.n as f64
+            2.0 * self.edges.len() as f64 / n as f64
         }
     }
 
@@ -111,7 +77,7 @@ impl Graph {
     /// Panics if `v` is out of range.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        self.offsets[v.index() + 1] - self.offsets[v.index()]
+        self.adjacency.degree(v)
     }
 
     /// Sorted neighbors of `v`.
@@ -121,7 +87,7 @@ impl Graph {
     /// Panics if `v` is out of range.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        &self.adj[self.offsets[v.index()]..self.offsets[v.index() + 1]]
+        self.adjacency.neighbors(v)
     }
 
     /// Start of `v`'s slice in the flat CSR adjacency array; slot `i` of
@@ -129,7 +95,7 @@ impl Graph {
     /// tombstone overlays in [`crate::kernels`].
     #[inline]
     pub(crate) fn adj_start(&self, v: VertexId) -> usize {
-        self.offsets[v.index()]
+        self.adjacency.offsets[v.index()]
     }
 
     /// Position of `e` in the canonical sorted edge array, if present.
@@ -140,17 +106,7 @@ impl Graph {
 
     /// `O(log d)` membership test.
     pub fn has_edge(&self, e: Edge) -> bool {
-        let (u, v) = e.endpoints();
-        if u.index() >= self.n || v.index() >= self.n {
-            return false;
-        }
-        // Probe the smaller adjacency list.
-        let (probe, target) = if self.degree(u) <= self.degree(v) {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        self.neighbors(probe).binary_search(&target).is_ok()
+        self.adjacency.has_edge(e)
     }
 
     /// All edges, in sorted canonical order.
@@ -161,7 +117,7 @@ impl Graph {
 
     /// Iterator over all vertex ids `0..n`.
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        (0..self.n as u32).map(VertexId)
+        (0..self.vertex_count() as u32).map(VertexId)
     }
 
     /// Common neighbors of `u` and `v` (sorted), via linear list merge.
@@ -186,7 +142,7 @@ impl Graph {
     /// The subgraph induced by `keep` (same vertex-id space; edges with both
     /// endpoints in `keep`). `keep` need not be sorted.
     pub fn induced_subgraph(&self, keep: &[VertexId]) -> Graph {
-        let mut inset = vec![false; self.n];
+        let mut inset = vec![false; self.vertex_count()];
         for v in keep {
             inset[v.index()] = true;
         }
@@ -196,7 +152,7 @@ impl Graph {
             .copied()
             .filter(|e| inset[e.u().index()] && inset[e.v().index()])
             .collect();
-        Graph::from_sorted_dedup_edges(self.n, edges)
+        Graph::from_sorted_dedup_edges(self.vertex_count(), edges)
     }
 
     /// Union of this graph's edges with another edge set over the same
@@ -206,7 +162,7 @@ impl Graph {
         all.extend_from_slice(extra);
         all.sort_unstable();
         all.dedup();
-        Graph::from_sorted_dedup_edges(self.n, all)
+        Graph::from_sorted_dedup_edges(self.vertex_count(), all)
     }
 
     /// Graph with the given edges removed.
@@ -217,15 +173,122 @@ impl Graph {
             .copied()
             .filter(|e| !remove.contains(e))
             .collect();
-        Graph::from_sorted_dedup_edges(self.n, edges)
+        Graph::from_sorted_dedup_edges(self.vertex_count(), edges)
     }
 
     /// Maximum degree over all vertices (0 for the empty graph).
     pub fn max_degree(&self) -> usize {
-        (0..self.n)
-            .map(|v| self.degree(VertexId::from_index(v)))
-            .max()
-            .unwrap_or(0)
+        self.vertices().map(|v| self.degree(v)).max().unwrap_or(0)
+    }
+}
+
+/// Sorted CSR adjacency lists of an edge set on the vertex ids `0..n`:
+/// the offsets and neighbor arrays behind a [`Graph`], without the edge
+/// array itself.
+///
+/// Built from a sorted, deduplicated edge slice in one counting pass for
+/// the offsets and one fill pass that leaves every list sorted, so a
+/// holder that already keeps its sorted edges (a [`Graph`], or a
+/// protocol player's share) adds only the lists.
+///
+/// # Example
+///
+/// ```
+/// use triad_graph::{CsrAdjacency, Edge, VertexId};
+/// let edges = [(0, 1), (0, 2), (1, 2)].map(|(u, v)| Edge::new(VertexId(u), VertexId(v)));
+/// let adj = CsrAdjacency::from_sorted_edges(4, &edges);
+/// assert_eq!(adj.neighbors(VertexId(2)), &[VertexId(0), VertexId(1)]);
+/// assert_eq!(adj.degree(VertexId(3)), 0);
+/// assert!(adj.has_edge(Edge::new(VertexId(2), VertexId(0))));
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CsrAdjacency {
+    /// CSR offsets: `adj[offsets[v]..offsets[v+1]]` are v's neighbors, sorted.
+    offsets: Vec<usize>,
+    adj: Vec<VertexId>,
+}
+
+impl CsrAdjacency {
+    /// Builds the adjacency lists of `edges` over the vertex ids `0..n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `edges` is not strictly increasing (sorted and
+    /// deduplicated) or an endpoint is `>= n`.
+    pub fn from_sorted_edges(n: usize, edges: &[Edge]) -> Self {
+        assert!(
+            edges.windows(2).all(|w| w[0] < w[1]),
+            "edges must be sorted and deduplicated"
+        );
+        // One counting pass: `offsets[v + 1]` starts as deg(v).
+        let mut offsets = vec![0usize; n + 1];
+        for e in edges {
+            offsets[e.u().index() + 1] += 1;
+            offsets[e.v().index() + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut adj = vec![VertexId(0); offsets[n]];
+        // Sorted canonical edges fill every list in ascending order: `w`'s
+        // lower neighbors (edges `(x, w)`, `x < w`) all precede its upper
+        // ones (edges `(w, y)`), and each run arrives ascending.
+        for e in edges {
+            let (u, v) = e.endpoints();
+            adj[cursor[u.index()]] = v;
+            cursor[u.index()] += 1;
+            adj[cursor[v.index()]] = u;
+            cursor[v.index()] += 1;
+        }
+        debug_assert!(
+            (0..n).all(|v| adj[offsets[v]..offsets[v + 1]]
+                .windows(2)
+                .all(|w| w[0] < w[1])),
+            "adjacency lists must come out sorted"
+        );
+        CsrAdjacency { offsets, adj }
+    }
+
+    /// Number of vertices `n`.
+    #[inline]
+    pub fn vertex_count(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Degree of `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    #[inline]
+    pub fn degree(&self, v: VertexId) -> usize {
+        self.offsets[v.index() + 1] - self.offsets[v.index()]
+    }
+
+    /// Sorted neighbors of `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    #[inline]
+    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
+        &self.adj[self.offsets[v.index()]..self.offsets[v.index() + 1]]
+    }
+
+    /// `O(log d)` membership test (`false` for endpoints outside `0..n`).
+    pub fn has_edge(&self, e: Edge) -> bool {
+        let (u, v) = e.endpoints();
+        if v.index() >= self.vertex_count() {
+            return false;
+        }
+        // Probe the smaller adjacency list.
+        let (probe, target) = if self.degree(u) <= self.degree(v) {
+            (u, v)
+        } else {
+            (v, u)
+        };
+        self.neighbors(probe).binary_search(&target).is_ok()
     }
 }
 
@@ -295,6 +358,26 @@ mod tests {
         assert_eq!(g.average_degree(), 0.0);
         assert_eq!(g.max_degree(), 0);
         assert_eq!(g.vertices().count(), 0);
+    }
+
+    #[test]
+    fn csr_adjacency_matches_the_graph_it_backs() {
+        let g = Graph::from_edges(6, [(0, 3), (1, 2), (0, 1), (2, 5)]);
+        let adj = CsrAdjacency::from_sorted_edges(6, g.edges());
+        assert_eq!(adj.vertex_count(), 6);
+        for v in g.vertices() {
+            assert_eq!(adj.neighbors(v), g.neighbors(v));
+            assert_eq!(adj.degree(v), g.degree(v));
+        }
+        assert!(adj.has_edge(Edge::new(VertexId(5), VertexId(2))));
+        assert!(!adj.has_edge(Edge::new(VertexId(0), VertexId(9))));
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted and deduplicated")]
+    fn csr_adjacency_rejects_unsorted_edges() {
+        let e = |u, v| Edge::new(VertexId(u), VertexId(v));
+        CsrAdjacency::from_sorted_edges(3, &[e(1, 2), e(0, 1)]);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub use builder::GraphBuilder;
 pub use csr::AsCsr;
 pub use edge::Edge;
 pub use error::GraphError;
-pub use graph::Graph;
+pub use graph::{CsrAdjacency, Graph};
 pub use store::CsrStore;
 pub use vertex::VertexId;
 

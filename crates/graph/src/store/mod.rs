@@ -597,56 +597,59 @@ fn validate(n: usize, m: usize, backing: &Backing, declared: u64) -> Result<Vec<
             )));
         }
     }
-    let mut checksum = Checksum::new();
-    checksum.absorb(n as u64);
-    checksum.absorb(m as u64);
+    // Symmetry by cursor matching. Rows are walked in order and are
+    // strictly increasing, so the forward entries `(u, v)` naming one `v`
+    // arrive with `u` ascending, and each must be the next unmatched
+    // backward entry of row `v`. Until row `v` is reached, that entry's
+    // position (the cursor) lives in the not-yet-written slot `v + 1` of
+    // the forward-edge index; on reaching row `v` the cursor must sit
+    // exactly at its first forward entry. A forward entry then always
+    // names a backward entry and every backward entry is named, so
+    // `u ∈ row v ⟺ v ∈ row u`. A cursor is not bounded by its row's end:
+    // a match can never take a forward entry (each exceeds the rows that
+    // match), so a cursor only runs past the end of a row that has none,
+    // and that row's own check then fails.
     let mut edge_starts = Vec::with_capacity(n + 1);
-    let mut forward = 0u64;
     edge_starts.push(0);
+    edge_starts.extend_from_slice(&offsets[..n]);
+    let mut forward = 0u64;
     for u in 0..n {
-        checksum.absorb(offsets[u]);
-        let (lo, hi) = (offsets[u], offsets[u + 1]);
-        let row = &adj[lo as usize..hi as usize];
-        let mut prev: Option<u32> = None;
-        for &v in row {
-            if v as usize >= n {
-                return Err(StoreError::Corrupt(format!(
-                    "row {u} references vertex {v} ≥ n = {n}"
-                )));
-            }
-            if v as usize == u {
-                return Err(StoreError::Corrupt(format!("self-loop at vertex {u}")));
-            }
-            if let Some(p) = prev {
-                if v <= p {
-                    return Err(StoreError::Corrupt(format!(
-                        "row {u} is not strictly increasing ({p} then {v})"
-                    )));
-                }
-            }
-            prev = Some(v);
+        let (lo, hi) = (offsets[u] as usize, offsets[u + 1] as usize);
+        let fwd_start = lo + check_row(u, &adj[lo..hi], n)?;
+        let cursor = edge_starts[u + 1] as usize;
+        if cursor < fwd_start {
+            // Stopped at a backward entry whose row did not name `u`.
+            return Err(asymmetric(adj[cursor], u));
         }
-        // Forward entries (v > u) are the canonical edges (u, v); each
-        // must have its mate u in row v. Checking every forward entry and
-        // then the total forward count == m accounts for every slot.
-        let fwd_start = row.partition_point(|&v| (v as usize) < u);
-        for &v in &row[fwd_start..] {
-            let mate_lo = offsets[v as usize] as usize;
-            let mate_hi = offsets[v as usize + 1] as usize;
-            if adj[mate_lo..mate_hi].binary_search(&(u as u32)).is_err() {
-                return Err(StoreError::Corrupt(format!(
-                    "asymmetric edge: {v} ∈ row {u} but {u} ∉ row {v}"
-                )));
+        if cursor > fwd_start {
+            // Ran off the end of row `u`: the first entry past it is the
+            // row that named `u` with no slot left for it.
+            return Err(asymmetric(u as u32, adj[fwd_start] as usize));
+        }
+        for &v in &adj[fwd_start..hi] {
+            let slot = &mut edge_starts[v as usize + 1];
+            if adj.get(*slot as usize) == Some(&(u as u32)) {
+                *slot += 1;
+            } else {
+                return Err(unmatched(n, offsets, adj, u, v as usize, *slot as usize));
             }
         }
-        forward += (row.len() - fwd_start) as u64;
-        edge_starts.push(forward);
+        forward += (hi - fwd_start) as u64;
+        edge_starts[u + 1] = forward;
     }
-    checksum.absorb(offsets[n]);
     if forward != m as u64 {
         return Err(StoreError::Corrupt(format!(
             "forward-edge count {forward} disagrees with declared m = {m}"
         )));
+    }
+    // The checksum chain, last and in a pass of its own: the chain is
+    // serial, and inside the row walk it would stall the walk's
+    // independent mate-row loads.
+    let mut checksum = Checksum::new();
+    checksum.absorb(n as u64);
+    checksum.absorb(m as u64);
+    for &o in offsets {
+        checksum.absorb(o);
     }
     for &v in adj {
         checksum.absorb(u64::from(v));
@@ -658,6 +661,55 @@ fn validate(n: usize, m: usize, backing: &Backing, declared: u64) -> Result<Vec<
         )));
     }
     Ok(edge_starts)
+}
+
+/// The per-row checks: entries `< n`, no self-loop, strictly increasing.
+/// Returns the number of backward entries (those `< u`).
+fn check_row(u: usize, row: &[u32], n: usize) -> Result<usize, StoreError> {
+    let mut prev: Option<u32> = None;
+    let mut backward = 0;
+    for &v in row {
+        if v as usize >= n {
+            return Err(StoreError::Corrupt(format!(
+                "row {u} references vertex {v} ≥ n = {n}"
+            )));
+        }
+        if v as usize == u {
+            return Err(StoreError::Corrupt(format!("self-loop at vertex {u}")));
+        }
+        if let Some(p) = prev {
+            if v <= p {
+                return Err(StoreError::Corrupt(format!(
+                    "row {u} is not strictly increasing ({p} then {v})"
+                )));
+            }
+        }
+        prev = Some(v);
+        backward += usize::from((v as usize) < u);
+    }
+    Ok(backward)
+}
+
+/// The error for a pair with `a ∈ row b` but `b ∉ row a`.
+fn asymmetric(a: u32, b: usize) -> StoreError {
+    StoreError::Corrupt(format!("asymmetric edge: {a} ∈ row {b} but {b} ∉ row {a}"))
+}
+
+/// Names the defect behind a forward entry `v` of row `u` that does not
+/// match slot `at`, the cursor of row `v`. Row `v` lies ahead of the
+/// walk, so its own checks run first; once it is known to be strictly
+/// increasing, its slots before `at` hold the rows `< u` that named `v`.
+/// If the entry at `at` is below `u`, its row did not name `v`; otherwise
+/// (a larger entry, or none left in the row) `u` is missing from row `v`.
+fn unmatched(n: usize, offsets: &[u64], adj: &[u32], u: usize, v: usize, at: usize) -> StoreError {
+    let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
+    if let Err(e) = check_row(v, &adj[lo..hi], n) {
+        return e;
+    }
+    match adj.get(at..hi).and_then(<[u32]>::first) {
+        Some(&w) if (w as usize) < u => asymmetric(w, v),
+        _ => asymmetric(v as u32, u),
+    }
 }
 
 #[cfg(test)]

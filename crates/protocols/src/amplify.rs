@@ -37,10 +37,11 @@ pub fn rep_seed(base_seed: u64, r: u32) -> u64 {
 }
 
 /// A partitioned input with everything seed-independent hoisted out of
-/// the repetition loop: shares validated once, per-player states (sorted
-/// shares, adjacency, degree tables — the §3.2 bucket inputs) built once
-/// and handed to every repetition behind an [`Arc`]. Repetitions then
-/// re-roll only the shared randomness (see `docs/RUNTIME.md`).
+/// the repetition loop: shares validated once, per-player states built
+/// once (the sorted shares; the adjacency and degree tables — the §3.2
+/// bucket inputs — on first use) and handed to every repetition behind an
+/// [`Arc`]. Repetitions then re-roll only the shared randomness (see
+/// `docs/RUNTIME.md`).
 #[derive(Debug, Clone)]
 pub struct PreparedInput<'g> {
     /// `None` when the input was prepared from shares alone

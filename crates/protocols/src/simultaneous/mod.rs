@@ -477,4 +477,48 @@ mod tests {
             cases.len()
         );
     }
+
+    #[test]
+    fn one_round_testers_leave_every_players_adjacency_unbuilt() {
+        use crate::amplify::{run_amplified_prepared, Repeatable};
+        use crate::baseline::SendEverything;
+        use triad_comm::{PayloadRepr, Pool};
+        // A player builds its local adjacency only when a request reads
+        // it; a built one shows in the player's `Debug` rendering as a
+        // `CsrAdjacency`, an unbuilt one as an empty cell.
+        let built = |p: &triad_comm::PlayerState| format!("{p:?}").contains("CsrAdjacency");
+        let mut rng = ChaCha8Rng::seed_from_u64(14);
+        let g = far_graph(240, 8.0, 0.2, &mut rng).unwrap();
+        let parts = random_disjoint(&g, 3, &mut rng);
+        let d = g.average_degree();
+        for repr in [PayloadRepr::Edges, PayloadRepr::Bits] {
+            let tuning = Tuning::practical(0.2).with_repr(repr);
+            let sim = |kind| SimultaneousTester::new(tuning, kind);
+            let testers: [(&str, Box<dyn Repeatable + Sync>); 4] = [
+                ("low", Box::new(sim(SimProtocolKind::Low { avg_degree: d }))),
+                (
+                    "high",
+                    Box::new(sim(SimProtocolKind::High { avg_degree: d })),
+                ),
+                ("oblivious", Box::new(sim(SimProtocolKind::Oblivious))),
+                ("exact", Box::new(SendEverything::with_repr(repr))),
+            ];
+            for (name, tester) in &testers {
+                let input = PreparedInput::new(&g, &parts).unwrap();
+                run_amplified_prepared(&Pool::serial(), &&**tester, &input, 1, 5).unwrap();
+                for p in input.players() {
+                    assert!(
+                        !built(p),
+                        "{name} ({repr:?}) built player {}'s adjacency",
+                        p.id()
+                    );
+                }
+            }
+        }
+        // The probe itself: a degree read builds the adjacency.
+        let input = PreparedInput::new(&g, &parts).unwrap();
+        let p = &input.players()[0];
+        p.local_degree(VertexId(0));
+        assert!(built(p));
+    }
 }

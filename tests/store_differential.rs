@@ -17,7 +17,7 @@
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use triad::comm::pool::Pool;
@@ -268,18 +268,23 @@ proptest! {
 /// `[0, 2, 4, 6]` at 40..72, six u32 adjacency slots
 /// `[1,2, 0,2, 0,1]` at 72..96.
 fn triangle_bytes(dir: &Path) -> Vec<u8> {
-    let path = dir.join("tri.csr");
-    let g = Graph::from_edges(3, [(0u32, 1u32), (0, 2), (1, 2)]);
-    write_csr(&path, &g).unwrap();
-    std::fs::read(&path).unwrap()
+    graph_bytes(
+        dir,
+        "tri",
+        &Graph::from_edges(3, [(0u32, 1u32), (0, 2), (1, 2)]),
+    )
 }
 
 /// A valid path file (n = 3, edges 01/12): offsets `[0, 1, 3, 4]`,
 /// adjacency `[1, 0,2, 1]` — the seed for the asymmetry case.
 fn path_bytes(dir: &Path) -> Vec<u8> {
-    let path = dir.join("path.csr");
-    let g = Graph::from_edges(3, [(0u32, 1u32), (1, 2)]);
-    write_csr(&path, &g).unwrap();
+    graph_bytes(dir, "path", &Graph::from_edges(3, [(0u32, 1u32), (1, 2)]))
+}
+
+/// The container bytes `write_csr` produces for `g`.
+fn graph_bytes(dir: &Path, tag: &str, g: &Graph) -> Vec<u8> {
+    let path = dir.join(format!("{tag}-source.csr"));
+    write_csr(&path, g).unwrap();
     std::fs::read(&path).unwrap()
 }
 
@@ -426,7 +431,154 @@ fn every_corruption_is_rejected_with_the_precise_error() {
         Err(StoreError::Corrupt(msg)) => assert!(msg.contains("asymmetric"), "{msg}"),
         other => panic!("asymmetric edge accepted: {other:?}"),
     }
+    // The first defect reached is an unmatched backward entry: edges
+    // 02/23 (rows [2], [], [0,3], [2]) with row 2's 3 rewritten to 1.
+    // Row 0 names 2 and is matched, row 1 names nothing, so on reaching
+    // row 2 its cursor stops at the 1 that no row named.
+    let g = Graph::from_edges(4, [(0u32, 2u32), (2, 3)]);
+    let mut b = graph_bytes(&dir, "unmatched-backward", &g);
+    put_u32(&mut b, HEADER_BYTES + 5 * 8 + 2 * 4, 1);
+    match open_bytes(&dir, "unmatched-backward", &b) {
+        Err(StoreError::Corrupt(msg)) => assert_eq!(
+            msg, "asymmetric edge: 1 ∈ row 2 but 2 ∉ row 1",
+            "the row-completeness check must name the pair"
+        ),
+        other => panic!("unmatched backward entry accepted: {other:?}"),
+    }
+    // A cursor that runs past the end of its row: edges 02/13 (rows [2],
+    // [3], [0], [1]) with row 1's 3 rewritten to 2. Row 1's entry 2
+    // finds row 2 fully matched and matches the 1 just past it (row 3's
+    // first slot), so the overrun shows when the walk reaches row 2.
+    let g = Graph::from_edges(4, [(0u32, 2u32), (1, 3)]);
+    let mut b = graph_bytes(&dir, "cursor-overrun", &g);
+    put_u32(&mut b, HEADER_BYTES + 5 * 8 + 4, 2);
+    match open_bytes(&dir, "cursor-overrun", &b) {
+        Err(StoreError::Corrupt(msg)) => {
+            assert_eq!(msg, "asymmetric edge: 2 ∈ row 1 but 1 ∉ row 2")
+        }
+        other => panic!("overrun cursor accepted: {other:?}"),
+    }
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The docs/IO.md checksum chain over a file's payload, for re-patching
+/// the header after a corruption so the structural checks alone must
+/// catch it.
+fn payload_checksum(bytes: &[u8]) -> u64 {
+    let mix64 = |mut x: u64| {
+        x ^= x >> 30;
+        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x ^= x >> 27;
+        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    };
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let n = word(16) as usize;
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    for w in [word(16), word(24)] {
+        state = mix64(state ^ w);
+    }
+    let adj_at = HEADER_BYTES + (n + 1) * 8;
+    for at in (HEADER_BYTES..adj_at).step_by(8) {
+        state = mix64(state ^ word(at));
+    }
+    for c in bytes[adj_at..].chunks_exact(4) {
+        state = mix64(state ^ u64::from(u32::from_le_bytes(c.try_into().unwrap())));
+    }
+    state
+}
+
+#[test]
+fn every_one_word_adjacency_corruption_is_rejected_truthfully() {
+    let dir = tempdir("mutate");
+    let mut rng = ChaCha8Rng::seed_from_u64(14);
+    let mut cases = 0;
+    while cases < 150 {
+        let n: usize = rng.gen_range(2..24);
+        let pairs: Vec<(u32, u32)> = (0..rng.gen_range(1..3 * n))
+            .map(|_| (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32)))
+            .filter(|(a, b)| a != b)
+            .collect();
+        let g = Graph::from_edges(n, pairs);
+        if g.edge_count() == 0 {
+            continue;
+        }
+        let bytes = graph_bytes(&dir, "mutate", &g);
+        let offsets_at = |v: usize| HEADER_BYTES + v * 8;
+        let offset = |v: usize| {
+            u64::from_le_bytes(bytes[offsets_at(v)..offsets_at(v) + 8].try_into().unwrap()) as usize
+        };
+        let slot_at = |i: usize| HEADER_BYTES + (n + 1) * 8 + i * 4;
+        let slot = |b: &[u8], i: usize| {
+            u32::from_le_bytes(b[slot_at(i)..slot_at(i) + 4].try_into().unwrap())
+        };
+
+        // One adjacency word moved to another value that keeps its row
+        // strictly increasing and in range.
+        let i = rng.gen_range(0..2 * g.edge_count());
+        let row = (0..n)
+            .find(|&v| offset(v) <= i && i < offset(v + 1))
+            .unwrap();
+        let below = if i > offset(row) {
+            slot(&bytes, i - 1) + 1
+        } else {
+            0
+        };
+        let above = if i + 1 < offset(row + 1) {
+            slot(&bytes, i + 1)
+        } else {
+            n as u32
+        };
+        let old = slot(&bytes, i);
+        let choices: Vec<u32> = (below..above).filter(|&x| x != old).collect();
+        if choices.is_empty() {
+            continue;
+        }
+        cases += 1;
+        let mut corrupt = bytes.clone();
+        put_u32(
+            &mut corrupt,
+            slot_at(i),
+            choices[rng.gen_range(0..choices.len())],
+        );
+        let rows: Vec<std::collections::BTreeSet<u32>> = (0..n)
+            .map(|v| {
+                (offset(v)..offset(v + 1))
+                    .map(|j| slot(&corrupt, j))
+                    .collect()
+            })
+            .collect();
+
+        let mut patched = corrupt.clone();
+        put_u64(&mut patched, 32, payload_checksum(&corrupt));
+        for (tag, b) in [("stale", &corrupt), ("patched", &patched)] {
+            let path = dir.join(format!("mutate-{tag}.csr"));
+            std::fs::write(&path, b).unwrap();
+            let (mapped, owned) = (CsrStore::open(&path), CsrStore::open_owned(&path));
+            let msg = match (mapped, owned) {
+                (Err(StoreError::Corrupt(a)), Err(StoreError::Corrupt(o))) => {
+                    assert_eq!(a, o, "backings disagree on the defect");
+                    a
+                }
+                other => panic!("case {cases} ({tag}): corruption not rejected: {other:?}"),
+            };
+            // The structural battery fires, never the checksum: one moved
+            // word always breaks symmetry (or makes a self-loop).
+            if let Some(pair) = msg.strip_prefix("asymmetric edge: ") {
+                let num = |s: &str| s.trim().parse::<u32>().unwrap();
+                let (a, rest) = pair.split_once(" ∈ row ").unwrap();
+                let (b, _) = rest.split_once(" but ").unwrap();
+                let (a, b) = (num(a), num(b));
+                assert!(
+                    rows[b as usize].contains(&a) && !rows[a as usize].contains(&b),
+                    "case {cases} ({tag}): \"{msg}\" is false of the bytes"
+                );
+            } else {
+                assert!(msg.starts_with("self-loop"), "case {cases} ({tag}): {msg}");
+            }
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

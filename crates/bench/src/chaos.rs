@@ -222,7 +222,10 @@ pub fn reconnect_cell(
     let (g, parts) = bipartite_workload(n, d, k, 7);
     let input = PreparedInput::new(&g, &parts).expect("valid workload");
     let tester = UnrestrictedTester::new(Tuning::practical(0.2));
-    let reference = tester.run_prepared_tally(&input, seed);
+    let reference = tester
+        .run_prepared(&input, seed, None)
+        .expect("the unrestricted tester refuses no parameters")
+        .run;
     let shares = Arc::new(parts.shares().to_vec());
     let cfg = ServeConfig {
         k,

@@ -7,7 +7,7 @@ use crate::workloads::{mean_over_seeds, planted_far};
 use triad_comm::pool::Pool;
 use triad_comm::{CostModel, Runtime, SharedRandomness, Tally};
 use triad_protocols::{
-    PreparedInput, SimProtocolKind, SimultaneousTester, Tuning, UnrestrictedTester,
+    PreparedInput, Repeatable, SimProtocolKind, SimultaneousTester, Tuning, UnrestrictedTester,
 };
 
 const EPS: f64 = 0.2;
@@ -92,7 +92,12 @@ pub fn e1_unrestricted(scale: Scale) -> Report {
         let w = planted_far(n, d, EPS, k, 9);
         let input = PreparedInput::new(&w.graph, &w.partition).expect("planted workload is valid");
         let mean = mean_over_seeds(trials, |s| {
-            tester.run_prepared_tally(&input, s).stats.total_bits
+            tester
+                .run_prepared(&input, s, None)
+                .unwrap()
+                .run
+                .stats
+                .total_bits
         });
         ks.push(k as f64);
         bits.push(mean);
@@ -125,7 +130,7 @@ pub fn e2_sim_low(scale: Scale) -> Report {
         let input = PreparedInput::new(&w.graph, &w.partition).expect("planted workload is valid");
         let tester = SimultaneousTester::new(tuning, SimProtocolKind::Low { avg_degree: d });
         let (totals, maxes, found) = trial_sums(trials, |seed| {
-            let run = tester.run_prepared_tally(&input, seed).unwrap();
+            let run = tester.run_prepared(&input, seed, None).unwrap().run;
             (
                 run.stats.total_bits,
                 run.stats.max_player_sent_bits,
@@ -172,7 +177,7 @@ pub fn e3_sim_high(scale: Scale) -> Report {
         let input = PreparedInput::new(&w.graph, &w.partition).expect("planted workload is valid");
         let tester = SimultaneousTester::new(tuning, SimProtocolKind::High { avg_degree: w.d });
         let (totals, _, found) = trial_sums(trials, |seed| {
-            let run = tester.run_prepared_tally(&input, seed).unwrap();
+            let run = tester.run_prepared(&input, seed, None).unwrap().run;
             (run.stats.total_bits, 0, run.outcome.found_triangle())
         });
         let mean = totals as f64 / trials as f64;
@@ -235,13 +240,14 @@ pub fn e4_oblivious(scale: Scale) -> Report {
         let input = PreparedInput::new(&w.graph, &w.partition).expect("planted workload is valid");
         let aware_bits = mean_over_seeds(trials, |s| {
             aware
-                .run_prepared_tally(&input, s)
+                .run_prepared(&input, s, None)
                 .unwrap()
+                .run
                 .stats
                 .total_bits
         });
         let (obl_bits, _, found) = trial_sums(trials, |seed| {
-            let run = obl.run_prepared_tally(&input, seed).unwrap();
+            let run = obl.run_prepared(&input, seed, None).unwrap().run;
             (run.stats.total_bits, 0, run.outcome.found_triangle())
         });
         let obl_mean = obl_bits as f64 / trials as f64;

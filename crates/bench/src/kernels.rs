@@ -284,8 +284,9 @@ pub fn time_store_workload(name: &str, store: &CsrStore, reps: usize, pool: &Poo
             triad_protocols::Tuning::practical(0.2),
             triad_protocols::SimProtocolKind::Low { avg_degree: d },
         );
-        triad_protocols::amplify::Repeatable::run_prepared(&tester, &input, 7)
+        triad_protocols::amplify::Repeatable::run_prepared(&tester, &input, 7, None)
             .expect("prepared store run")
+            .run
             .outcome
             .found_triangle()
     });

@@ -31,17 +31,15 @@ use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
 use triad_comm::pool::Pool;
 use triad_comm::{
-    run_simultaneous_prepared, CommStats, PayloadRepr, PlayerState, Recorder, SharedRandomness,
-    SimMessage, SimultaneousProtocol, Tally, Transcript,
+    run_simultaneous_prepared, CommStats, CostModel, PayloadRepr, PlayerState, Recorder, Runtime,
+    SharedRandomness, SimMessage, SimultaneousProtocol, Tally, Transcript,
 };
 use triad_graph::partition::{random_disjoint, Partition};
 use triad_graph::{Graph, GraphBuilder, Triangle};
-use triad_protocols::amplify::{
-    rep_seed, run_amplified_prepared, run_amplified_with, PreparedInput,
-};
+use triad_protocols::amplify::{rep_seed, run_amplified_prepared, PreparedInput};
 use triad_protocols::baseline::SendEverything;
 use triad_protocols::simultaneous::{AlgHigh, AlgLow};
-use triad_protocols::{TestOutcome, Tuning, UnrestrictedTester};
+use triad_protocols::{ProtocolRun, TestOutcome, Tuning, UnrestrictedTester};
 
 /// Wraps a simultaneous protocol so every message payload is detached
 /// into an owned clone — reconstructing the pre-`Cow` allocation
@@ -341,12 +339,38 @@ pub fn time_sweep<P: SimultaneousProtocol<Output = Option<Triangle>> + Sync>(
     }
 }
 
+/// A serial full-transcript sweep over the single runs `run_rep(seed)`
+/// produces, stopping at the first witness.
+fn transcript_sweep(
+    k: usize,
+    reps: u32,
+    base_seed: u64,
+    run_rep: impl Fn(u64) -> ProtocolRun,
+) -> (TestOutcome, CommStats, u64) {
+    let mut stats = CommStats::default();
+    let mut transcript = Transcript::new(k);
+    for r in 0..reps {
+        let run = run_rep(rep_seed(base_seed, r));
+        stats = stats.merged(run.stats);
+        transcript.absorb(&run.transcript);
+        if run.outcome.found_triangle() {
+            return (run.outcome, stats, transcript.total_bits().get());
+        }
+    }
+    (
+        TestOutcome::NoTriangleFound,
+        stats,
+        transcript.total_bits().get(),
+    )
+}
+
 /// Times the unrestricted (interactive) tester's amplified sweep.
 ///
-/// The naive path here is the literal pre-`PreparedInput` entry point —
-/// [`run_amplified_with`] re-validates and rebuilds the players every
-/// repetition and logs full transcripts; `full` is prepared players with
-/// a [`Transcript`]; `tally` is [`run_amplified_prepared`]. The
+/// The naive path here is a serial loop over the public
+/// [`UnrestrictedTester::run`], which re-validates and rebuilds the
+/// players every repetition and logs full transcripts; `full` is
+/// prepared players with a [`Transcript`]; `tally` is
+/// [`run_amplified_prepared`]. The
 /// unrestricted tester is the event-heavy case: each repetition records
 /// per-player requests and responses across several phases, so this row
 /// is where the recorder choice itself shows up.
@@ -366,24 +390,25 @@ pub fn time_unrestricted_sweep(
     let input = PreparedInput::new(g, partition).expect("valid workload");
     let serial = Pool::serial();
     let (naive_ms, naive) = time_best(timing_reps, || {
-        let run = run_amplified_with(&serial, &tester, g, partition, reps, base_seed)
-            .expect("valid workload");
-        (run.outcome, run.stats, run.transcript.total_bits().get())
+        transcript_sweep(input.k(), reps, base_seed, |seed| {
+            tester.run(g, partition, seed).expect("valid workload")
+        })
     });
     let (full_ms, full) = time_best(timing_reps, || {
-        let mut outcome = TestOutcome::NoTriangleFound;
-        let mut stats = CommStats::default();
-        let mut transcript = Transcript::new(input.k());
-        for r in 0..reps {
-            let run = tester.run_prepared_recorded::<Transcript>(&input, rep_seed(base_seed, r));
-            outcome = run.outcome;
-            stats = stats.merged(run.stats);
-            transcript.absorb(&run.transcript);
-            if run.outcome.found_triangle() {
-                break;
+        transcript_sweep(input.k(), reps, base_seed, |seed| {
+            let mut rt = Runtime::prepared_with(
+                input.n(),
+                input.shared_players(),
+                SharedRandomness::new(seed),
+                CostModel::Coordinator,
+            );
+            let outcome = tester.run_on(&mut rt);
+            ProtocolRun {
+                outcome,
+                stats: rt.stats(),
+                transcript: rt.into_transcript(),
             }
-        }
-        (outcome, stats, transcript.total_bits().get())
+        })
     });
     assert_eq!(full.0, naive.0, "unrestricted: outcome diverged (full)");
     let (tally_ms, tally) = time_best(timing_reps, || {

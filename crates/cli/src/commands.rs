@@ -6,14 +6,16 @@ use rand_chacha::ChaCha8Rng;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::Path;
-use triad_comm::CostModel;
+use triad_comm::{CostModel, Pool};
 use triad_graph::partition::Partition;
 use triad_graph::store::{
     write_csr, ChungLuStream, DenseCoreStream, EdgeStream, FarStream, GnpStream,
 };
 use triad_graph::{distance, generators, io as gio, AsCsr, CsrStore, Graph};
-use triad_protocols::amplify::{PreparedInput, Repeatable};
-use triad_protocols::{SimProtocolKind, SimultaneousTester, Tuning, UnrestrictedTester};
+use triad_protocols::amplify::{run_amplified_prepared, PreparedInput, Repeatable};
+use triad_protocols::{
+    run_chaos_amplified, SimProtocolKind, SimultaneousTester, Tuning, UnrestrictedTester,
+};
 
 pub(crate) fn load_graph(path: &str) -> Result<Graph, CliError> {
     Ok(gio::read_edge_list(BufReader::new(File::open(path)?))?)
@@ -431,26 +433,13 @@ pub fn test(args: &ArgMap) -> Result<String, CliError> {
     if reps == 0 {
         return Err(CliError::Usage("--reps must be positive".into()));
     }
-    let record = args.optional("record").unwrap_or("tally");
-    if record != "tally" && record != "full" {
-        return Err(CliError::Usage(format!(
-            "unknown --record `{record}` (expected tally or full)"
-        )));
-    }
     // With --reps > 1 the run is amplified: repetitions execute on the
     // configured worker pool (--threads), first witness wins, and cost
     // covers exactly the repetitions a serial loop would have performed.
-    // `--record tally` (the default) skips the per-event log; totals and
-    // verdicts are identical either way (see docs/RUNTIME.md).
     let tester = tester_for(protocol, tuning, d, cost_model, repr)?;
-    let (outcome, stats) = if record == "tally" {
-        triad_protocols::amplify::run_amplified_tally(&&*tester, &g, &parts, reps, seed)
-            .map(|r| (r.outcome, r.stats))?
-    } else {
-        triad_protocols::amplify::run_amplified(&&*tester, &g, &parts, reps, seed)
-            .map(|r| (r.outcome, r.stats))?
-    };
-    Ok(render_test_run(&outcome, &stats))
+    let input = PreparedInput::new(&g, &parts)?;
+    let run = run_amplified_prepared(&Pool::current(), &&*tester, &input, reps, seed)?;
+    Ok(render_test_run(&run.outcome, &run.stats))
 }
 
 /// The `--graph-file` arm of `triad test`: open the binary CSR store
@@ -474,22 +463,6 @@ fn test_store(
                 .into(),
         ));
     }
-    match args.optional("record").unwrap_or("tally") {
-        "tally" => {}
-        "full" => {
-            return Err(CliError::Usage(
-                "--record full replays repetitions over a materialized graph; \
-                 --graph-file runs keep only tallies (use --graph/--shares for \
-                 full transcripts)"
-                    .into(),
-            ))
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --record `{other}` (expected tally or full)"
-            )))
-        }
-    }
     let reps: u32 = args.parsed_or("reps", 1)?;
     if reps == 0 {
         return Err(CliError::Usage("--reps must be positive".into()));
@@ -499,13 +472,7 @@ fn test_store(
     let parts = partition_for(args, &store)?;
     let input = PreparedInput::from_partition(store.vertex_count(), &parts)?;
     let tester = tester_for(protocol, tuning, d, cost_model, repr)?;
-    let run = triad_protocols::amplify::run_amplified_prepared(
-        &triad_comm::pool::Pool::current(),
-        &&*tester,
-        &input,
-        reps,
-        seed,
-    )?;
+    let run = run_amplified_prepared(&Pool::current(), &&*tester, &input, reps, seed)?;
     Ok(render_test_run(&run.outcome, &run.stats))
 }
 
@@ -559,30 +526,27 @@ pub fn chaos(args: &ArgMap) -> Result<String, CliError> {
     let tuning = Tuning::practical(eps).with_repr(repr);
     // `chaos` has no --cost-model flag; CostModel::Coordinator is the
     // unrestricted tester's own default, so tester_for changes nothing.
+    let sweep = |d: f64, input: &PreparedInput<'_>| -> Result<_, CliError> {
+        let tester = tester_for(protocol, tuning, d, CostModel::Coordinator, repr)?;
+        let pool = &Pool::current();
+        Ok(run_chaos_amplified(
+            pool, &&*tester, input, reps, seed, &plan, quorum,
+        ))
+    };
     let run = if let Some(path) = args.optional("graph-file") {
         let store = CsrStore::open(Path::new(path))?;
         let d: f64 = args.parsed_or("d", store.average_degree())?;
         let parts = partition_for(args, &store)?;
-        let input = PreparedInput::from_partition(store.vertex_count(), &parts)?;
-        let tester = tester_for(protocol, tuning, d, CostModel::Coordinator, repr)?;
-        triad_protocols::run_chaos_amplified(
-            &triad_comm::pool::Pool::current(),
-            &&*tester,
-            &input,
-            reps,
-            seed,
-            &plan,
-            quorum,
-        )
+        sweep(
+            d,
+            &PreparedInput::from_partition(store.vertex_count(), &parts)?,
+        )?
     } else {
         let g = load_graph(args.required("graph")?)?;
         let shares = load_shares(args.required("shares")?, g.vertex_count())?;
         let parts = Partition::new(shares);
         let d: f64 = args.parsed_or("d", g.average_degree())?;
-        let tester = tester_for(protocol, tuning, d, CostModel::Coordinator, repr)?;
-        triad_protocols::run_chaos_amplified_tally(
-            &&*tester, &g, &parts, reps, seed, &plan, quorum,
-        )?
+        sweep(d, &PreparedInput::new(&g, &parts)?)?
     };
     let verdict = match run.outcome {
         ChaosOutcome::TriangleFound(t) => format!("triangle {t}"),
@@ -624,22 +588,6 @@ pub fn chaos(args: &ArgMap) -> Result<String, CliError> {
 /// in `docs/OBSERVABILITY.md`.
 pub fn report(args: &ArgMap) -> Result<String, CliError> {
     use triad_bench::report as engine;
-    match args.optional("record").unwrap_or("full") {
-        "full" => {}
-        "tally" => {
-            return Err(CliError::Usage(
-                "`triad report` needs the per-event transcript for its per-phase \
-                 and per-player breakdowns, but `--record tally` keeps only \
-                 counters; re-run with `--record full` (the default)"
-                    .into(),
-            ))
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --record `{other}` (expected tally or full)"
-            )))
-        }
-    }
     let protocol = args.required("protocol")?;
     let generator = args.required("gen")?;
     let n: usize = args.required_parsed("n")?;

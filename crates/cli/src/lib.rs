@@ -35,14 +35,11 @@ commands:
              [--scheme random|duplication|vertex] [--dup-p P]
              [--partition-seed S] — opens the binary CSR container of
              docs/IO.md read-only (mmap when available), partitions its
-             edges in-process, and runs graph-free; --breakdown and
-             --record full need the in-memory path)
+             edges in-process, and runs graph-free; --breakdown needs
+             the in-memory path)
              [--eps E] [--seed S] [--cost-model coordinator|blackboard|message-passing]
              [--d D] [--breakdown true]   (per-phase bits; unrestricted only)
              [--reps R]   (amplify: up to R repetitions, first witness wins)
-             [--record tally|full]   (cost recorder: counters-only fast
-             path (default) or full event log — totals are identical,
-             see docs/RUNTIME.md)
              [--payload auto|edges|bits]   (edge-payload representation;
              verdicts and recorded bits are identical, see docs/RUNTIME.md)
   chaos      run a protocol's amplified sweep under deterministic fault
@@ -65,8 +62,6 @@ commands:
              --protocol unrestricted|sim-low|sim-high|sim-oblivious|exact
              --gen planted|gnp|powerlaw|dense-core  --n N  --k K
              [--d D] [--eps E] [--seed S] [--json] [--out FILE] [--transcript FILE]
-             [--record full]   (the per-event breakdowns need the full
-             recorder; a tally-only run is refused with a hint)
   serve      host a networked coordinator run over TCP; waits for k
              players, drives the protocol, prints the `triad test`
              verdict/stats lines (wire format: docs/NETWORKING.md)
@@ -201,30 +196,37 @@ mod tests {
             out.contains("triangle") || out.contains("accepted"),
             "{out}"
         );
-        // The two recorder modes must print byte-identical results: the
-        // tally fast path changes bookkeeping, never totals.
-        let tally = run(&argv(&format!(
-            "test --graph {} --shares {} --protocol low --eps 0.2 --seed 3 --d 8 \
-             --reps 4 --record tally",
-            g.display(),
-            shares.display()
-        )))
-        .unwrap();
-        let full = run(&argv(&format!(
-            "test --graph {} --shares {} --protocol low --eps 0.2 --seed 3 --d 8 \
-             --reps 4 --record full",
-            g.display(),
-            shares.display()
-        )))
-        .unwrap();
-        assert_eq!(tally, full, "recorder modes diverged");
-        let err = run(&argv(&format!(
-            "test --graph {} --shares {} --protocol low --record sometimes",
-            g.display(),
-            shares.display()
-        )))
-        .unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)));
+        // A sweep and a fault-free chaos sweep run the one repetition
+        // body with and without a fault plan: same verdict, same bits.
+        let sweep = |cmd: &str| {
+            run(&argv(&format!(
+                "{cmd} --graph {} --shares {} --protocol low --eps 0.2 --seed 3 --d 8 --reps 4",
+                g.display(),
+                shares.display()
+            )))
+            .unwrap()
+        };
+        let plain = sweep("test");
+        let chaos = sweep("chaos --rate 0");
+        let verdict = |out: &str| {
+            out.lines()
+                .next()
+                .unwrap()
+                .split(" (")
+                .next()
+                .unwrap()
+                .to_string()
+        };
+        let bits = |out: &str, suffix: &str| {
+            let line = out.lines().find(|l| l.contains(suffix)).unwrap();
+            line.split(' ').next().unwrap().to_string()
+        };
+        assert_eq!(verdict(&plain), verdict(&chaos), "{plain}\n{chaos}");
+        assert_eq!(
+            bits(&plain, " bits, "),
+            bits(&chaos, " bits total, "),
+            "{plain}\n{chaos}"
+        );
         let out = run(&argv(&format!(
             "count --graph {} --shares {} --p 0.5 --trials 4",
             g.display(),
@@ -448,22 +450,6 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn report_refuses_tally_recorder_with_hint() {
-        let err = run(&argv(
-            "report --protocol sim-low --gen planted --n 300 --k 4 --record tally",
-        ))
-        .unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("--record full"), "{msg}");
-        assert!(msg.contains("per-event transcript"), "{msg}");
-        let err = run(&argv(
-            "report --protocol sim-low --gen planted --n 300 --k 4 --record sometimes",
-        ))
-        .unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)));
     }
 
     /// Polls `path` until the serve side has published its ephemeral
@@ -888,10 +874,6 @@ mod tests {
         for bad in [
             format!(
                 "test --graph-file {} --k 4 --protocol unrestricted --breakdown",
-                csr.display()
-            ),
-            format!(
-                "test --graph-file {} --k 4 --protocol low --record full",
                 csr.display()
             ),
             format!("test --graph-file {} --k 0 --protocol low", csr.display()),

@@ -24,7 +24,7 @@ use crate::rand::{mix64, SharedRandomness};
 use crate::recorder::Recorder;
 use crate::runtime::{RunError, Transport, TransportError};
 use crate::simultaneous::{SimMessage, SimRun, SimultaneousProtocol};
-use crate::transcript::{CommStats, Direction};
+use crate::transcript::Direction;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use triad_graph::{Edge, VertexId};
@@ -618,28 +618,18 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     }
 }
 
-/// A failed chaos execution: the error that killed the repetition plus
-/// the communication already spent — failed reps still pay for their
-/// bits, so amplified chaos accounting stays honest.
-#[derive(Debug, Clone)]
-pub struct ChaosFailure<R> {
-    /// What killed the repetition.
-    pub error: RunError,
-    /// Bits spent before (and on) the failure.
-    pub stats: CommStats,
-    /// The recorder at the point of failure.
-    pub transcript: R,
-    /// Faults injected during the repetition.
-    pub injected: FaultStats,
-}
-
-/// A surviving chaos execution: the run plus its injected-fault counts.
+/// A one-round execution under a fault plan. A fatal fault leaves the
+/// referee without a decision (`run.output` is `None`) but keeps the
+/// bits: every message was sent before the fault hit, so failed
+/// repetitions still pay and amplified chaos accounting stays honest.
 #[derive(Debug, Clone)]
 pub struct SimChaos<O, R> {
-    /// The completed run.
-    pub run: SimRun<O, R>,
-    /// Faults injected during the repetition (delays and recovered
-    /// duplicates; fatal kinds end up in [`ChaosFailure`] instead).
+    /// The run; its output is `None` when a fault killed it.
+    pub run: SimRun<Option<O>, R>,
+    /// The fault that killed the run: the first faulted player's, in
+    /// player order.
+    pub fault: Option<RunError>,
+    /// Faults injected during the repetition, recovered ones included.
     pub injected: FaultStats,
 }
 
@@ -647,19 +637,14 @@ pub struct SimChaos<O, R> {
 ///
 /// Simultaneous protocols cannot retry — each player speaks exactly
 /// once — so any drop, crash, or corruption of a player's message is
-/// fatal to the repetition and surfaces as a [`ChaosFailure`] carrying
-/// the bits that were nevertheless transmitted. Duplicate deliveries
+/// fatal to the repetition and surfaces as [`SimChaos::fault`], with the
+/// bits that were nevertheless transmitted. Duplicate deliveries
 /// survive: the extra copy is charged under [`RETRANSMIT_LABEL`].
 /// Delays are counted but cost nothing.
 ///
 /// With a fault-free plan this is byte-identical to
 /// [`crate::run_simultaneous_prepared`] (pinned by
 /// `tests/chaos_differential.rs`).
-///
-/// # Errors
-///
-/// Returns [`ChaosFailure`] naming the first faulted player (in player
-/// order) when any message is dropped, corrupted, or lost to a crash.
 pub fn run_simultaneous_chaos<P: SimultaneousProtocol, R: Recorder>(
     protocol: &P,
     n: usize,
@@ -667,23 +652,23 @@ pub fn run_simultaneous_chaos<P: SimultaneousProtocol, R: Recorder>(
     shared: SharedRandomness,
     plan: &FaultPlan,
     rep: u32,
-) -> Result<SimChaos<P::Output, R>, ChaosFailure<R>> {
+) -> SimChaos<P::Output, R> {
     let messages: Vec<SimMessage> = players
         .iter()
         .map(|p| protocol.message(p, &shared))
         .collect();
     let mut injected = FaultStats::default();
-    let mut fatal: Option<RunError> = None;
+    let mut fault: Option<RunError> = None;
     let mut duplicated: Vec<usize> = Vec::new();
     for (j, m) in messages.iter().enumerate() {
         match plan.fault_at(rep, j, 0) {
             Some(FaultKind::Drop) => {
                 injected.bump(FaultKind::Drop);
-                fatal.get_or_insert(RunError::Timeout { player: j });
+                fault.get_or_insert(RunError::Timeout { player: j });
             }
             Some(FaultKind::Crash) => {
                 injected.bump(FaultKind::Crash);
-                fatal.get_or_insert(RunError::Transport(TransportError { player: j }));
+                fault.get_or_insert(RunError::Transport(TransportError { player: j }));
             }
             Some(FaultKind::Corrupt) => {
                 injected.bump(FaultKind::Corrupt);
@@ -697,7 +682,7 @@ pub fn run_simultaneous_chaos<P: SimultaneousProtocol, R: Recorder>(
                     ));
                     debug_assert!(!frame.verify(), "tampered frame must fail verification");
                 }
-                fatal.get_or_insert(RunError::Corrupt { player: j });
+                fault.get_or_insert(RunError::Corrupt { player: j });
             }
             Some(FaultKind::Duplicate) => {
                 injected.bump(FaultKind::Duplicate);
@@ -709,34 +694,17 @@ pub fn run_simultaneous_chaos<P: SimultaneousProtocol, R: Recorder>(
             None => {}
         }
     }
-    if let Some(error) = fatal {
-        // Every message was sent simultaneously before the faults hit:
-        // the bits are spent whether or not the referee can proceed.
-        let mut transcript = R::with_players(messages.len());
-        transcript.reserve_messages(messages.iter().map(|m| m.payloads().len()).sum());
-        let mut total = 0u64;
-        let mut per_player_bits = vec![0u64; messages.len()];
-        for (j, m) in messages.iter().enumerate() {
-            for (payload, phase) in m.payloads().iter().zip(m.phases()) {
-                transcript.set_phase(phase);
-                transcript.record(Some(j), Direction::ToCoordinator, payload.bit_len(n), phase);
-            }
-            per_player_bits[j] = m.bit_len(n).get();
-            total += per_player_bits[j];
-        }
-        return Err(ChaosFailure {
-            error,
-            stats: CommStats {
-                total_bits: total,
-                rounds: 1,
-                messages: messages.len() as u64,
-                max_player_sent_bits: per_player_bits.iter().copied().max().unwrap_or(0),
-            },
-            transcript,
+    if fault.is_some() {
+        // The referee cannot decide; the messages are paid for anyway.
+        let run = crate::simultaneous::charge(n, &messages, None);
+        return SimChaos {
+            run,
+            fault,
             injected,
-        });
+        };
     }
-    let mut run: SimRun<P::Output, R> = crate::simultaneous::finish(protocol, n, messages, shared);
+    let output = Some(protocol.referee(n, &messages, &shared));
+    let mut run: SimRun<Option<P::Output>, R> = crate::simultaneous::charge(n, &messages, output);
     for j in duplicated {
         let extra = run.per_player_bits[j];
         run.transcript.set_phase(RETRANSMIT_LABEL);
@@ -751,7 +719,11 @@ pub fn run_simultaneous_chaos<P: SimultaneousProtocol, R: Recorder>(
         run.stats.messages += 1;
     }
     run.stats.max_player_sent_bits = run.per_player_bits.iter().copied().max().unwrap_or(0);
-    Ok(SimChaos { run, injected })
+    SimChaos {
+        run,
+        fault,
+        injected,
+    }
 }
 
 #[cfg(test)]

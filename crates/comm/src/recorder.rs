@@ -355,27 +355,6 @@ impl Tally {
     }
 }
 
-impl Tally {
-    /// Replays a full transcript's events into a fresh tally — the
-    /// faithful down-conversion: every rollup of the result equals the
-    /// transcript's rollup over the same events.
-    pub fn from_transcript(t: &Transcript) -> Tally {
-        let mut tally = Tally::with_players(t.per_player_sent().len());
-        for ev in t.events() {
-            while Recorder::round(&tally) < ev.round {
-                tally.next_round();
-            }
-            tally.set_phase(ev.phase);
-            tally.record(ev.player, ev.direction, BitCost(ev.bits), ev.label);
-        }
-        while Recorder::round(&tally) < Recorder::round(t) {
-            tally.next_round();
-        }
-        tally.set_phase(t.current_phase());
-        tally
-    }
-}
-
 impl Recorder for Tally {
     fn with_players(k: usize) -> Self {
         Tally {
@@ -596,14 +575,6 @@ mod tests {
         assert!(y.by_direction().is_empty());
         assert!(y.breakdown().is_empty());
         assert_eq!(y.stats().rounds, 1, "round 0 exists even when silent");
-    }
-
-    #[test]
-    fn from_transcript_replays_faithfully() {
-        let (t, y) = pair();
-        let replayed = Tally::from_transcript(&t);
-        assert_eq!(replayed, y);
-        assert_matches(&t, &replayed);
     }
 
     #[test]

@@ -206,8 +206,20 @@ pub(crate) fn finish<P: SimultaneousProtocol, R: Recorder>(
     messages: Vec<SimMessage<'_>>,
     shared: SharedRandomness,
 ) -> SimRun<P::Output, R> {
+    let output = protocol.referee(n, &messages, &shared);
+    charge(n, &messages, output)
+}
+
+/// Charges a one-round exchange: one `ToCoordinator` record per payload
+/// at the payload's model bit cost, tagged with its phase. A faulted
+/// chaos run charges through here too — its messages were all sent
+/// before the fault hit — so its bill is the fault-free bill.
+pub(crate) fn charge<O, R: Recorder>(
+    n: usize,
+    messages: &[SimMessage<'_>],
+    output: O,
+) -> SimRun<O, R> {
     let per_player_bits: Vec<u64> = messages.iter().map(|m| m.bit_len(n).get()).collect();
-    let total: u64 = per_player_bits.iter().sum();
     let mut transcript = R::with_players(messages.len());
     transcript.reserve_messages(messages.iter().map(|m| m.payloads().len()).sum());
     for (j, m) in messages.iter().enumerate() {
@@ -216,11 +228,10 @@ pub(crate) fn finish<P: SimultaneousProtocol, R: Recorder>(
             transcript.record(Some(j), Direction::ToCoordinator, payload.bit_len(n), phase);
         }
     }
-    let output = protocol.referee(n, &messages, &shared);
     SimRun {
         output,
         stats: CommStats {
-            total_bits: total,
+            total_bits: per_player_bits.iter().sum(),
             rounds: 1,
             messages: messages.len() as u64,
             max_player_sent_bits: per_player_bits.iter().copied().max().unwrap_or(0),

@@ -9,10 +9,10 @@
 
 use std::sync::Arc;
 
-use crate::outcome::{ProtocolError, ProtocolRun, TallyRun, TestOutcome};
+use crate::outcome::{ProtocolError, Rep, TallyRun, TestOutcome};
 use triad_comm::player::players_from_shares;
 use triad_comm::pool::Pool;
-use triad_comm::{PlayerState, Recorder, Tally};
+use triad_comm::{FaultPlan, PlayerState, Recorder, Tally};
 use triad_graph::partition::Partition;
 use triad_graph::Graph;
 
@@ -78,13 +78,8 @@ impl<'g> PreparedInput<'g> {
     /// materialized [`Graph`] anywhere. This is how out-of-core inputs
     /// enter the protocol layer: shares are partitioned straight off a
     /// [`triad_graph::CsrStore`]'s borrowed slices and only the
-    /// per-player states are ever allocated.
-    ///
-    /// Testers that override
-    /// [`run_prepared`](Repeatable::run_prepared) (every tester in this
-    /// crate) run natively; only the downconversion bridge for external
-    /// `run_once`-only impls needs the graph and will report
-    /// [`ProtocolError::InvalidInput`].
+    /// per-player states are ever allocated. Every tester runs off the
+    /// player states, so a repetition is identical either way.
     ///
     /// # Errors
     ///
@@ -127,196 +122,97 @@ impl<'g> PreparedInput<'g> {
     }
 
     /// A shared handle to the player states, for transports that outlive
-    /// this borrow (e.g. [`triad_comm::Runtime::prepared_with`]).
+    /// this borrow (e.g. [`triad_comm::LocalTransport::from_shared`]).
     pub fn shared_players(&self) -> Arc<Vec<PlayerState>> {
         Arc::clone(&self.players)
     }
 }
 
-/// Anything that can run once over a partitioned input — implemented by
-/// both tester families, so amplification is written once.
+/// Anything that can run one repetition over a prepared input —
+/// implemented by every tester, so amplification, chaos sweeps and
+/// session batches are written once.
 pub trait Repeatable {
-    /// One run with the given public seed.
+    /// One repetition with public seed `seed`, recorded into a [`Tally`].
+    ///
+    /// `faults` is `None` for a plain run. `Some((plan, rep))` injects
+    /// the faults `plan` schedules for repetition `rep`: retryable ones
+    /// are retried and charged under [`triad_comm::RETRANSMIT_LABEL`],
+    /// and an unrecovered one ends the repetition as [`Rep::fault`] with
+    /// every bit spent so far kept in [`Rep::run`]. Fault decisions come
+    /// from the plan's own splitmix64 streams, never from `seed`, so a
+    /// fault-free plan changes nothing.
     ///
     /// # Errors
     ///
-    /// Implementations surface their own [`ProtocolError`]s.
-    fn run_once(
-        &self,
-        g: &Graph,
-        partition: &Partition,
-        seed: u64,
-    ) -> Result<ProtocolRun, ProtocolError>;
-
-    /// One run over a [`PreparedInput`], recording into a [`Tally`] —
-    /// the fast path amplified sweeps take. The default falls back to
-    /// [`run_once`](Self::run_once) and down-converts; the testers in
-    /// this crate override it to skip per-rep validation, player
-    /// construction, and event logging entirely.
-    ///
-    /// # Errors
-    ///
-    /// Implementations surface their own [`ProtocolError`]s.
+    /// Returns [`ProtocolError::InvalidInput`] when the tester refuses
+    /// its parameters (e.g. a non-positive degree hint).
     fn run_prepared(
         &self,
         input: &PreparedInput<'_>,
         seed: u64,
-    ) -> Result<TallyRun, ProtocolError> {
-        let g = input.graph().ok_or_else(|| {
-            ProtocolError::InvalidInput(
-                "this tester's run_prepared bridge needs a materialized graph; \
-                 prepare with PreparedInput::new, not from_partition"
-                    .into(),
-            )
-        })?;
-        self.run_once(g, input.partition(), seed)
-            .map(|run| run.to_tally())
-    }
-
-    /// One repetition under a [`FaultPlan`](triad_comm::FaultPlan) —
-    /// what [`run_chaos_amplified`](crate::chaos::run_chaos_amplified)
-    /// calls per repetition. A surviving repetition returns its run plus
-    /// injected-fault counts; a killed one returns the error with the
-    /// bits already spent.
-    ///
-    /// The default **ignores the plan** and runs fault-free (mapping
-    /// validation errors to [`RunError::Aborted`](triad_comm::RunError)):
-    /// it exists so external `Repeatable` impls keep compiling. Every
-    /// tester in this crate overrides it to actually inject faults.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::chaos::FailedRep`] when the repetition dies on
-    /// an unrecovered fault.
-    fn run_chaos(
-        &self,
-        input: &PreparedInput<'_>,
-        seed: u64,
-        plan: &triad_comm::FaultPlan,
-        rep: u32,
-        retry_budget: u32,
-    ) -> Result<crate::chaos::ChaosRep, Box<crate::chaos::FailedRep>> {
-        let _ = (plan, rep, retry_budget);
-        match self.run_prepared(input, seed) {
-            Ok(run) => Ok(crate::chaos::ChaosRep {
-                run,
-                injected: triad_comm::FaultStats::default(),
-            }),
-            Err(e) => Err(Box::new(crate::chaos::FailedRep::aborted(
-                e.to_string(),
-                input.k(),
-            ))),
-        }
-    }
+        faults: Option<(&FaultPlan, u32)>,
+    ) -> Result<Rep, ProtocolError>;
 }
 
 impl<T: Repeatable + ?Sized> Repeatable for &T {
-    fn run_once(
-        &self,
-        g: &Graph,
-        partition: &Partition,
-        seed: u64,
-    ) -> Result<ProtocolRun, ProtocolError> {
-        (**self).run_once(g, partition, seed)
-    }
-
     fn run_prepared(
         &self,
         input: &PreparedInput<'_>,
         seed: u64,
-    ) -> Result<TallyRun, ProtocolError> {
-        (**self).run_prepared(input, seed)
-    }
-
-    fn run_chaos(
-        &self,
-        input: &PreparedInput<'_>,
-        seed: u64,
-        plan: &triad_comm::FaultPlan,
-        rep: u32,
-        retry_budget: u32,
-    ) -> Result<crate::chaos::ChaosRep, Box<crate::chaos::FailedRep>> {
-        (**self).run_chaos(input, seed, plan, rep, retry_budget)
+        faults: Option<(&FaultPlan, u32)>,
+    ) -> Result<Rep, ProtocolError> {
+        (**self).run_prepared(input, seed, faults)
     }
 }
 
-impl Repeatable for crate::UnrestrictedTester {
-    fn run_once(
-        &self,
-        g: &Graph,
-        partition: &Partition,
-        seed: u64,
-    ) -> Result<ProtocolRun, ProtocolError> {
-        self.run(g, partition, seed)
-    }
-
-    fn run_prepared(
-        &self,
-        input: &PreparedInput<'_>,
-        seed: u64,
-    ) -> Result<TallyRun, ProtocolError> {
-        Ok(self.run_prepared_tally(input, seed))
-    }
-
-    fn run_chaos(
-        &self,
-        input: &PreparedInput<'_>,
-        seed: u64,
-        plan: &triad_comm::FaultPlan,
-        rep: u32,
-        retry_budget: u32,
-    ) -> Result<crate::chaos::ChaosRep, Box<crate::chaos::FailedRep>> {
-        self.run_chaos_tally(input, seed, plan, rep, retry_budget)
-    }
+/// Repetition `r` of a fault-free sweep from `base_seed`.
+pub(crate) fn plain_rep<T: Repeatable + ?Sized>(
+    tester: &T,
+    input: &PreparedInput<'_>,
+    base_seed: u64,
+    r: usize,
+) -> Result<TallyRun, ProtocolError> {
+    tester
+        .run_prepared(input, rep_seed(base_seed, r as u32), None)
+        .map(|rep| rep.run)
 }
 
-impl Repeatable for crate::SimultaneousTester {
-    fn run_once(
-        &self,
-        g: &Graph,
-        partition: &Partition,
-        seed: u64,
-    ) -> Result<ProtocolRun, ProtocolError> {
-        self.run(g, partition, seed)
-    }
-
-    fn run_prepared(
-        &self,
-        input: &PreparedInput<'_>,
-        seed: u64,
-    ) -> Result<TallyRun, ProtocolError> {
-        self.run_prepared_tally(input, seed)
-    }
-
-    fn run_chaos(
-        &self,
-        input: &PreparedInput<'_>,
-        seed: u64,
-        plan: &triad_comm::FaultPlan,
-        rep: u32,
-        _retry_budget: u32,
-    ) -> Result<crate::chaos::ChaosRep, Box<crate::chaos::FailedRep>> {
-        // One-round protocols cannot retry; the budget is moot.
-        self.run_chaos_tally(input, seed, plan, rep)
-    }
+/// Whether a fault-free sweep stops at this repetition: at the first
+/// witness or the first error.
+pub(crate) fn ends_sweep(run: &Result<TallyRun, ProtocolError>) -> bool {
+    run.as_ref()
+        .map_or(true, |run| run.outcome.found_triangle())
 }
 
-/// Runs `tester` up to `repetitions` times with independent seeds
-/// derived from `base_seed`, stopping at the first witness. Miss
-/// probability `δ^repetitions`; cost is the sum of the runs performed
-/// (early exit on success).
+/// Runs `tester` up to `repetitions` times over a prepared input with
+/// independent seeds derived from `base_seed` ([`rep_seed`]), stopping
+/// at the first witness. Miss probability `δ^repetitions`; cost is the
+/// sum of the repetitions performed.
+///
+/// Repetitions are sharded across the pool's workers and reduced **in
+/// repetition order**, with serial early-exit semantics: the reduction
+/// covers exactly the prefix of repetitions a serial loop would have
+/// performed (up to and including the first witness or error), so the
+/// merged [`CommStats`](triad_comm::CommStats) and tally are
+/// byte-identical to a serial loop over each tester's full-transcript
+/// `run` at any thread count (pinned by `tests/recorder_differential.rs`
+/// and `tests/parallel_equivalence.rs`). Speculative repetitions
+/// computed past the stopping point are discarded before reduction and
+/// charge nothing.
 ///
 /// # Errors
 ///
-/// Propagates the first failing run's error.
+/// Propagates the error of the first failing repetition (in repetition
+/// order, as the serial loop would).
 ///
 /// # Example
 ///
 /// ```
 /// use rand::SeedableRng;
+/// use triad_comm::Pool;
 /// use triad_graph::generators::far_graph;
 /// use triad_graph::partition::random_disjoint;
-/// use triad_protocols::amplify::run_amplified;
+/// use triad_protocols::amplify::{run_amplified_prepared, PreparedInput};
 /// use triad_protocols::{SimProtocolKind, SimultaneousTester, Tuning};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -327,113 +223,12 @@ impl Repeatable for crate::SimultaneousTester {
 ///     Tuning::practical(0.2),
 ///     SimProtocolKind::Low { avg_degree: 8.0 },
 /// );
-/// let run = run_amplified(&tester, &g, &parts, 5, 7)?;
+/// let input = PreparedInput::new(&g, &parts)?;
+/// let run = run_amplified_prepared(&Pool::current(), &tester, &input, 5, 7)?;
 /// assert!(run.outcome.found_triangle());
 /// # Ok(())
 /// # }
 /// ```
-pub fn run_amplified<T: Repeatable + Sync>(
-    tester: &T,
-    g: &Graph,
-    partition: &Partition,
-    repetitions: u32,
-    base_seed: u64,
-) -> Result<ProtocolRun, ProtocolError> {
-    run_amplified_with(
-        &Pool::current(),
-        tester,
-        g,
-        partition,
-        repetitions,
-        base_seed,
-    )
-}
-
-/// [`run_amplified`] on an explicit [`Pool`].
-///
-/// Repetitions are sharded across the pool's workers and reduced **in
-/// repetition order**, with serial early-exit semantics: the reduction
-/// covers exactly the prefix of repetitions a serial loop would have
-/// performed (up to and including the first witness or error), so
-/// merged [`CommStats`](triad_comm::CommStats) totals and the absorbed
-/// transcript are byte-identical to the serial path at any thread count.
-/// Speculative repetitions computed past the stopping point are
-/// discarded before reduction and charge nothing.
-///
-/// # Errors
-///
-/// Propagates the error of the first failing repetition (in repetition
-/// order, as the serial loop would).
-pub fn run_amplified_with<T: Repeatable + Sync>(
-    pool: &Pool,
-    tester: &T,
-    g: &Graph,
-    partition: &Partition,
-    repetitions: u32,
-    base_seed: u64,
-) -> Result<ProtocolRun, ProtocolError> {
-    let reps = repetitions.max(1) as usize;
-    let runs = pool.ordered_map_until(
-        reps,
-        |r| tester.run_once(g, partition, rep_seed(base_seed, r as u32)),
-        |run| match run {
-            Ok(run) => run.outcome.found_triangle(),
-            Err(_) => true,
-        },
-    );
-    let mut stats = triad_comm::CommStats::default();
-    let mut transcript = triad_comm::Transcript::new(partition.players());
-    for run in runs {
-        let run = run?;
-        stats = stats.merged(run.stats);
-        transcript.absorb(&run.transcript);
-        if run.outcome.found_triangle() {
-            return Ok(ProtocolRun {
-                outcome: run.outcome,
-                stats,
-                transcript,
-            });
-        }
-    }
-    Ok(ProtocolRun {
-        outcome: TestOutcome::NoTriangleFound,
-        stats,
-        transcript,
-    })
-}
-
-/// The amplified **fast path**: prepares the input once, then runs
-/// [`run_amplified_prepared`] on the current pool. This is what bench
-/// loops and sweeps should call when they only need counters — same
-/// verdicts and bit totals as [`run_amplified`], no event log, no
-/// per-repetition player rebuild.
-///
-/// # Errors
-///
-/// Propagates validation errors from [`PreparedInput::new`] and the
-/// first failing repetition's error.
-pub fn run_amplified_tally<T: Repeatable + Sync>(
-    tester: &T,
-    g: &Graph,
-    partition: &Partition,
-    repetitions: u32,
-    base_seed: u64,
-) -> Result<TallyRun, ProtocolError> {
-    let input = PreparedInput::new(g, partition)?;
-    run_amplified_prepared(&Pool::current(), tester, &input, repetitions, base_seed)
-}
-
-/// [`run_amplified_tally`] over an already-prepared input on an explicit
-/// [`Pool`] — the innermost loop of amplified sweeps. Identical
-/// early-exit and in-order reduction semantics to
-/// [`run_amplified_with`]: merged stats and tally totals are
-/// byte-identical to the serial full-transcript path at any thread
-/// count (pinned by `tests/recorder_differential.rs`).
-///
-/// # Errors
-///
-/// Propagates the error of the first failing repetition (in repetition
-/// order, as the serial loop would).
 pub fn run_amplified_prepared<T: Repeatable + Sync>(
     pool: &Pool,
     tester: &T,
@@ -441,14 +236,10 @@ pub fn run_amplified_prepared<T: Repeatable + Sync>(
     repetitions: u32,
     base_seed: u64,
 ) -> Result<TallyRun, ProtocolError> {
-    let reps = repetitions.max(1) as usize;
     let runs = pool.ordered_map_until(
-        reps,
-        |r| tester.run_prepared(input, rep_seed(base_seed, r as u32)),
-        |run| match run {
-            Ok(run) => run.outcome.found_triangle(),
-            Err(_) => true,
-        },
+        repetitions.max(1) as usize,
+        |r| plain_rep(tester, input, base_seed, r),
+        ends_sweep,
     );
     reduce_prefix(input.k(), runs)
 }
@@ -487,11 +278,53 @@ pub(crate) fn reduce_prefix(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outcome::ProtocolRun;
     use crate::{SimProtocolKind, SimultaneousTester, Tuning};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use triad_comm::{CommStats, Transcript};
     use triad_graph::generators::far_graph;
     use triad_graph::partition::random_disjoint;
+
+    /// A plain serial sweep over the tester's full-transcript `run`.
+    fn serial_sweep(
+        tester: &SimultaneousTester,
+        g: &Graph,
+        parts: &Partition,
+        reps: u32,
+        base_seed: u64,
+    ) -> ProtocolRun {
+        let mut stats = CommStats::default();
+        let mut transcript = Transcript::new(parts.players());
+        for r in 0..reps {
+            let run = tester.run(g, parts, rep_seed(base_seed, r)).unwrap();
+            stats = stats.merged(run.stats);
+            transcript.absorb(&run.transcript);
+            if run.outcome.found_triangle() {
+                return ProtocolRun {
+                    outcome: run.outcome,
+                    stats,
+                    transcript,
+                };
+            }
+        }
+        ProtocolRun {
+            outcome: TestOutcome::NoTriangleFound,
+            stats,
+            transcript,
+        }
+    }
+
+    fn amplified<T: Repeatable + Sync>(
+        tester: &T,
+        g: &Graph,
+        parts: &Partition,
+        reps: u32,
+        base_seed: u64,
+    ) -> TallyRun {
+        let input = PreparedInput::new(g, parts).unwrap();
+        run_amplified_prepared(&Pool::current(), tester, &input, reps, base_seed).unwrap()
+    }
 
     #[test]
     fn amplification_boosts_a_weak_tester() {
@@ -509,8 +342,7 @@ mod tests {
             .count();
         let amp_hits = (0..20)
             .filter(|s| {
-                run_amplified(&weak, &g, &parts, 8, 1000 + s)
-                    .unwrap()
+                amplified(&weak, &g, &parts, 8, 1000 + s)
                     .outcome
                     .found_triangle()
             })
@@ -532,7 +364,7 @@ mod tests {
             SimProtocolKind::Low { avg_degree: 8.0 },
         );
         let single = tester.run(&g, &parts, 3).unwrap();
-        let amplified = run_amplified(&tester, &g, &parts, 10, 3).unwrap();
+        let amplified = amplified(&tester, &g, &parts, 10, 3);
         assert!(amplified.outcome.found_triangle());
         // Strong single-run tester ⇒ amplified run usually stops at 1–2
         // repetitions; certainly nowhere near 10×.
@@ -550,7 +382,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let parts = random_disjoint(&g, 3, &mut rng);
         let tester = SimultaneousTester::new(Tuning::practical(0.2), SimProtocolKind::Oblivious);
-        let run = run_amplified(&tester, &g, &parts, 6, 0).unwrap();
+        let run = amplified(&tester, &g, &parts, 6, 0);
         assert!(run.outcome.accepts());
         // All repetitions were spent (no early exit possible).
         assert!(run.stats.messages >= 6 * 3);
@@ -589,18 +421,15 @@ mod tests {
             Tuning::practical(0.2).with_scale(0.25),
             SimProtocolKind::Low { avg_degree: 6.0 },
         );
+        let input = PreparedInput::new(&g, &parts).unwrap();
         for seed in [0u64, 3, 11] {
-            let serial = run_amplified_with(&Pool::serial(), &weak, &g, &parts, 8, seed).unwrap();
+            let serial = run_amplified_prepared(&Pool::serial(), &weak, &input, 8, seed).unwrap();
             for threads in [2, 8] {
                 let par =
-                    run_amplified_with(&Pool::new(threads), &weak, &g, &parts, 8, seed).unwrap();
+                    run_amplified_prepared(&Pool::new(threads), &weak, &input, 8, seed).unwrap();
                 assert_eq!(par.outcome, serial.outcome, "seed {seed} t{threads}");
                 assert_eq!(par.stats, serial.stats, "seed {seed} t{threads}");
-                assert_eq!(
-                    par.transcript.events(),
-                    serial.transcript.events(),
-                    "seed {seed} t{threads}"
-                );
+                assert_eq!(par.transcript, serial.transcript, "seed {seed} t{threads}");
             }
         }
     }
@@ -616,7 +445,7 @@ mod tests {
         );
         let input = PreparedInput::new(&g, &parts).unwrap();
         for seed in [0u64, 5, 17] {
-            let slow = run_amplified_with(&Pool::serial(), &weak, &g, &parts, 8, seed).unwrap();
+            let slow = serial_sweep(&weak, &g, &parts, 8, seed);
             for threads in [1, 2, 8] {
                 let fast =
                     run_amplified_prepared(&Pool::new(threads), &weak, &input, 8, seed).unwrap();
@@ -648,42 +477,15 @@ mod tests {
         let input = PreparedInput::new(&g, &parts).unwrap();
         for seed in [3u64, 11] {
             let slow = tester.run(&g, &parts, seed).unwrap();
-            let fast = tester.run_prepared(&input, seed).unwrap();
+            let fast = tester.run_prepared(&input, seed, None).unwrap();
+            assert_eq!(fast.fault, None, "seed {seed}");
+            assert_eq!(fast.injected, triad_comm::FaultStats::default());
+            let fast = fast.run;
             assert_eq!(fast.outcome, slow.outcome, "seed {seed}");
             assert_eq!(fast.stats, slow.stats, "seed {seed}");
             assert_eq!(fast.transcript.by_phase(), slow.transcript.by_phase());
             assert_eq!(fast.transcript.breakdown(), slow.transcript.breakdown());
         }
-    }
-
-    #[test]
-    fn default_run_prepared_downconverts_faithfully() {
-        // A Repeatable with no fast-path override takes the
-        // run_once + to_tally bridge; it must agree with itself.
-        struct Wrapper(SimultaneousTester);
-        impl Repeatable for Wrapper {
-            fn run_once(
-                &self,
-                g: &Graph,
-                partition: &Partition,
-                seed: u64,
-            ) -> Result<ProtocolRun, ProtocolError> {
-                self.0.run(g, partition, seed)
-            }
-        }
-        let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let g = far_graph(200, 6.0, 0.2, &mut rng).unwrap();
-        let parts = random_disjoint(&g, 3, &mut rng);
-        let tester = Wrapper(SimultaneousTester::new(
-            Tuning::practical(0.2),
-            SimProtocolKind::Low { avg_degree: 6.0 },
-        ));
-        let input = PreparedInput::new(&g, &parts).unwrap();
-        let bridged = tester.run_prepared(&input, 1).unwrap();
-        let native = tester.0.run_prepared_tally(&input, 1).unwrap();
-        assert_eq!(bridged.outcome, native.outcome);
-        assert_eq!(bridged.stats, native.stats);
-        assert_eq!(bridged.transcript, native.transcript);
     }
 
     #[test]
@@ -701,43 +503,16 @@ mod tests {
             SimProtocolKind::Low { avg_degree: 6.0 },
         );
         let unr = crate::UnrestrictedTester::new(Tuning::practical(0.2));
+        let testers: [(&str, &dyn Repeatable); 2] = [("sim", &sim), ("unr", &unr)];
         for seed in [0u64, 7, 19] {
-            let a = sim.run_prepared(&with_graph, seed).unwrap();
-            let b = sim.run_prepared(&graph_free, seed).unwrap();
-            assert_eq!(a.outcome, b.outcome, "sim seed {seed}");
-            assert_eq!(a.stats, b.stats, "sim seed {seed}");
-            assert_eq!(a.transcript, b.transcript, "sim seed {seed}");
-            let a = unr.run_prepared(&with_graph, seed).unwrap();
-            let b = unr.run_prepared(&graph_free, seed).unwrap();
-            assert_eq!(a.outcome, b.outcome, "unr seed {seed}");
-            assert_eq!(a.stats, b.stats, "unr seed {seed}");
-            assert_eq!(a.transcript, b.transcript, "unr seed {seed}");
-        }
-    }
-
-    #[test]
-    fn graph_free_input_rejects_the_downconversion_bridge() {
-        struct Wrapper(SimultaneousTester);
-        impl Repeatable for Wrapper {
-            fn run_once(
-                &self,
-                g: &Graph,
-                partition: &Partition,
-                seed: u64,
-            ) -> Result<ProtocolRun, ProtocolError> {
-                self.0.run(g, partition, seed)
+            for (name, tester) in testers {
+                let a = tester.run_prepared(&with_graph, seed, None).unwrap().run;
+                let b = tester.run_prepared(&graph_free, seed, None).unwrap().run;
+                assert_eq!(a.outcome, b.outcome, "{name} seed {seed}");
+                assert_eq!(a.stats, b.stats, "{name} seed {seed}");
+                assert_eq!(a.transcript, b.transcript, "{name} seed {seed}");
             }
         }
-        let mut rng = ChaCha8Rng::seed_from_u64(13);
-        let g = far_graph(120, 6.0, 0.2, &mut rng).unwrap();
-        let parts = random_disjoint(&g, 3, &mut rng);
-        let input = PreparedInput::from_partition(g.vertex_count(), &parts).unwrap();
-        let tester = Wrapper(SimultaneousTester::new(
-            Tuning::practical(0.2),
-            SimProtocolKind::Low { avg_degree: 6.0 },
-        ));
-        let err = tester.run_prepared(&input, 1).unwrap_err();
-        assert!(err.to_string().contains("materialized graph"), "{err}");
     }
 
     #[test]
@@ -755,14 +530,13 @@ mod tests {
         let g = Graph::from_edges(6, [(0, 1), (1, 2), (0, 2)]);
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let parts = random_disjoint(&g, 3, &mut rng);
-        let run = run_amplified(
+        let run = amplified(
             &crate::baseline::SendEverything::default(),
             &g,
             &parts,
             4,
             0,
-        )
-        .unwrap();
+        );
         // Exact baseline finds the triangle on the first repetition.
         assert!(run.outcome.found_triangle());
     }
@@ -773,7 +547,7 @@ mod tests {
         let g = far_graph(240, 6.0, 0.2, &mut rng).unwrap();
         let parts = random_disjoint(&g, 4, &mut rng);
         let tester = crate::UnrestrictedTester::new(Tuning::practical(0.2));
-        let run = run_amplified(&tester, &g, &parts, 3, 9).unwrap();
+        let run = amplified(&tester, &g, &parts, 3, 9);
         assert!(run.outcome.found_triangle());
     }
 }

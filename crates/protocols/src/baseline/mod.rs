@@ -7,9 +7,11 @@
 //! testers against it is the headline experiment ("property testing is
 //! cheaper than exact decision").
 
-use crate::outcome::{ProtocolError, ProtocolRun, TestOutcome};
+use crate::amplify::{PreparedInput, Repeatable};
+use crate::outcome::{ProtocolError, ProtocolRun, Rep};
+use crate::simultaneous::run_one_round;
 use triad_comm::{
-    run_simultaneous, Payload, PayloadRepr, PlayerState, SharedRandomness, SimMessage,
+    FaultPlan, Payload, PayloadRepr, PlayerState, SharedRandomness, SimMessage,
     SimultaneousProtocol,
 };
 use triad_graph::partition::Partition;
@@ -57,72 +59,22 @@ impl SimultaneousProtocol for SendEverything {
     }
 }
 
-impl crate::amplify::Repeatable for SendEverything {
-    fn run_once(
-        &self,
-        g: &Graph,
-        partition: &Partition,
-        seed: u64,
-    ) -> Result<ProtocolRun, ProtocolError> {
-        run_send_everything(g, partition, seed)
-    }
-
+impl Repeatable for SendEverything {
     fn run_prepared(
         &self,
-        input: &crate::amplify::PreparedInput<'_>,
+        input: &PreparedInput<'_>,
         seed: u64,
-    ) -> Result<crate::outcome::TallyRun, ProtocolError> {
-        let run = triad_comm::run_simultaneous_prepared::<_, triad_comm::Tally>(
-            self,
-            input.n(),
-            input.players(),
-            SharedRandomness::new(seed),
-        );
-        Ok(crate::outcome::TallyRun {
-            outcome: TestOutcome::from(run.output),
-            stats: run.stats,
-            transcript: run.transcript,
-        })
-    }
-
-    fn run_chaos(
-        &self,
-        input: &crate::amplify::PreparedInput<'_>,
-        seed: u64,
-        plan: &triad_comm::FaultPlan,
-        rep: u32,
-        _retry_budget: u32,
-    ) -> Result<crate::chaos::ChaosRep, Box<crate::chaos::FailedRep>> {
+        faults: Option<(&FaultPlan, u32)>,
+    ) -> Result<Rep, ProtocolError> {
         // One round, no retries: the baseline degrades exactly like the
         // §3.4 testers under faults.
-        match triad_comm::run_simultaneous_chaos::<_, triad_comm::Tally>(
-            self,
-            input.n(),
-            input.players(),
-            SharedRandomness::new(seed),
-            plan,
-            rep,
-        ) {
-            Ok(chaos) => Ok(crate::chaos::ChaosRep {
-                run: crate::outcome::TallyRun {
-                    outcome: TestOutcome::from(chaos.run.output),
-                    stats: chaos.run.stats,
-                    transcript: chaos.run.transcript,
-                },
-                injected: chaos.injected,
-            }),
-            Err(f) => Err(Box::new(crate::chaos::FailedRep {
-                error: f.error,
-                stats: f.stats,
-                transcript: f.transcript,
-                injected: f.injected,
-            })),
-        }
+        Ok(run_one_round(self, input, seed, faults))
     }
 }
 
-/// Runs the exact baseline over a partitioned input. The verdict is
-/// exact: `TriangleFound` iff the union graph contains a triangle.
+/// Runs the exact baseline over a partitioned input, with the full
+/// event log. The verdict is exact: `TriangleFound` iff the union graph
+/// contains a triangle.
 ///
 /// # Errors
 ///
@@ -133,19 +85,8 @@ pub fn run_send_everything(
     partition: &Partition,
     seed: u64,
 ) -> Result<ProtocolRun, ProtocolError> {
-    let n = g.vertex_count();
-    crate::outcome::validate_shares(g, partition)?;
-    let run = run_simultaneous(
-        &SendEverything::default(),
-        n,
-        partition.shares(),
-        SharedRandomness::new(seed),
-    );
-    Ok(ProtocolRun {
-        outcome: TestOutcome::from(run.output),
-        stats: run.stats,
-        transcript: run.transcript,
-    })
+    let input = PreparedInput::new(g, partition)?;
+    Ok(run_one_round(&SendEverything::default(), &input, seed, None).run)
 }
 
 #[cfg(test)]
@@ -188,7 +129,6 @@ mod tests {
 
     #[test]
     fn representation_never_changes_verdict_or_bits() {
-        use crate::amplify::{PreparedInput, Repeatable};
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let g = gnp(120, 0.3, &mut rng); // dense enough for Auto → bits
         let parts = random_disjoint(&g, 3, &mut rng);
@@ -197,8 +137,9 @@ mod tests {
             .into_iter()
             .map(|repr| {
                 SendEverything::with_repr(repr)
-                    .run_prepared(&input, 11)
+                    .run_prepared(&input, 11, None)
                     .unwrap()
+                    .run
             })
             .collect();
         for run in &runs[1..] {

@@ -27,7 +27,6 @@
 //! `docs/FAULTS.md`).
 
 use crate::amplify::{rep_seed, PreparedInput, Repeatable};
-use crate::outcome::TallyRun;
 use triad_comm::pool::Pool;
 use triad_comm::{CommStats, FaultPlan, FaultStats, Recorder, RunError, RunErrorKind, Tally};
 use triad_graph::Triangle;
@@ -115,45 +114,6 @@ impl FailureBreakdown {
     }
 }
 
-/// A repetition that survived its fault plan: the completed run plus
-/// the faults that were injected (and recovered from) along the way.
-#[derive(Debug, Clone)]
-pub struct ChaosRep {
-    /// The completed repetition.
-    pub run: TallyRun,
-    /// Faults injected during the repetition.
-    pub injected: FaultStats,
-}
-
-/// A repetition killed by an unrecovered fault. The bits spent before
-/// (and on) the failure are preserved so amplified accounting stays
-/// honest: failed repetitions still pay.
-#[derive(Debug, Clone)]
-pub struct FailedRep {
-    /// What killed the repetition.
-    pub error: RunError,
-    /// Communication spent before the failure.
-    pub stats: CommStats,
-    /// The cost recorder at the point of failure.
-    pub transcript: Tally,
-    /// Faults injected during the repetition.
-    pub injected: FaultStats,
-}
-
-impl FailedRep {
-    /// A repetition abandoned before any communication — e.g. a
-    /// protocol-level validation failure — wrapped as
-    /// [`RunError::Aborted`].
-    pub fn aborted(reason: String, k: usize) -> Self {
-        FailedRep {
-            error: RunError::Aborted { reason },
-            stats: CommStats::default(),
-            transcript: Tally::with_players(k),
-            injected: FaultStats::default(),
-        }
-    }
-}
-
 /// A completed amplified run under faults: the three-way verdict, the
 /// full cost of every repetition attempted (surviving or not), and the
 /// per-kind failure and injection tallies behind it.
@@ -201,9 +161,14 @@ impl ChaosRun {
 /// this is byte-identical to the fault-free amplified path (pinned by
 /// `tests/chaos_differential.rs`).
 ///
-/// Failed repetitions do not stop the sweep — their cost is merged and
-/// their error kind tallied — so the verdict is computed over exactly
-/// the repetition schedule the fault-free path would have attempted.
+/// Each repetition is classified by [`single_run_verdict`], the rule a
+/// networked `triad serve` run applies: a witness survives whatever the
+/// faults, an accept survives only without an unrecovered fault, and a
+/// repetition whose tester refuses its parameters counts as `aborted`
+/// and charges nothing. Failed repetitions do not stop the sweep —
+/// their cost is merged and their error kind tallied — so the verdict is
+/// computed over exactly the repetition schedule the fault-free path
+/// would have attempted.
 pub fn run_chaos_amplified<T: Repeatable + Sync>(
     pool: &Pool,
     tester: &T,
@@ -217,15 +182,10 @@ pub fn run_chaos_amplified<T: Repeatable + Sync>(
     let runs = pool.ordered_map_until(
         reps,
         |r| {
-            tester.run_chaos(
-                input,
-                rep_seed(base_seed, r as u32),
-                plan,
-                r as u32,
-                triad_comm::DEFAULT_RETRY_BUDGET,
-            )
+            let rep = r as u32;
+            tester.run_prepared(input, rep_seed(base_seed, rep), Some((plan, rep)))
         },
-        |run| matches!(run, Ok(rep) if rep.run.outcome.found_triangle()),
+        |rep| matches!(rep, Ok(rep) if rep.run.outcome.found_triangle()),
     );
     let needed = ((quorum.clamp(0.0, 1.0) * reps as f64).ceil() as u32).max(1);
     let mut stats = CommStats::default();
@@ -234,33 +194,32 @@ pub fn run_chaos_amplified<T: Repeatable + Sync>(
     let mut failures = FailureBreakdown::default();
     let mut survived = 0u32;
     let mut attempted = 0u32;
-    for run in runs {
+    for rep in runs {
         attempted += 1;
-        match run {
-            Ok(rep) => {
-                stats = stats.merged(rep.run.stats);
-                tally.absorb(&rep.run.transcript);
-                injected = injected.merged(rep.injected);
-                survived += 1;
-                if let Some(t) = rep.run.outcome.triangle() {
-                    return ChaosRun {
-                        outcome: ChaosOutcome::TriangleFound(t),
-                        stats,
-                        tally,
-                        survived,
-                        attempted,
-                        needed,
-                        failures,
-                        injected,
-                    };
-                }
-            }
-            Err(fail) => {
-                stats = stats.merged(fail.stats);
-                tally.absorb(&fail.transcript);
-                injected = injected.merged(fail.injected);
-                failures.bump(fail.error.kind());
-            }
+        let Ok(rep) = rep else {
+            failures.aborted += 1;
+            continue;
+        };
+        stats = stats.merged(rep.run.stats);
+        tally.absorb(&rep.run.transcript);
+        injected = injected.merged(rep.injected);
+        let verdict = single_run_verdict(rep.run.outcome, rep.fault.as_ref());
+        if let (ChaosOutcome::Inconclusive, Some(fault)) = (verdict, &rep.fault) {
+            failures.bump(fault.kind());
+            continue;
+        }
+        survived += 1;
+        if verdict.found_triangle() {
+            return ChaosRun {
+                outcome: verdict,
+                stats,
+                tally,
+                survived,
+                attempted,
+                needed,
+                failures,
+                injected,
+            };
         }
     }
     let outcome = if survived >= needed {
@@ -278,34 +237,6 @@ pub fn run_chaos_amplified<T: Repeatable + Sync>(
         failures,
         injected,
     }
-}
-
-/// [`run_chaos_amplified`] with the input prepared here and the current
-/// pool — the convenience entry point mirroring
-/// [`crate::amplify::run_amplified_tally`].
-///
-/// # Errors
-///
-/// Propagates validation errors from [`PreparedInput::new`].
-pub fn run_chaos_amplified_tally<T: Repeatable + Sync>(
-    tester: &T,
-    g: &triad_graph::Graph,
-    partition: &triad_graph::partition::Partition,
-    repetitions: u32,
-    base_seed: u64,
-    plan: &FaultPlan,
-    quorum: f64,
-) -> Result<ChaosRun, crate::outcome::ProtocolError> {
-    let input = PreparedInput::new(g, partition)?;
-    Ok(run_chaos_amplified(
-        &Pool::current(),
-        tester,
-        &input,
-        repetitions,
-        base_seed,
-        plan,
-        quorum,
-    ))
 }
 
 /// The quorum rule of a **single** repetition — what a networked
@@ -469,6 +400,36 @@ mod tests {
                 serial.retransmit_bits(),
                 "t{threads}"
             );
+        }
+    }
+
+    #[test]
+    fn refused_parameters_abort_every_repetition_and_charge_nothing() {
+        let g = Graph::from_edges(30, (0..29).map(|i| (i as u32, i as u32 + 1)));
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let parts = random_disjoint(&g, 3, &mut rng);
+        let input = PreparedInput::new(&g, &parts).unwrap();
+        let tester = SimultaneousTester::new(
+            Tuning::practical(0.2),
+            SimProtocolKind::High { avg_degree: 0.0 },
+        );
+        let plain = crate::amplify::run_amplified_prepared(&Pool::serial(), &tester, &input, 5, 1);
+        assert_eq!(
+            plain.unwrap_err(),
+            crate::ProtocolError::InvalidInput("average degree must be positive".into())
+        );
+        for plan in [
+            FaultPlan::fault_free(8),
+            FaultPlan::new(8, FaultRates::omission(0.5)),
+        ] {
+            let chaos = run_chaos_amplified(&Pool::serial(), &tester, &input, 5, 1, &plan, 1.0);
+            assert_eq!(chaos.attempted, 5, "{plan:?}");
+            assert_eq!(chaos.failures.aborted, 5, "{plan:?}");
+            assert_eq!(chaos.failures.total(), 5, "{plan:?}");
+            assert_eq!(chaos.survived, 0, "{plan:?}");
+            assert!(chaos.outcome.is_inconclusive(), "{plan:?}");
+            assert_eq!(chaos.stats, CommStats::default(), "{plan:?}");
+            assert_eq!(chaos.injected.total(), 0, "{plan:?}");
         }
     }
 

@@ -61,11 +61,11 @@ pub mod unrestricted;
 
 pub use amplify::{PreparedInput, Repeatable};
 pub use chaos::{
-    run_chaos_amplified, run_chaos_amplified_tally, single_run_verdict, ChaosOutcome, ChaosRep,
-    ChaosRun, FailedRep, FailureBreakdown, DEFAULT_QUORUM,
+    run_chaos_amplified, single_run_verdict, ChaosOutcome, ChaosRun, FailureBreakdown,
+    DEFAULT_QUORUM,
 };
 pub use config::{Preset, Tuning};
-pub use outcome::{ProtocolError, ProtocolRun, TallyRun, TestOutcome};
+pub use outcome::{ProtocolError, ProtocolRun, Rep, TallyRun, TestOutcome};
 pub use session::{run_session_batch, SessionBatch, SessionResults, SessionSpec, SessionTester};
 pub use simultaneous::{SimProtocolKind, SimultaneousTester};
 pub use triad_comm::scheduler::SessionHandle;

@@ -1,6 +1,6 @@
 //! Protocol outcomes and errors.
 
-use triad_comm::{CommStats, Tally, Transcript};
+use triad_comm::{CommStats, FaultStats, RunError, Tally, Transcript};
 use triad_graph::Triangle;
 
 /// The verdict of a one-sided triangle-freeness test.
@@ -49,8 +49,8 @@ impl From<Option<Triangle>> for TestOutcome {
 /// A completed protocol execution: verdict plus communication
 /// statistics, generic over the cost recorder. The default
 /// (`R = Transcript`) carries the full event log behind `triad report`;
-/// the fast path of amplified sweeps uses [`TallyRun`], which carries
-/// only counters (see `docs/RUNTIME.md`).
+/// amplified sweeps use [`TallyRun`], which carries only counters (see
+/// `docs/RUNTIME.md`).
 #[derive(Debug, Clone)]
 pub struct ProtocolRun<R = Transcript> {
     /// The tester's verdict.
@@ -58,13 +58,12 @@ pub struct ProtocolRun<R = Transcript> {
     /// Bits, rounds and message counts of the run.
     pub stats: CommStats,
     /// The recorder: the full per-phase event log by default, or a
-    /// [`Tally`] of the same charges on the fast path.
+    /// [`Tally`] of the same charges.
     pub transcript: R,
 }
 
-/// A run recorded by the zero-allocation [`Tally`] — what
-/// [`run_prepared`](crate::amplify::Repeatable::run_prepared) and the
-/// amplified fast path return.
+/// A run recorded by the zero-allocation [`Tally`] — what amplified
+/// sweeps return.
 pub type TallyRun = ProtocolRun<Tally>;
 
 impl<R> ProtocolRun<R> {
@@ -78,19 +77,24 @@ impl<R> ProtocolRun<R> {
     }
 }
 
-impl ProtocolRun {
-    /// Down-converts the full event log to a counters-only tally (every
-    /// rollup unchanged) — the compatibility bridge for [`Repeatable`]
-    /// implementations without a native fast path.
-    ///
-    /// [`Repeatable`]: crate::amplify::Repeatable
-    pub fn to_tally(&self) -> TallyRun {
-        TallyRun {
-            outcome: self.outcome,
-            stats: self.stats,
-            transcript: Tally::from_transcript(&self.transcript),
-        }
-    }
+/// One repetition, as [`Repeatable::run_prepared`] returns it: the run,
+/// the unrecovered fault that ended it, and the faults injected along
+/// the way. Without a fault plan, `fault` is `None` and nothing is
+/// injected.
+///
+/// A repetition a fault killed keeps every bit it spent in `run`; its
+/// verdict is only trustworthy when it is a witness (see
+/// [`single_run_verdict`](crate::chaos::single_run_verdict)).
+///
+/// [`Repeatable::run_prepared`]: crate::amplify::Repeatable::run_prepared
+#[derive(Debug, Clone)]
+pub struct Rep<R = Tally> {
+    /// Verdict, statistics and recorder of the repetition.
+    pub run: ProtocolRun<R>,
+    /// The first unrecovered fault, if any.
+    pub fault: Option<RunError>,
+    /// Faults injected during the repetition, recovered ones included.
+    pub injected: FaultStats,
 }
 
 /// Errors raised before or during a protocol run.

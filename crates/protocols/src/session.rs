@@ -22,12 +22,12 @@
 
 use std::collections::HashMap;
 
-use crate::amplify::{reduce_prefix, rep_seed, PreparedInput, Repeatable};
+use crate::amplify::{ends_sweep, plain_rep, reduce_prefix, PreparedInput, Repeatable};
 use crate::baseline::SendEverything;
-use crate::outcome::{ProtocolError, ProtocolRun, TallyRun};
+use crate::outcome::{ProtocolError, Rep, TallyRun};
 use crate::{SimultaneousTester, UnrestrictedTester};
 use triad_comm::scheduler::{run_sessions, SessionHandle, SessionJob};
-use triad_comm::{mix64, Pool};
+use triad_comm::{mix64, FaultPlan, Pool};
 use triad_graph::partition::Partition;
 use triad_graph::Graph;
 
@@ -45,43 +45,16 @@ pub enum SessionTester {
 }
 
 impl Repeatable for SessionTester {
-    fn run_once(
-        &self,
-        g: &Graph,
-        partition: &Partition,
-        seed: u64,
-    ) -> Result<ProtocolRun, ProtocolError> {
-        match self {
-            SessionTester::Unrestricted(t) => t.run_once(g, partition, seed),
-            SessionTester::Simultaneous(t) => t.run_once(g, partition, seed),
-            SessionTester::Exact(t) => t.run_once(g, partition, seed),
-        }
-    }
-
     fn run_prepared(
         &self,
         input: &PreparedInput<'_>,
         seed: u64,
-    ) -> Result<TallyRun, ProtocolError> {
+        faults: Option<(&FaultPlan, u32)>,
+    ) -> Result<Rep, ProtocolError> {
         match self {
-            SessionTester::Unrestricted(t) => t.run_prepared(input, seed),
-            SessionTester::Simultaneous(t) => t.run_prepared(input, seed),
-            SessionTester::Exact(t) => t.run_prepared(input, seed),
-        }
-    }
-
-    fn run_chaos(
-        &self,
-        input: &PreparedInput<'_>,
-        seed: u64,
-        plan: &triad_comm::FaultPlan,
-        rep: u32,
-        retry_budget: u32,
-    ) -> Result<crate::chaos::ChaosRep, Box<crate::chaos::FailedRep>> {
-        match self {
-            SessionTester::Unrestricted(t) => t.run_chaos(input, seed, plan, rep, retry_budget),
-            SessionTester::Simultaneous(t) => t.run_chaos(input, seed, plan, rep, retry_budget),
-            SessionTester::Exact(t) => t.run_chaos(input, seed, plan, rep, retry_budget),
+            SessionTester::Unrestricted(t) => t.run_prepared(input, seed, faults),
+            SessionTester::Simultaneous(t) => t.run_prepared(input, seed, faults),
+            SessionTester::Exact(t) => t.run_prepared(input, seed, faults),
         }
     }
 }
@@ -98,7 +71,8 @@ pub struct SessionSpec<'g> {
     /// The protocol to run.
     pub tester: SessionTester,
     /// Base public seed; repetition `r` uses
-    /// [`rep_seed`]`(seed, r)`, exactly as a standalone sweep would.
+    /// [`rep_seed`](crate::amplify::rep_seed)`(seed, r)`, exactly as a
+    /// standalone sweep would.
     pub seed: u64,
     /// Amplification repetitions (`0` is treated as `1`, matching
     /// [`run_amplified_prepared`](crate::amplify::run_amplified_prepared)).
@@ -154,15 +128,11 @@ impl SessionJob for PreparedSession<'_, '_> {
     }
 
     fn run_rep(&self, rep: usize) -> Self::Item {
-        self.tester
-            .run_prepared(self.input, rep_seed(self.seed, rep as u32))
+        plain_rep(self.tester, self.input, self.seed, rep)
     }
 
     fn is_final(&self, item: &Self::Item) -> bool {
-        match item {
-            Ok(run) => run.outcome.found_triangle(),
-            Err(_) => true,
-        }
+        ends_sweep(item)
     }
 }
 

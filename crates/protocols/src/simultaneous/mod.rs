@@ -22,12 +22,12 @@ pub use alg_high::AlgHigh;
 pub use alg_low::AlgLow;
 pub use oblivious::Oblivious;
 
-use crate::amplify::PreparedInput;
+use crate::amplify::{PreparedInput, Repeatable};
 use crate::config::Tuning;
-use crate::outcome::{ProtocolError, ProtocolRun, TallyRun, TestOutcome};
-use triad_comm::player::players_from_shares;
+use crate::outcome::{ProtocolError, ProtocolRun, Rep, TestOutcome};
 use triad_comm::{
-    run_simultaneous_prepared, Payload, PlayerState, Recorder, SharedRandomness, SimMessage,
+    run_simultaneous_chaos, run_simultaneous_prepared, FaultPlan, FaultStats, Payload, Recorder,
+    SharedRandomness, SimChaos, SimMessage, SimultaneousProtocol,
 };
 use triad_graph::kernels::{bitset, EdgeBitset};
 use triad_graph::partition::Partition;
@@ -159,7 +159,8 @@ impl SimultaneousTester {
         self.kind
     }
 
-    /// Runs one simultaneous round over the partitioned input.
+    /// Runs one simultaneous round over the partitioned input, with the
+    /// full event log.
     ///
     /// # Errors
     ///
@@ -171,138 +172,102 @@ impl SimultaneousTester {
         partition: &Partition,
         seed: u64,
     ) -> Result<ProtocolRun, ProtocolError> {
-        let n = g.vertex_count();
-        crate::outcome::validate_shares(g, partition)?;
-        let players = players_from_shares(n, partition.shares());
-        self.run_with(n, &players, seed)
+        let input = PreparedInput::new(g, partition)?;
+        self.run_recorded(&input, seed, None).map(|rep| rep.run)
     }
 
-    /// Runs one simultaneous round over a [`PreparedInput`], recording
-    /// only a tally — the per-repetition fast path: shares are already
-    /// validated and the player states already built, so a repetition
-    /// re-rolls nothing but the shared randomness.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::InvalidInput`] on non-positive degree
-    /// hints.
-    pub fn run_prepared_tally(
+    /// The one body behind [`run`](Self::run) and
+    /// [`Repeatable::run_prepared`]: one round over prepared players,
+    /// with or without a fault plan, into any recorder.
+    pub(crate) fn run_recorded<R: Recorder>(
         &self,
         input: &PreparedInput<'_>,
         seed: u64,
-    ) -> Result<TallyRun, ProtocolError> {
-        self.run_with(input.n(), input.players(), seed)
-    }
-
-    /// Runs one simultaneous round under a
-    /// [`FaultPlan`](triad_comm::FaultPlan). One-round protocols cannot
-    /// retry — each player speaks exactly once — so a dropped, crashed,
-    /// or corrupted message kills the repetition (bits preserved);
-    /// duplicate deliveries survive with the extra copy charged under
-    /// [`triad_comm::RETRANSMIT_LABEL`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FailedRep`](crate::chaos::FailedRep) on a fatal fault,
-    /// or — wrapped as `Aborted` — on non-positive degree hints.
-    pub fn run_chaos_tally(
-        &self,
-        input: &PreparedInput<'_>,
-        seed: u64,
-        plan: &triad_comm::FaultPlan,
-        rep: u32,
-    ) -> Result<crate::chaos::ChaosRep, Box<crate::chaos::FailedRep>> {
-        let n = input.n();
-        let players = input.players();
-        let shared = SharedRandomness::new(seed);
-        let result = match self.kind {
-            SimProtocolKind::High { avg_degree } => {
-                if avg_degree <= 0.0 {
-                    return Err(Box::new(crate::chaos::FailedRep::aborted(
-                        "average degree must be positive".into(),
-                        input.k(),
-                    )));
-                }
-                let p = AlgHigh::new(self.tuning, avg_degree);
-                triad_comm::run_simultaneous_chaos::<_, triad_comm::Tally>(
-                    &p, n, players, shared, plan, rep,
-                )
-            }
-            SimProtocolKind::Low { avg_degree } => {
-                if avg_degree <= 0.0 {
-                    return Err(Box::new(crate::chaos::FailedRep::aborted(
-                        "average degree must be positive".into(),
-                        input.k(),
-                    )));
-                }
-                let p = AlgLow::new(self.tuning, avg_degree);
-                triad_comm::run_simultaneous_chaos::<_, triad_comm::Tally>(
-                    &p, n, players, shared, plan, rep,
-                )
-            }
-            SimProtocolKind::Oblivious => {
-                let p = Oblivious::new(self.tuning, players.len());
-                triad_comm::run_simultaneous_chaos::<_, triad_comm::Tally>(
-                    &p, n, players, shared, plan, rep,
-                )
+        faults: Option<(&FaultPlan, u32)>,
+    ) -> Result<Rep<R>, ProtocolError> {
+        let degree = |avg_degree: f64| {
+            if avg_degree <= 0.0 {
+                Err(ProtocolError::InvalidInput(
+                    "average degree must be positive".into(),
+                ))
+            } else {
+                Ok(avg_degree)
             }
         };
-        match result {
-            Ok(chaos) => Ok(crate::chaos::ChaosRep {
-                run: TallyRun {
-                    outcome: TestOutcome::from(chaos.run.output),
-                    stats: chaos.run.stats,
-                    transcript: chaos.run.transcript,
-                },
-                injected: chaos.injected,
-            }),
-            Err(f) => Err(Box::new(crate::chaos::FailedRep {
-                error: f.error,
-                stats: f.stats,
-                transcript: f.transcript,
-                injected: f.injected,
-            })),
-        }
-    }
-
-    /// The dispatch shared by every entry point, generic over the
-    /// recorder.
-    fn run_with<R: Recorder>(
-        &self,
-        n: usize,
-        players: &[PlayerState],
-        seed: u64,
-    ) -> Result<ProtocolRun<R>, ProtocolError> {
-        let shared = SharedRandomness::new(seed);
-        let run = match self.kind {
+        Ok(match self.kind {
             SimProtocolKind::High { avg_degree } => {
-                if avg_degree <= 0.0 {
-                    return Err(ProtocolError::InvalidInput(
-                        "average degree must be positive".into(),
-                    ));
-                }
-                let p = AlgHigh::new(self.tuning, avg_degree);
-                run_simultaneous_prepared(&p, n, players, shared)
+                let p = AlgHigh::new(self.tuning, degree(avg_degree)?);
+                run_one_round(&p, input, seed, faults)
             }
             SimProtocolKind::Low { avg_degree } => {
-                if avg_degree <= 0.0 {
-                    return Err(ProtocolError::InvalidInput(
-                        "average degree must be positive".into(),
-                    ));
-                }
-                let p = AlgLow::new(self.tuning, avg_degree);
-                run_simultaneous_prepared(&p, n, players, shared)
+                let p = AlgLow::new(self.tuning, degree(avg_degree)?);
+                run_one_round(&p, input, seed, faults)
             }
             SimProtocolKind::Oblivious => {
-                let p = Oblivious::new(self.tuning, players.len());
-                run_simultaneous_prepared(&p, n, players, shared)
+                run_one_round(&Oblivious::new(self.tuning, input.k()), input, seed, faults)
             }
-        };
-        Ok(ProtocolRun {
-            outcome: TestOutcome::from(run.output),
-            stats: run.stats,
-            transcript: run.transcript,
         })
+    }
+}
+
+impl Repeatable for SimultaneousTester {
+    fn run_prepared(
+        &self,
+        input: &PreparedInput<'_>,
+        seed: u64,
+        faults: Option<(&FaultPlan, u32)>,
+    ) -> Result<Rep, ProtocolError> {
+        self.run_recorded(input, seed, faults)
+    }
+}
+
+/// Runs a one-round protocol over prepared players, with or without a
+/// fault plan — what every one-round tester runs, the exact
+/// baseline included. One-round protocols cannot retry: each player
+/// speaks exactly once, so a dropped, crashed or corrupted message kills
+/// the repetition (bits kept), while a duplicate delivery survives with
+/// the extra copy charged under [`triad_comm::RETRANSMIT_LABEL`].
+pub(crate) fn run_one_round<P, R>(
+    protocol: &P,
+    input: &PreparedInput<'_>,
+    seed: u64,
+    faults: Option<(&FaultPlan, u32)>,
+) -> Rep<R>
+where
+    P: SimultaneousProtocol<Output = Option<Triangle>>,
+    R: Recorder,
+{
+    let shared = SharedRandomness::new(seed);
+    let (n, players) = (input.n(), input.players());
+    let (output, stats, transcript, fault, injected) = match faults {
+        None => {
+            let run = run_simultaneous_prepared(protocol, n, players, shared);
+            let injected = FaultStats::default();
+            (run.output, run.stats, run.transcript, None, injected)
+        }
+        Some((plan, rep)) => {
+            let SimChaos {
+                run,
+                fault,
+                injected,
+            } = run_simultaneous_chaos(protocol, n, players, shared, plan, rep);
+            (
+                run.output.flatten(),
+                run.stats,
+                run.transcript,
+                fault,
+                injected,
+            )
+        }
+    };
+    Rep {
+        run: ProtocolRun {
+            outcome: TestOutcome::from(output),
+            stats,
+            transcript,
+        },
+        fault,
+        injected,
     }
 }
 
@@ -480,7 +445,7 @@ mod tests {
 
     #[test]
     fn one_round_testers_leave_every_players_adjacency_unbuilt() {
-        use crate::amplify::{run_amplified_prepared, Repeatable};
+        use crate::amplify::run_amplified_prepared;
         use crate::baseline::SendEverything;
         use triad_comm::{PayloadRepr, Pool};
         // A player builds its local adjacency only when a request reads

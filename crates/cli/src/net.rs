@@ -362,13 +362,13 @@ pub fn connect(args: &ArgMap) -> Result<String, CliError> {
                 let _ = std::fs::remove_file(path);
             }
             format!(
-                "player {} served {} requests{rejoined}\ncoordinator verdict: {farewell}\n",
-                w.player, summary.requests
+                "player {} served {} requests in {} frames{rejoined}\ncoordinator verdict: {farewell}\n",
+                w.player, summary.requests, summary.frames
             )
         }
         None => format!(
-            "player {} served {} requests{rejoined} (connection closed without a farewell)\n",
-            w.player, summary.requests
+            "player {} served {} requests in {} frames{rejoined} (connection closed without a farewell)\n",
+            w.player, summary.requests, summary.frames
         ),
     })
 }

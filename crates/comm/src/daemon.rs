@@ -615,8 +615,13 @@ impl TcpCoordinator {
 /// coordinator's farewell, when the session closed cleanly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeSummary {
-    /// Number of protocol requests answered (control frames excluded).
+    /// Number of logical protocol requests answered (control frames
+    /// excluded); a batch counts once per request it carries.
     pub requests: u64,
+    /// Number of request-bearing frames answered (`Request`, `Batch`
+    /// and `SimRequest`). `requests ÷ frames` is how many requests the
+    /// coordinator packed into each round trip.
+    pub frames: u64,
     /// The verdict line from the coordinator's
     /// [`Goodbye`](WireMessage::Goodbye), or `None` when the session
     /// ended by hitting a [`serve_until`](PlayerSession::serve_until)
@@ -870,8 +875,10 @@ impl PlayerSession {
     }
 
     /// [`serve`](Self::serve) with a request budget: after answering
-    /// `limit` protocol requests the session returns early and **drops
-    /// the connection** — a player that walks away mid-round. This is
+    /// `limit` protocol requests — or on reading a frame whose requests
+    /// would take it past `limit`, before answering any of them — the
+    /// session returns early and **drops the connection**: a player that
+    /// walks away mid-round. This is
     /// deliberate conformance-test support: the coordinator observes the
     /// hangup as a typed
     /// [`RunError::Transport`](crate::runtime::RunError::Transport) and
@@ -895,6 +902,7 @@ impl PlayerSession {
         let farewell = self.serve_core(state, &mut sim, limit, &mut progress)?;
         Ok(ServeSummary {
             requests: progress.requests,
+            frames: progress.frames,
             farewell,
             rejoins: 0,
         })
@@ -935,6 +943,7 @@ impl PlayerSession {
                 Ok(farewell) => {
                     return Ok(ServeSummary {
                         requests: progress.requests,
+                        frames: progress.frames,
                         farewell,
                         rejoins,
                     })
@@ -978,24 +987,37 @@ impl PlayerSession {
         F: FnMut(&PlayerState, &SharedRandomness) -> SimMessage<'static>,
     {
         loop {
-            match wire::read_frame(&mut self.stream)? {
+            let msg = wire::read_frame(&mut self.stream)?;
+            let carried = match &msg {
+                WireMessage::Request { .. } | WireMessage::SimRequest { .. } => 1,
+                WireMessage::Batch { reqs, .. } => reqs.len() as u64,
+                _ => 0,
+            };
+            if limit.is_some_and(|max| progress.requests + carried > max) {
+                return Ok(None);
+            }
+            let (id, answer) = match msg {
                 WireMessage::Request { id, req } => {
                     let payload = state.handle(&req, &progress.shared);
-                    wire::write_frame(&mut self.stream, &WireMessage::Response { id, payload })
-                        .map_err(NetError::Io)?;
-                    progress.requests += 1;
-                    progress.last_acked = id;
+                    (id, WireMessage::Response { id, payload })
+                }
+                WireMessage::Batch { id, reqs } => {
+                    // Answered in order, from the seed in force, so a
+                    // batch replayed after a rejoin answers identically.
+                    let payloads = reqs
+                        .iter()
+                        .map(|req| state.handle(req, &progress.shared))
+                        .collect();
+                    (id, WireMessage::BatchResponse { id, payloads })
                 }
                 WireMessage::SimRequest { id } => {
                     let message = sim(state, &progress.shared);
-                    wire::write_frame(&mut self.stream, &WireMessage::SimResponse { id, message })
-                        .map_err(NetError::Io)?;
-                    progress.requests += 1;
-                    progress.last_acked = id;
+                    (id, WireMessage::SimResponse { id, message })
                 }
                 WireMessage::AdoptShared { seed } => {
                     progress.shared = SharedRandomness::new(seed);
                     wire::write_frame(&mut self.stream, &WireMessage::Ack).map_err(NetError::Io)?;
+                    continue;
                 }
                 WireMessage::Goodbye { summary } => return Ok(Some(summary)),
                 WireMessage::Error { code, reason } => return Err(rejection(code, reason)),
@@ -1005,11 +1027,13 @@ impl PlayerSession {
                         other.kind()
                     )))
                 }
-            }
-            if let Some(max) = limit {
-                if progress.requests >= max {
-                    return Ok(None);
-                }
+            };
+            wire::write_frame(&mut self.stream, &answer).map_err(NetError::Io)?;
+            progress.requests += carried;
+            progress.frames += 1;
+            progress.last_acked = id;
+            if limit.is_some_and(|max| progress.requests >= max) {
+                return Ok(None);
             }
         }
     }
@@ -1017,11 +1041,13 @@ impl PlayerSession {
 
 /// Serve-loop state that must outlive any single connection so a rejoin
 /// resumes rather than restarts: the shared randomness in force, the
-/// requests answered so far, and the last acknowledged correlation id.
+/// requests and request-bearing frames answered so far, and the last
+/// acknowledged correlation id.
 #[derive(Debug)]
 struct ServeProgress {
     shared: SharedRandomness,
     requests: u64,
+    frames: u64,
     last_acked: u64,
 }
 
@@ -1030,6 +1056,7 @@ impl ServeProgress {
         ServeProgress {
             shared: SharedRandomness::new(seed),
             requests: 0,
+            frames: 0,
             last_acked: 0,
         }
     }
@@ -1116,14 +1143,64 @@ mod tests {
         );
         let sims = transport.collect_sim_messages().unwrap();
         assert_eq!(sims.len(), 2);
+        // One batch per player answers the whole round, in order.
+        let round = [
+            PlayerRequest::HasEdge(e(0, 2)),
+            PlayerRequest::LocalEdgeCount,
+            PlayerRequest::HasEdge(e(1, 2)),
+        ];
+        let answers: Vec<Vec<Payload<'static>>> = transport
+            .try_deliver_round(&round)
+            .expect("tcp delivers rounds")
+            .into_iter()
+            .map(|a| a.unwrap().into_iter().map(|f| f.into_payload()).collect())
+            .collect();
+        assert_eq!(
+            answers,
+            vec![
+                vec![Payload::Bit(false), Payload::Count(2), Payload::Bit(true)],
+                vec![Payload::Bit(true), Payload::Count(1), Payload::Bit(false)],
+            ]
+        );
         transport.goodbye("accepted (no triangle found)");
         let mut summaries: Vec<_> = players.into_iter().map(|h| h.join().unwrap()).collect();
         summaries.sort_by_key(|s| s.requests);
         for s in &summaries {
             assert_eq!(s.farewell.as_deref(), Some("accepted (no triangle found)"));
         }
-        // 2 + 1 deliveries and one sim request each.
-        assert_eq!(summaries[0].requests + summaries[1].requests, 3 + 2);
+        // 2 + 1 deliveries, one sim request and a batch of 3 each.
+        assert_eq!(summaries[0].requests + summaries[1].requests, 3 + 2 + 2 * 3);
+        assert_eq!(summaries[0].frames + summaries[1].frames, 3 + 2 + 2);
+    }
+
+    #[test]
+    fn request_limit_stops_before_a_batch_that_would_cross_it() {
+        let coordinator = TcpCoordinator::bind("127.0.0.1:0").unwrap();
+        let addr = coordinator.local_addr().unwrap();
+        let player = std::thread::spawn(move || {
+            let session = PlayerSession::connect(addr, None, Duration::from_secs(10)).unwrap();
+            let state = PlayerState::new(0, 4, &[e(0, 1)]);
+            session
+                .serve_until(&state, |_, _| SimMessage::empty(), Some(3))
+                .unwrap()
+        });
+        let mut transport = coordinator
+            .accept_players(&cfg(1), Duration::from_secs(10))
+            .unwrap();
+        assert_eq!(
+            transport.try_deliver(0, &PlayerRequest::LocalEdgeCount),
+            Ok(Payload::Count(1))
+        );
+        // 1 answered + 5 carried > 3: the player walks away unanswered.
+        let round = vec![PlayerRequest::LocalEdgeCount; 5];
+        let answers = transport
+            .try_deliver_round(&round)
+            .expect("tcp delivers rounds");
+        let err = answers.into_iter().next().unwrap().unwrap_err();
+        assert_eq!(err.kind(), crate::runtime::RunErrorKind::Transport, "{err}");
+        let summary = player.join().unwrap();
+        assert_eq!((summary.requests, summary.frames), (1, 1));
+        assert_eq!(summary.farewell, None);
     }
 
     #[test]

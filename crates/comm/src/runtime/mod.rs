@@ -250,6 +250,25 @@ pub trait Transport: Send {
     ) -> Result<crate::fault::Framed, RunError> {
         Ok(crate::fault::Framed::seal(self.try_deliver(player, req)?))
     }
+    /// Delivers one round of independent requests to every player at
+    /// once: for each player in order, the framed answers to every
+    /// request of `reqs`, in request order, or the failure that cut the
+    /// player's round short. The runtime charges, retries and classifies
+    /// each (request, player) exchange exactly as it would a separate
+    /// delivery, so a round changes how requests travel, never what they
+    /// cost.
+    ///
+    /// The default returns `None`: this transport delivers one request
+    /// at a time, and the runtime calls
+    /// [`try_deliver_framed`](Self::try_deliver_framed) request by
+    /// request, players in order. Fault-injecting transports keep that
+    /// order, because their schedule is drawn per logical request.
+    fn try_deliver_round(
+        &mut self,
+        _reqs: &[PlayerRequest],
+    ) -> Option<Vec<Result<Vec<crate::fault::Framed>, RunError>>> {
+        None
+    }
     /// Infallible delivery for tests and trusted harness code: panics on
     /// any delivery failure. Production paths go through
     /// [`try_deliver`](Self::try_deliver).
@@ -529,18 +548,26 @@ impl<R: Recorder> Runtime<R> {
     /// network swallowed whole cost the protocol nothing measurable, and
     /// charging it inflated chaos-mode rollups relative to the
     /// [`FaultStats`](crate::FaultStats) injection counts.
+    ///
+    /// `first` is the outcome of a first attempt the transport already
+    /// made as part of a round; retries always go one request at a time.
     fn exchange(
         &mut self,
         player: usize,
         req: &PlayerRequest,
         ovh: BitCost,
+        mut first: Option<Result<crate::fault::Framed, RunError>>,
     ) -> Result<Payload<'static>, RunError> {
         use crate::fault::RETRANSMIT_LABEL;
         let mut attempts = 0u32;
         // Retried requests whose delivery outcome is not yet known.
         let mut pending_retransmits = 0u32;
         loop {
-            let err = match self.transport.try_deliver_framed(player, req) {
+            let attempt = match first.take() {
+                Some(attempt) => attempt,
+                None => self.transport.try_deliver_framed(player, req),
+            };
+            let err = match attempt {
                 Ok(framed) => {
                     // A frame came back, so every retransmitted copy of
                     // the request that led here reached the player.
@@ -589,6 +616,24 @@ impl<R: Recorder> Runtime<R> {
         }
     }
 
+    /// Charges one coordinator message addressed to every player: once
+    /// under [`CostModel::Blackboard`], once per private channel
+    /// otherwise.
+    fn charge_to_every_player(&mut self, bits: BitCost, label: &'static str) {
+        match self.cost_model {
+            CostModel::Blackboard => {
+                self.recorder
+                    .record(None, Direction::Broadcast, bits, label);
+            }
+            _ => {
+                for j in 0..self.k() {
+                    self.recorder
+                        .record(Some(j), Direction::ToPlayer, bits, label);
+                }
+            }
+        }
+    }
+
     /// Records `err` as the runtime's fault if it is the first one.
     fn poison(&mut self, err: RunError) {
         if self.fault.is_none() {
@@ -624,7 +669,7 @@ impl<R: Recorder> Runtime<R> {
             req.bit_len(self.n) + ovh,
             label,
         );
-        let resp = self.exchange(player, &req, ovh)?;
+        let resp = self.exchange(player, &req, ovh, None)?;
         self.recorder.record(
             Some(player),
             Direction::ToCoordinator,
@@ -660,20 +705,8 @@ impl<R: Recorder> Runtime<R> {
         use ::rand::RngCore;
         let index = self.shared.stream(0x4E45_574D).next_u64() % family_size.max(1);
         let payload = Payload::Bits(index, bits_for_count(family_size) as u32);
-        let bits = payload.bit_len(self.n);
-        match self.cost_model {
-            CostModel::Blackboard => {
-                self.recorder
-                    .record(None, Direction::Broadcast, bits, "newman_seed");
-            }
-            _ => {
-                let ovh = self.routing_overhead();
-                for j in 0..self.k() {
-                    self.recorder
-                        .record(Some(j), Direction::ToPlayer, bits + ovh, "newman_seed");
-                }
-            }
-        }
+        let bits = payload.bit_len(self.n) + self.routing_overhead();
+        self.charge_to_every_player(bits, "newman_seed");
         SharedRandomness::new(self.shared.seed().wrapping_add(index.wrapping_mul(0x9E37)))
     }
 
@@ -693,7 +726,8 @@ impl<R: Recorder> Runtime<R> {
         self.transport.adopt_shared(shared);
     }
 
-    /// Sends the same request to every player.
+    /// Sends the same request to every player: the round of one (see
+    /// [`try_broadcast_all`](Self::try_broadcast_all)).
     ///
     /// Charging: under [`CostModel::Coordinator`] the request is paid `k`
     /// times (one private channel each); under [`CostModel::Blackboard`]
@@ -706,36 +740,11 @@ impl<R: Recorder> Runtime<R> {
     /// Returns the first unrecovered [`RunError`]; responses gathered
     /// before the failure stay charged (the bits were spent).
     pub fn try_broadcast(&mut self, req: PlayerRequest) -> Result<Vec<Payload<'static>>, RunError> {
-        if let Some(f) = &self.fault {
-            return Err(f.clone());
+        let mut out = Vec::new();
+        match self.round(std::slice::from_ref(&req), |row| out = row) {
+            None => Ok(out),
+            Some(err) => Err(err),
         }
-        let label = req.label();
-        let ovh = self.routing_overhead();
-        let req_bits = req.bit_len(self.n) + ovh;
-        match self.cost_model {
-            CostModel::Blackboard => {
-                self.recorder
-                    .record(None, Direction::Broadcast, req_bits, label);
-            }
-            _ => {
-                for j in 0..self.k() {
-                    self.recorder
-                        .record(Some(j), Direction::ToPlayer, req_bits, label);
-                }
-            }
-        }
-        let mut out = Vec::with_capacity(self.k());
-        for j in 0..self.k() {
-            let resp = self.exchange(j, &req, ovh)?;
-            self.recorder.record(
-                Some(j),
-                Direction::ToCoordinator,
-                resp.bit_len(self.n) + ovh,
-                label,
-            );
-            out.push(resp);
-        }
-        Ok(out)
     }
 
     /// Infallible [`try_broadcast`](Self::try_broadcast): an unrecovered
@@ -749,6 +758,102 @@ impl<R: Recorder> Runtime<R> {
                 vec![Payload::Empty; self.k()]
             }
         }
+    }
+
+    /// Sends one round of independent requests to every player and
+    /// returns one row of `k` responses per request.
+    ///
+    /// The round charges exactly what `reqs.len()` separate
+    /// [`try_broadcast`](Self::try_broadcast) calls charge, request by
+    /// request and players in order, under every [`CostModel`]: how the
+    /// requests travel is the transport's business
+    /// ([`Transport::try_deliver_round`]), what they cost is not. A
+    /// transport that delivers the round at once supplies each
+    /// exchange's first attempt; retries go one request at a time.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first unrecovered [`RunError`]; what was gathered
+    /// before it stays charged, and nothing after it is charged.
+    pub fn try_broadcast_all(
+        &mut self,
+        reqs: &[PlayerRequest],
+    ) -> Result<Vec<Vec<Payload<'static>>>, RunError> {
+        let mut rows = Vec::with_capacity(reqs.len());
+        match self.round(reqs, |row| rows.push(row)) {
+            None => Ok(rows),
+            Some(err) => Err(err),
+        }
+    }
+
+    /// Infallible [`try_broadcast_all`](Self::try_broadcast_all): an
+    /// unrecovered fault poisons the runtime; the rows gathered before it
+    /// keep their payloads and the rest degrade to `k` empty payloads
+    /// each, as separate [`broadcast`](Self::broadcast) calls would.
+    pub fn broadcast_all(&mut self, reqs: &[PlayerRequest]) -> Vec<Vec<Payload<'static>>> {
+        let mut rows = Vec::with_capacity(reqs.len());
+        if let Some(err) = self.round(reqs, |row| rows.push(row)) {
+            self.poison(err);
+            rows.resize(reqs.len(), vec![Payload::Empty; self.k()]);
+        }
+        rows
+    }
+
+    /// The one broadcast path: charges and exchanges `reqs` request by
+    /// request, players in order, hands each complete row of `k`
+    /// responses to `row_done`, and returns the first unrecovered fault,
+    /// if any.
+    fn round(
+        &mut self,
+        reqs: &[PlayerRequest],
+        mut row_done: impl FnMut(Vec<Payload<'static>>),
+    ) -> Option<RunError> {
+        if let Some(f) = &self.fault {
+            return Some(f.clone());
+        }
+        if reqs.is_empty() {
+            return None;
+        }
+        let k = self.k();
+        let ovh = self.routing_overhead();
+        // Each player's answers, consumed in request order below.
+        let mut delivered: Option<Vec<_>> = self.transport.try_deliver_round(reqs).map(|round| {
+            let mut round = round.into_iter();
+            (0..k)
+                .map(|j| match round.next() {
+                    Some(Ok(framed)) if framed.len() == reqs.len() => Ok(framed.into_iter()),
+                    Some(Err(e)) => Err(e),
+                    _ => Err(RunError::Aborted {
+                        reason: format!("player {j}'s round answered the wrong number of requests"),
+                    }),
+                })
+                .collect()
+        });
+        for req in reqs {
+            let label = req.label();
+            self.charge_to_every_player(req.bit_len(self.n) + ovh, label);
+            let mut row = Vec::with_capacity(k);
+            for j in 0..k {
+                let first = delivered.as_mut().map(|answers| match &mut answers[j] {
+                    Ok(framed) => Ok(framed.next().expect("one answer per request")),
+                    Err(e) => Err(e.clone()),
+                });
+                match self.exchange(j, req, ovh, first) {
+                    Ok(resp) => {
+                        self.recorder.record(
+                            Some(j),
+                            Direction::ToCoordinator,
+                            resp.bit_len(self.n) + ovh,
+                            label,
+                        );
+                        row.push(resp);
+                    }
+                    Err(e) => return Some(e),
+                }
+            }
+            row_done(row);
+        }
+        None
     }
 
     /// Broadcasts an edge-producing request and returns the deduplicated
@@ -787,23 +892,11 @@ impl<R: Recorder> Runtime<R> {
         }
         let label = req.label();
         let ovh = self.routing_overhead();
-        let req_bits = req.bit_len(self.n) + ovh;
-        match self.cost_model {
-            CostModel::Blackboard => {
-                self.recorder
-                    .record(None, Direction::Broadcast, req_bits, label);
-            }
-            _ => {
-                for j in 0..self.k() {
-                    self.recorder
-                        .record(Some(j), Direction::ToPlayer, req_bits, label);
-                }
-            }
-        }
+        self.charge_to_every_player(req.bit_len(self.n) + ovh, label);
         let mut seen: HashSet<Edge> = HashSet::new();
         let mut union = Vec::new();
         for j in 0..self.k() {
-            let resp = self.exchange(j, &req, ovh)?;
+            let resp = self.exchange(j, &req, ovh, None)?;
             let edges = resp.as_edges();
             let charged = match self.cost_model {
                 CostModel::Blackboard => edges.iter().filter(|e| !seen.contains(*e)).count() as u64,
@@ -1002,6 +1095,121 @@ mod tests {
             full.transcript().by_direction(),
             fast.recorder().by_direction()
         );
+    }
+
+    /// A local transport that answers rounds itself, player by player,
+    /// with `shape` applied to each player's answers.
+    struct Rounds<F> {
+        inner: LocalTransport,
+        shape: F,
+    }
+
+    type Answers = Result<Vec<crate::fault::Framed>, RunError>;
+
+    impl<F: FnMut(usize, Answers) -> Answers + Send> Transport for Rounds<F> {
+        fn k(&self) -> usize {
+            self.inner.k()
+        }
+
+        fn try_deliver(
+            &mut self,
+            player: usize,
+            req: &PlayerRequest,
+        ) -> Result<Payload<'static>, RunError> {
+            self.inner.try_deliver(player, req)
+        }
+
+        fn try_deliver_round(&mut self, reqs: &[PlayerRequest]) -> Option<Vec<Answers>> {
+            Some(
+                (0..self.k())
+                    .map(|j| {
+                        let answers = reqs
+                            .iter()
+                            .map(|r| self.inner.try_deliver_framed(j, r))
+                            .collect();
+                        (self.shape)(j, answers)
+                    })
+                    .collect(),
+            )
+        }
+    }
+
+    fn round_reqs() -> Vec<PlayerRequest> {
+        (1..=4)
+            .map(|tag| PlayerRequest::SampleHit {
+                v: VertexId(1),
+                tag,
+                p: 0.5,
+            })
+            .chain([PlayerRequest::HasEdge(e(1, 2))])
+            .collect()
+    }
+
+    #[test]
+    fn a_round_with_the_wrong_answer_count_aborts_naming_the_player() {
+        let shared = SharedRandomness::new(5);
+        for drop_or_add in [true, false] {
+            let transport = Rounds {
+                inner: LocalTransport::new(4, &shares(), shared),
+                shape: move |j, answers: Answers| match (j, answers) {
+                    (1, Ok(mut framed)) if drop_or_add => {
+                        framed.pop();
+                        Ok(framed)
+                    }
+                    (1, Ok(mut framed)) => {
+                        framed.push(crate::fault::Framed::seal(Payload::Empty));
+                        Ok(framed)
+                    }
+                    (_, answers) => answers,
+                },
+            };
+            let mut rt = Runtime::new(Box::new(transport), 4, shared, CostModel::Coordinator);
+            let err = rt.try_broadcast_all(&round_reqs()).unwrap_err();
+            assert_eq!(err.kind(), RunErrorKind::Aborted);
+            assert!(err.to_string().contains("player 1"), "{err}");
+            // Player 0's first answer was charged before player 1's failed.
+            let reqs = round_reqs();
+            let mut want = Transcript::new(2);
+            for j in 0..2 {
+                want.record(
+                    Some(j),
+                    Direction::ToPlayer,
+                    reqs[0].bit_len(4),
+                    reqs[0].label(),
+                );
+            }
+            want.record(
+                Some(0),
+                Direction::ToCoordinator,
+                BitCost(1),
+                reqs[0].label(),
+            );
+            assert_eq!(rt.stats(), want.stats());
+        }
+    }
+
+    #[test]
+    fn a_timed_out_round_is_retried_request_by_request() {
+        let shared = SharedRandomness::new(5);
+        let transport = Rounds {
+            inner: LocalTransport::new(4, &shares(), shared),
+            shape: |j, answers| match j {
+                1 => Err(RunError::Timeout { player: 1 }),
+                _ => answers,
+            },
+        };
+        let mut rt = Runtime::new(Box::new(transport), 4, shared, CostModel::Coordinator);
+        let rows = rt.try_broadcast_all(&round_reqs()).unwrap();
+        let mut separate = Runtime::local(4, &shares(), shared, CostModel::Coordinator);
+        let want: Vec<_> = round_reqs()
+            .into_iter()
+            .map(|r| separate.broadcast(r))
+            .collect();
+        assert_eq!(rows, want);
+        // Each of player 1's requests went out once more and is charged
+        // as a retransmit; nothing else differs.
+        let resent: u64 = round_reqs().iter().map(|r| r.bit_len(4).get()).sum();
+        assert_eq!(rt.stats().total_bits, separate.stats().total_bits + resent);
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //!
 //! The transport holds one established, handshaken connection per
 //! player, ordered by player index — [`crate::daemon::TcpCoordinator`]
-//! produces it from the accept loop. Every delivery is one
+//! produces it from the accept loop. A single delivery is one
 //! [`Request`](crate::wire::WireMessage::Request) frame tagged with a
-//! fresh correlation id; responses with stale ids (answers to a delivery
-//! the coordinator already timed out) are discarded instead of
-//! desynchronizing the stream, which is what makes the runtime's
-//! bounded-retry loop sound over TCP.
+//! fresh correlation id; a round of independent requests is one
+//! [`Batch`](crate::wire::WireMessage::Batch) frame per player, written
+//! to every player before any answer is read. Answers with stale ids
+//! (to a delivery the coordinator already timed out) are discarded
+//! instead of desynchronizing the stream, which is what makes the
+//! runtime's bounded-retry loop sound over TCP.
 //!
 //! Cost accounting is **unchanged** by this transport: the recorder
 //! charges model bit costs (`bit_len`), never wire bytes, so a
@@ -18,6 +20,7 @@
 //! (protocol, seed, k).
 
 use crate::daemon::{SessionHost, ACCEPT_POLL_INTERVAL};
+use crate::fault::Framed;
 use crate::message::Payload;
 use crate::rand::SharedRandomness;
 use crate::request::PlayerRequest;
@@ -337,30 +340,60 @@ impl TcpTransport {
         if let Some(f) = self.pending_fault.take() {
             return Err(f);
         }
-        let mut out = Vec::with_capacity(self.conns.len());
-        for player in 0..self.conns.len() {
-            // The same detach-and-rejoin loop as `try_deliver`: a gather
-            // interrupted by a disconnect replays the sim request on the
-            // rejoined connection with a fresh id — invisible to cost
-            // accounting, identical to an uninterrupted gather.
-            let message = loop {
-                self.ensure_active(player)?;
-                let id = self.fresh_id();
-                let attempt = {
-                    let stream = self.active(player)?;
-                    wire::write_frame(stream, &WireMessage::SimRequest { id })
-                        .map_err(|_| RunError::Transport(TransportError { player }))
-                        .and_then(|()| await_sim_response(stream, player, id))
-                };
-                match attempt {
-                    Ok(message) => break message,
-                    Err(e) if self.detachable(&e) => self.detach(player, e),
-                    Err(e) => return Err(e),
-                }
-            };
-            out.push(message);
+        (0..self.conns.len())
+            .map(|player| {
+                // A gather interrupted by a disconnect replays the sim
+                // request on the rejoined connection with a fresh id —
+                // invisible to cost accounting, identical to an
+                // uninterrupted gather.
+                self.with_rejoin(player, |stream, id| {
+                    send(stream, player, &WireMessage::SimRequest { id })?;
+                    await_answer(stream, player, id, |msg| match msg {
+                        WireMessage::SimResponse { id: got, message } if got == id => Ok(message),
+                        other => Err(other),
+                    })
+                })
+            })
+            .collect()
+    }
+
+    /// The reconnect loop every delivery runs under: `attempt` writes
+    /// one frame under the fresh correlation id it is given and awaits
+    /// the answer. A delivery interrupted by a disconnect waits out the
+    /// rejoin (bounded by the session window) and runs `attempt` again
+    /// with a fresh id on the new connection. The replay happens entirely
+    /// below the runtime's charging layer, so a run interrupted and
+    /// resumed is bit-identical — verdict, stats and tally — to an
+    /// uninterrupted one (docs/NETWORKING.md).
+    fn with_rejoin<T>(
+        &mut self,
+        player: usize,
+        mut attempt: impl FnMut(&mut TcpStream, u64) -> Result<T, RunError>,
+    ) -> Result<T, RunError> {
+        loop {
+            self.ensure_active(player)?;
+            let id = self.fresh_id();
+            let result = attempt(self.active(player)?, id);
+            match result {
+                Ok(out) => return Ok(out),
+                Err(e) if self.detachable(&e) => self.detach(player, e),
+                Err(e) => return Err(e),
+            }
         }
-        Ok(out)
+    }
+
+    /// Delivers `reqs` to `player` as one batch under the reconnect loop:
+    /// a batch cut off by a disconnect is replayed whole, with a fresh
+    /// id, on the rejoined connection.
+    fn replay_batch(
+        &mut self,
+        player: usize,
+        reqs: &[PlayerRequest],
+    ) -> Result<Vec<Payload<'static>>, RunError> {
+        self.with_rejoin(player, |stream, id| {
+            send_batch(stream, player, id, reqs)?;
+            await_batch(stream, player, id, reqs.len())
+        })
     }
 
     /// Best-effort farewell: sends a [`Goodbye`](WireMessage::Goodbye)
@@ -381,65 +414,86 @@ impl TcpTransport {
     }
 }
 
-/// Reads frames from `player`'s stream until the `Response` with
-/// correlation id `id` arrives, discarding stale responses along the
-/// way.
-fn await_response(
+/// Writes one frame to `player`'s stream; a failed write means the
+/// connection is gone.
+fn send(stream: &mut TcpStream, player: usize, msg: &WireMessage) -> Result<(), RunError> {
+    wire::write_frame(stream, msg).map_err(|_| RunError::Transport(TransportError { player }))
+}
+
+/// The correlation id of a data answer, whatever its shape.
+fn answer_id(msg: &WireMessage) -> Option<u64> {
+    match msg {
+        WireMessage::Response { id, .. }
+        | WireMessage::SimResponse { id, .. }
+        | WireMessage::BatchResponse { id, .. } => Some(*id),
+        _ => None,
+    }
+}
+
+/// Reads frames from `player`'s stream until `take` accepts one,
+/// discarding along the way any data answer with an id below `id` — a
+/// late answer to a delivery the runtime already timed out and retried.
+/// `take` hands back every frame it does not want.
+fn await_answer<T>(
     stream: &mut TcpStream,
     player: usize,
     id: u64,
-) -> Result<Payload<'static>, RunError> {
+    mut take: impl FnMut(WireMessage) -> Result<T, WireMessage>,
+) -> Result<T, RunError> {
     loop {
-        match wire::read_frame(stream) {
-            Ok(WireMessage::Response { id: got, payload }) if got == id => return Ok(payload),
-            Ok(
-                WireMessage::Response { id: got, .. } | WireMessage::SimResponse { id: got, .. },
-            ) if got < id => {
-                // A late answer to a delivery the runtime already
-                // timed out and retried: drop it, keep reading.
-                continue;
-            }
-            Ok(WireMessage::Error { reason, .. }) => {
+        let msg = wire::read_frame(stream).map_err(|e| map_wire(player, e))?;
+        match take(msg) {
+            Ok(out) => return Ok(out),
+            Err(msg) if answer_id(&msg).is_some_and(|got| got < id) => continue,
+            Err(WireMessage::Error { reason, .. }) => {
                 return Err(RunError::Aborted {
                     reason: format!("player {player}: {reason}"),
                 })
             }
-            Ok(other) => {
+            Err(other) => {
                 return Err(RunError::Aborted {
                     reason: format!("player {player} sent an unexpected {} frame", other.kind()),
                 })
             }
-            Err(e) => return Err(map_wire(player, e)),
         }
     }
 }
 
-/// [`await_response`] for the simultaneous gather: waits for the
-/// `SimResponse` with correlation id `id`.
-fn await_sim_response(
+/// Writes `reqs` to `player` as one batch under correlation id `id`.
+fn send_batch(
     stream: &mut TcpStream,
     player: usize,
     id: u64,
-) -> Result<SimMessage<'static>, RunError> {
-    loop {
-        match wire::read_frame(stream) {
-            Ok(WireMessage::SimResponse { id: got, message }) if got == id => return Ok(message),
-            Ok(
-                WireMessage::Response { id: got, .. } | WireMessage::SimResponse { id: got, .. },
-            ) if got < id => continue,
-            Ok(WireMessage::Error { reason, .. }) => {
-                return Err(RunError::Aborted {
-                    reason: format!("player {player}: {reason}"),
-                })
-            }
-            Ok(other) => {
-                return Err(RunError::Aborted {
-                    reason: format!("player {player} sent an unexpected {} frame", other.kind()),
-                })
-            }
-            Err(e) => return Err(map_wire(player, e)),
-        }
+    reqs: &[PlayerRequest],
+) -> Result<(), RunError> {
+    let msg = WireMessage::Batch {
+        id,
+        reqs: reqs.to_vec(),
+    };
+    send(stream, player, &msg)
+}
+
+/// Waits for the `BatchResponse` with correlation id `id`, which must
+/// answer exactly `count` requests.
+fn await_batch(
+    stream: &mut TcpStream,
+    player: usize,
+    id: u64,
+    count: usize,
+) -> Result<Vec<Payload<'static>>, RunError> {
+    let payloads = await_answer(stream, player, id, |msg| match msg {
+        WireMessage::BatchResponse { id: got, payloads } if got == id => Ok(payloads),
+        other => Err(other),
+    })?;
+    if payloads.len() != count {
+        return Err(RunError::Aborted {
+            reason: format!(
+                "player {player} answered {} of the {count} requests in a batch",
+                payloads.len()
+            ),
+        });
     }
+    Ok(payloads)
 }
 
 impl Transport for TcpTransport {
@@ -455,32 +509,75 @@ impl Transport for TcpTransport {
         if let Some(f) = self.pending_fault.take() {
             return Err(f);
         }
-        // The reconnect loop: a delivery interrupted by a disconnect
-        // waits out the rejoin (bounded by the session window) and
-        // replays the request with a fresh correlation id on the new
-        // connection. The replay happens entirely below the runtime's
-        // charging layer, so a run interrupted and resumed is
-        // bit-identical — verdict, stats and tally — to an
-        // uninterrupted one (docs/NETWORKING.md).
-        loop {
-            self.ensure_active(player)?;
-            let id = self.fresh_id();
+        self.with_rejoin(player, |stream, id| {
             let msg = WireMessage::Request {
                 id,
                 req: req.clone(),
             };
-            let attempt = {
-                let stream = self.active(player)?;
-                wire::write_frame(stream, &msg)
-                    .map_err(|_| RunError::Transport(TransportError { player }))
-                    .and_then(|()| await_response(stream, player, id))
-            };
-            match attempt {
-                Ok(payload) => return Ok(payload),
-                Err(e) if self.detachable(&e) => self.detach(player, e),
-                Err(e) => return Err(e),
-            }
+            send(stream, player, &msg)?;
+            await_answer(stream, player, id, |msg| match msg {
+                WireMessage::Response { id: got, payload } if got == id => Ok(payload),
+                other => Err(other),
+            })
+        })
+    }
+
+    /// One [`Batch`](WireMessage::Batch) frame per player: every live
+    /// player is sent the whole round before any answer is read, so the
+    /// players work on it at once; then each `BatchResponse` is read in
+    /// player order. A player whose connection fails goes through the
+    /// same detach-and-rejoin loop as [`try_deliver`](Self::try_deliver),
+    /// replaying the whole batch with a fresh id. A parked fault defers
+    /// to the per-request path, which surfaces it.
+    fn try_deliver_round(
+        &mut self,
+        reqs: &[PlayerRequest],
+    ) -> Option<Vec<Result<Vec<Framed>, RunError>>> {
+        if self.pending_fault.is_some() {
+            return None;
         }
+        // The id each player's batch went out under; `None` for a slot
+        // that is detached or whose write just detached it.
+        let mut sent = Vec::with_capacity(self.conns.len());
+        for player in 0..self.conns.len() {
+            if !self.conns[player].is_active() {
+                sent.push(None);
+                continue;
+            }
+            let id = self.fresh_id();
+            let written = self
+                .active(player)
+                .and_then(|s| send_batch(s, player, id, reqs));
+            sent.push(match written {
+                Ok(()) => Some(Ok(id)),
+                Err(e) if self.detachable(&e) => {
+                    self.detach(player, e);
+                    None
+                }
+                Err(e) => Some(Err(e)),
+            });
+        }
+        let mut out = Vec::with_capacity(sent.len());
+        for (player, sent) in sent.into_iter().enumerate() {
+            let answers = match sent {
+                Some(Ok(id)) => {
+                    let first = self
+                        .active(player)
+                        .and_then(|s| await_batch(s, player, id, reqs.len()));
+                    match first {
+                        Err(e) if self.detachable(&e) => {
+                            self.detach(player, e);
+                            self.replay_batch(player, reqs)
+                        }
+                        first => first,
+                    }
+                }
+                Some(Err(e)) => Err(e),
+                None => self.replay_batch(player, reqs),
+            };
+            out.push(answers.map(|answers| answers.into_iter().map(Framed::seal).collect()));
+        }
+        Some(out)
     }
 
     fn adopt_shared(&mut self, shared: SharedRandomness) {
@@ -506,9 +603,13 @@ impl Transport for TcpTransport {
                 continue;
             }
             let attempt = self.active(player).and_then(|stream| {
-                wire::write_frame(stream, &WireMessage::AdoptShared { seed })
-                    .map_err(|_| RunError::Transport(TransportError { player }))
-                    .and_then(|()| await_ack(stream, player))
+                send(stream, player, &WireMessage::AdoptShared { seed })?;
+                // An `Ack` carries no id: every data answer still in
+                // flight is stale.
+                await_answer(stream, player, u64::MAX, |msg| match msg {
+                    WireMessage::Ack => Ok(()),
+                    other => Err(other),
+                })
             });
             match attempt {
                 Ok(()) => {}
@@ -527,28 +628,6 @@ impl Transport for TcpTransport {
     }
 }
 
-/// Waits for the `Ack` answering an `AdoptShared`, discarding stale
-/// data responses along the way.
-fn await_ack(stream: &mut TcpStream, player: usize) -> Result<(), RunError> {
-    loop {
-        match wire::read_frame(stream) {
-            Ok(WireMessage::Ack) => return Ok(()),
-            Ok(WireMessage::Response { .. } | WireMessage::SimResponse { .. }) => continue,
-            Ok(WireMessage::Error { reason, .. }) => {
-                return Err(RunError::Aborted {
-                    reason: format!("player {player}: {reason}"),
-                })
-            }
-            Ok(other) => {
-                return Err(RunError::Aborted {
-                    reason: format!("player {player} sent an unexpected {} frame", other.kind()),
-                })
-            }
-            Err(e) => return Err(map_wire(player, e)),
-        }
-    }
-}
-
 /// A cloneable [`Transport`] handle over a mutex-guarded inner
 /// transport.
 ///
@@ -559,7 +638,8 @@ fn await_ack(stream: &mut TcpStream, player: usize) -> Result<(), RunError> {
 /// `SharedTransport` keeps the inner transport behind an
 /// `Arc<Mutex<…>>`: hand one clone to the runtime, keep the `Arc`.
 /// All trait methods delegate — including `try_deliver_framed`, so a
-/// wrapped fault-injecting transport keeps its override.
+/// wrapped fault-injecting transport keeps its override, and
+/// `try_deliver_round`, so a wrapped [`TcpTransport`] keeps its rounds.
 pub struct SharedTransport<T: Transport> {
     inner: Arc<Mutex<T>>,
 }
@@ -600,8 +680,15 @@ impl<T: Transport> Transport for SharedTransport<T> {
         &mut self,
         player: usize,
         req: &PlayerRequest,
-    ) -> Result<crate::fault::Framed, RunError> {
+    ) -> Result<Framed, RunError> {
         self.lock().try_deliver_framed(player, req)
+    }
+
+    fn try_deliver_round(
+        &mut self,
+        reqs: &[PlayerRequest],
+    ) -> Option<Vec<Result<Vec<Framed>, RunError>>> {
+        self.lock().try_deliver_round(reqs)
     }
 
     fn adopt_shared(&mut self, shared: SharedRandomness) {
@@ -657,6 +744,96 @@ mod tests {
         t.next_id = 1;
         let resp = t.try_deliver(0, &PlayerRequest::LocalEdgeCount).unwrap();
         assert_eq!(resp, Payload::Bit(true));
+        drop(server.join().unwrap());
+    }
+
+    fn sample_round(m: u64) -> Vec<PlayerRequest> {
+        (1..=m)
+            .map(|tag| PlayerRequest::SampleHit {
+                v: triad_graph::VertexId(0),
+                tag,
+                p: 0.5,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batch_answers_with_the_wrong_item_count_are_aborted_naming_the_player() {
+        for delta in [-1i64, 1] {
+            let (listener, addr) = pair();
+            let server = std::thread::spawn(move || {
+                let (mut s, _) = listener.accept().unwrap();
+                let (id, count) = match wire::read_frame(&mut s).unwrap() {
+                    WireMessage::Batch { id, reqs } => (id, reqs.len() as i64),
+                    other => panic!("expected batch, got {other:?}"),
+                };
+                let payloads = vec![Payload::Bit(true); (count + delta) as usize];
+                wire::write_frame(&mut s, &WireMessage::BatchResponse { id, payloads }).unwrap();
+                s
+            });
+            let conn = TcpStream::connect(addr).unwrap();
+            let mut t = TcpTransport::from_conns(vec![conn], Duration::from_secs(10));
+            let round = t
+                .try_deliver_round(&sample_round(3))
+                .expect("tcp delivers rounds");
+            let err = round.into_iter().next().unwrap().unwrap_err();
+            assert_eq!(err.kind(), RunErrorKind::Aborted, "{err}");
+            assert!(err.to_string().contains("player 0 answered"), "{err}");
+            drop(server.join().unwrap());
+        }
+    }
+
+    #[test]
+    fn stale_answers_of_either_shape_are_discarded() {
+        let (listener, addr) = pair();
+        let server = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            // A single request, answered after a stale batch answer…
+            let id = match wire::read_frame(&mut s).unwrap() {
+                WireMessage::Request { id, .. } => id,
+                other => panic!("expected request, got {other:?}"),
+            };
+            let stale = WireMessage::BatchResponse {
+                id: id - 1,
+                payloads: vec![Payload::Bit(false)],
+            };
+            wire::write_frame(&mut s, &stale).unwrap();
+            let answer = WireMessage::Response {
+                id,
+                payload: Payload::Count(4),
+            };
+            wire::write_frame(&mut s, &answer).unwrap();
+            // …then a batch, answered after a stale single answer.
+            let (id, count) = match wire::read_frame(&mut s).unwrap() {
+                WireMessage::Batch { id, reqs } => (id, reqs.len()),
+                other => panic!("expected batch, got {other:?}"),
+            };
+            let stale = WireMessage::Response {
+                id: id - 1,
+                payload: Payload::Bit(false),
+            };
+            wire::write_frame(&mut s, &stale).unwrap();
+            let payloads = vec![Payload::Bit(true); count];
+            wire::write_frame(&mut s, &WireMessage::BatchResponse { id, payloads }).unwrap();
+            s
+        });
+        let conn = TcpStream::connect(addr).unwrap();
+        let mut t = TcpTransport::from_conns(vec![conn], Duration::from_secs(10));
+        t.next_id = 1;
+        let resp = t.try_deliver(0, &PlayerRequest::LocalEdgeCount).unwrap();
+        assert_eq!(resp, Payload::Count(4));
+        let round = t
+            .try_deliver_round(&sample_round(2))
+            .expect("tcp delivers rounds");
+        let answers: Vec<_> = round
+            .into_iter()
+            .next()
+            .unwrap()
+            .unwrap()
+            .into_iter()
+            .map(Framed::into_payload)
+            .collect();
+        assert_eq!(answers, vec![Payload::Bit(true); 2]);
         drop(server.join().unwrap());
     }
 

@@ -44,8 +44,11 @@ use triad_graph::{Edge, Triangle, VertexId};
 /// authentication and resume credentials: `Hello` carries an optional
 /// auth token and an optional [`ResumeClaim`], `Welcome` issues a
 /// per-session resume nonce, and `Error` carries a typed [`ErrorCode`]
-/// alongside its human-readable reason (see `docs/NETWORKING.md`).
-pub const WIRE_VERSION: u8 = 2;
+/// alongside its human-readable reason. Version 3 added the
+/// [`Batch`](WireMessage::Batch) and
+/// [`BatchResponse`](WireMessage::BatchResponse) frames that carry one
+/// round of independent requests per player (see `docs/NETWORKING.md`).
+pub const WIRE_VERSION: u8 = 3;
 
 /// Upper bound on the framed length (version + type + body) a peer may
 /// announce. Larger lengths are treated as corruption before any
@@ -53,10 +56,11 @@ pub const WIRE_VERSION: u8 = 2;
 pub const MAX_FRAME_BYTES: u32 = 1 << 26; // 64 MiB
 
 /// Upper bound on the vertex-count a bitset payload (tag 10) may
-/// declare. Decoding an [`EdgeBitset`] allocates one row slot per
-/// vertex, so the `n` field is attacker-sized unless capped; the bound
-/// matches the `Vertices` decoder's element cap. Larger values are
-/// corruption, rejected before any allocation.
+/// declare — and on the vertex-counts of all bitset items of one
+/// [`BatchResponse`](WireMessage::BatchResponse) together. Decoding an
+/// [`EdgeBitset`] allocates one row slot per vertex, so the `n` field is
+/// attacker-sized unless capped. Larger values are corruption, rejected
+/// before any allocation.
 pub const MAX_BITSET_VERTICES: u32 = 1 << 20;
 
 /// Checksum of a byte string: a [`mix64`] fold over 8-byte chunks with
@@ -302,6 +306,23 @@ pub enum WireMessage {
         /// The run's verdict line.
         summary: String,
     },
+    /// Coordinator → player: one round of independent requests under one
+    /// correlation id, answered in order by one
+    /// [`WireMessage::BatchResponse`].
+    Batch {
+        /// Correlation id (monotonic per connection).
+        id: u64,
+        /// The round's requests, in the order the coordinator charges them.
+        reqs: Vec<PlayerRequest>,
+    },
+    /// Player → coordinator: the answers to the [`WireMessage::Batch`]
+    /// with the same id, one payload per request, in request order.
+    BatchResponse {
+        /// Correlation id being answered.
+        id: u64,
+        /// One payload per request of the batch.
+        payloads: Vec<Payload<'static>>,
+    },
 }
 
 impl WireMessage {
@@ -318,6 +339,8 @@ impl WireMessage {
             WireMessage::Ack => 0x08,
             WireMessage::Error { .. } => 0x09,
             WireMessage::Goodbye { .. } => 0x0A,
+            WireMessage::Batch { .. } => 0x0B,
+            WireMessage::BatchResponse { .. } => 0x0C,
         }
     }
 
@@ -334,6 +357,8 @@ impl WireMessage {
             WireMessage::Ack => "ack",
             WireMessage::Error { .. } => "error",
             WireMessage::Goodbye { .. } => "goodbye",
+            WireMessage::Batch { .. } => "batch",
+            WireMessage::BatchResponse { .. } => "batch-response",
         }
     }
 }
@@ -656,6 +681,20 @@ fn encode_body(enc: &mut Enc, msg: &WireMessage) {
             enc.str(reason);
         }
         WireMessage::Goodbye { summary } => enc.str(summary),
+        WireMessage::Batch { id, reqs } => {
+            enc.u64(*id);
+            enc.u32(reqs.len() as u32);
+            for req in reqs {
+                encode_request(enc, req);
+            }
+        }
+        WireMessage::BatchResponse { id, payloads } => {
+            enc.u64(*id);
+            enc.u32(payloads.len() as u32);
+            for payload in payloads {
+                encode_payload(enc, payload);
+            }
+        }
     }
 }
 
@@ -684,9 +723,19 @@ pub fn write_frame<W: Write>(w: &mut W, msg: &WireMessage) -> std::io::Result<()
 
 struct Dec<'b> {
     buf: &'b [u8],
+    /// Vertices the bitset payloads still to be decoded may declare
+    /// between them; each tag-10 body spends its `n` from it.
+    bitset_budget: u32,
 }
 
 impl<'b> Dec<'b> {
+    fn new(buf: &'b [u8]) -> Self {
+        Dec {
+            buf,
+            bitset_budget: MAX_BITSET_VERTICES,
+        }
+    }
+
     fn take(&mut self, len: usize) -> Result<&'b [u8], WireError> {
         if self.buf.len() < len {
             return Err(WireError::corrupt("truncated body"));
@@ -698,6 +747,18 @@ impl<'b> Dec<'b> {
 
     fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
+    }
+
+    /// A boolean byte: encoders write exactly 0 or 1, so any other value
+    /// is corruption (and would not re-encode to the same bytes).
+    fn flag(&mut self) -> Result<bool, WireError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(WireError::corrupt(format!(
+                "flag byte {other} is not 0 or 1"
+            ))),
+        }
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
@@ -732,6 +793,9 @@ impl<'b> Dec<'b> {
         if u == v {
             return Err(WireError::corrupt("self-loop edge"));
         }
+        if u > v {
+            return Err(WireError::corrupt("edge endpoints out of canonical order"));
+        }
         Ok(Edge::new(u, v))
     }
 
@@ -744,6 +808,17 @@ impl<'b> Dec<'b> {
             out.push(self.edge()?);
         }
         Ok(out)
+    }
+
+    /// The item count of a batch frame. Every item costs at least one
+    /// body byte (its tag), so a count past the remaining bytes is
+    /// corruption — rejected before the item vector is allocated.
+    fn count(&mut self) -> Result<usize, WireError> {
+        let count = self.u32()? as usize;
+        if count > self.buf.len() {
+            return Err(WireError::corrupt("batch item count exceeds frame"));
+        }
+        Ok(count)
     }
 
     fn done(&self) -> Result<(), WireError> {
@@ -817,37 +892,44 @@ fn decode_request(d: &mut Dec<'_>) -> Result<PlayerRequest, WireError> {
 fn decode_payload(d: &mut Dec<'_>) -> Result<Payload<'static>, WireError> {
     Ok(match d.u8()? {
         0 => Payload::Empty,
-        1 => Payload::Bit(d.u8()? != 0),
+        1 => Payload::Bit(d.flag()?),
         2 => {
             let v = d.u64()?;
             Payload::Bits(v, d.u32()?)
         }
         3 => Payload::Count(d.u64()?),
-        4 => Payload::Vertex(match d.u8()? {
-            0 => None,
-            _ => Some(d.vertex()?),
+        4 => Payload::Vertex(match d.flag()? {
+            false => None,
+            true => Some(d.vertex()?),
         }),
         5 => {
             let len = d.u32()? as usize;
-            let mut vs = Vec::with_capacity(len.min(1 << 20));
+            // A vertex costs 4 body bytes: the capacity never exceeds
+            // what the frame can actually hold.
+            let mut vs = Vec::with_capacity(len.min(d.buf.len() / 4));
             for _ in 0..len {
                 vs.push(d.vertex()?);
             }
             Payload::Vertices(vs)
         }
-        6 => Payload::Edge(match d.u8()? {
-            0 => None,
-            _ => Some(d.edge()?),
+        6 => Payload::Edge(match d.flag()? {
+            false => None,
+            true => Some(d.edge()?),
         }),
         7 => Payload::Edges(d.edges()?.into()),
-        8 => Payload::Triangle(match d.u8()? {
-            0 => None,
-            _ => {
+        8 => Payload::Triangle(match d.flag()? {
+            false => None,
+            true => {
                 let a = d.vertex()?;
                 let b = d.vertex()?;
                 let c = d.vertex()?;
                 if a == b || b == c || a == c {
                     return Err(WireError::corrupt("degenerate triangle"));
+                }
+                if !(a < b && b < c) {
+                    return Err(WireError::corrupt(
+                        "triangle vertices out of canonical order",
+                    ));
                 }
                 Some(Triangle::new(a, b, c))
             }
@@ -860,18 +942,22 @@ fn decode_payload(d: &mut Dec<'_>) -> Result<Payload<'static>, WireError> {
 
 /// Decodes the tag-10 bitset body, validating every declared size and
 /// every id range *before* the allocation it would drive: `n` is capped
-/// by [`MAX_BITSET_VERTICES`], row and id counts are checked against the
-/// bytes actually remaining in the frame, row indices are strictly
-/// ascending and in range, sparse ids are strictly ascending inside
-/// `(u, n)`, and dense rows must be exactly `⌈n/64⌉` words with no bit
-/// at or below `u` and no bit at or past `n`.
+/// by what is left of the decoder's bitset budget (at most
+/// [`MAX_BITSET_VERTICES`] per frame), row and id counts are checked
+/// against the bytes actually remaining in the frame, row indices are
+/// strictly ascending and in range, sparse ids are strictly ascending
+/// inside `(u, n)` and no longer than the row the encoder's set would
+/// have kept sparse, and dense rows must be exactly `⌈n/64⌉` words with
+/// no bit at or below `u` and no bit at or past `n`.
 fn decode_edge_bitset(d: &mut Dec<'_>) -> Result<EdgeBitset, WireError> {
     let n = d.u32()?;
-    if n > MAX_BITSET_VERTICES {
+    if n > d.bitset_budget {
         return Err(WireError::corrupt(format!(
-            "bitset vertex count {n} exceeds {MAX_BITSET_VERTICES}"
+            "bitset vertex count {n} exceeds the frame's remaining budget of {}",
+            d.bitset_budget
         )));
     }
+    d.bitset_budget -= n;
     let n = n as usize;
     let rows = d.u32()? as usize;
     if rows > n {
@@ -900,6 +986,12 @@ fn decode_edge_bitset(d: &mut Dec<'_>) -> Result<EdgeBitset, WireError> {
                 let count = d.u32()? as usize;
                 if count == 0 {
                     return Err(WireError::corrupt("empty sparse bitset row"));
+                }
+                if count > EdgeBitset::max_sparse_row(n) {
+                    // The encoder's set would hold this row dense.
+                    return Err(WireError::corrupt(
+                        "sparse bitset row longer than the dense threshold",
+                    ));
                 }
                 if count * 4 > d.buf.len() {
                     return Err(WireError::corrupt("sparse bitset row exceeds frame"));
@@ -993,6 +1085,12 @@ fn decode_sim_message(d: &mut Dec<'_>) -> Result<SimMessage<'static>, WireError>
     let mut m = SimMessage::empty();
     for _ in 0..len {
         let phase = d.str()?;
+        // An honest message may carry one full-size bitset per entry
+        // (one per guess of `oblivious`), so each entry gets the whole
+        // budget. Until a bitset stops allocating a slot for every row,
+        // a frame of many small entries can still make the decoder
+        // build one n-row table per entry.
+        d.bitset_budget = MAX_BITSET_VERTICES;
         let payload = decode_payload(d)?;
         m.push_phased(payload, intern_phase(&phase));
     }
@@ -1009,20 +1107,20 @@ fn decode_cost_model(b: u8) -> Result<CostModel, WireError> {
 }
 
 fn decode_body(type_byte: u8, body: &[u8]) -> Result<WireMessage, WireError> {
-    let mut d = Dec { buf: body };
+    let mut d = Dec::new(body);
     let msg = match type_byte {
         0x01 => WireMessage::Hello {
-            slot: match d.u8()? {
-                0 => None,
-                _ => Some(d.u32()?),
+            slot: match d.flag()? {
+                false => None,
+                true => Some(d.u32()?),
             },
-            token: match d.u8()? {
-                0 => None,
-                _ => Some(d.str()?),
+            token: match d.flag()? {
+                false => None,
+                true => Some(d.str()?),
             },
-            resume: match d.u8()? {
-                0 => None,
-                _ => Some(ResumeClaim {
+            resume: match d.flag()? {
+                false => None,
+                true => Some(ResumeClaim {
                     slot: d.u32()?,
                     nonce: d.u64()?,
                     last_acked: d.u64()?,
@@ -1059,6 +1157,26 @@ fn decode_body(type_byte: u8, body: &[u8]) -> Result<WireMessage, WireError> {
             reason: d.str()?,
         },
         0x0A => WireMessage::Goodbye { summary: d.str()? },
+        0x0B => {
+            let id = d.u64()?;
+            let count = d.count()?;
+            let mut reqs = Vec::with_capacity(count);
+            for _ in 0..count {
+                reqs.push(decode_request(&mut d)?);
+            }
+            WireMessage::Batch { id, reqs }
+        }
+        0x0C => {
+            // All items share one bitset budget, so a batch can make the
+            // decoder build no more row slots than one response can.
+            let id = d.u64()?;
+            let count = d.count()?;
+            let mut payloads = Vec::with_capacity(count);
+            for _ in 0..count {
+                payloads.push(decode_payload(&mut d)?);
+            }
+            WireMessage::BatchResponse { id, payloads }
+        }
         other => return Err(WireError::corrupt(format!("unknown frame type {other}"))),
     };
     d.done()?;
@@ -1110,9 +1228,8 @@ mod tests {
         Edge::new(VertexId(a), VertexId(b))
     }
 
-    #[test]
-    fn every_request_variant_roundtrips() {
-        let reqs = vec![
+    fn every_request() -> Vec<PlayerRequest> {
+        vec![
             PlayerRequest::HasEdge(e(0, 1)),
             PlayerRequest::FirstIncidentEdge {
                 v: VertexId(3),
@@ -1165,8 +1282,12 @@ mod tests {
                 p_s: 0.9,
                 cap: 128,
             },
-        ];
-        for req in reqs {
+        ]
+    }
+
+    #[test]
+    fn every_request_variant_roundtrips() {
+        for req in every_request() {
             let back = roundtrip(&WireMessage::Request {
                 id: 99,
                 req: req.clone(),
@@ -1179,9 +1300,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_payload_variant_roundtrips() {
-        let payloads: Vec<Payload<'static>> = vec![
+    fn every_payload() -> Vec<Payload<'static>> {
+        vec![
             Payload::Empty,
             Payload::Bit(true),
             Payload::Bit(false),
@@ -1209,14 +1329,177 @@ mod tests {
             Payload::Triangle(None),
             Payload::Triangle(Some(Triangle::new(VertexId(0), VertexId(1), VertexId(2)))),
             Payload::Probability(0.375),
-        ];
-        for payload in payloads {
+        ]
+    }
+
+    #[test]
+    fn every_payload_variant_roundtrips() {
+        for payload in every_payload() {
             let back = roundtrip(&WireMessage::Response {
                 id: 5,
                 payload: payload.clone(),
             });
             assert_eq!(back, WireMessage::Response { id: 5, payload });
         }
+    }
+
+    #[test]
+    fn batch_frames_roundtrip_every_variant_in_order() {
+        for msg in [
+            WireMessage::Batch {
+                id: 7,
+                reqs: every_request(),
+            },
+            WireMessage::Batch {
+                id: 8,
+                reqs: Vec::new(),
+            },
+            WireMessage::BatchResponse {
+                id: 7,
+                payloads: every_payload(),
+            },
+            WireMessage::BatchResponse {
+                id: 8,
+                payloads: Vec::new(),
+            },
+        ] {
+            assert_eq!(roundtrip(&msg), msg);
+        }
+    }
+
+    /// Seals `body` (type byte first) as one frame of this version.
+    fn sealed(type_byte: u8, build: impl FnOnce(&mut Enc)) -> Vec<u8> {
+        let mut enc = Enc::new();
+        enc.u8(WIRE_VERSION);
+        enc.u8(type_byte);
+        build(&mut enc);
+        let framed = enc.buf;
+        let mut out = Vec::new();
+        out.extend_from_slice(&(framed.len() as u32).to_be_bytes());
+        out.extend_from_slice(&framed);
+        out.extend_from_slice(&checksum_bytes(&framed).to_be_bytes());
+        out
+    }
+
+    fn expect_corrupt(what: &str, frame: Vec<u8>) {
+        let err = read_frame(&mut Cursor::new(frame)).unwrap_err();
+        assert!(
+            matches!(err, WireError::Corrupt(_)),
+            "{what}: expected Corrupt, got {err}"
+        );
+    }
+
+    #[test]
+    fn batch_counts_past_the_frame_are_rejected_before_allocation() {
+        for type_byte in [0x0B, 0x0C] {
+            expect_corrupt(
+                "count past the body",
+                sealed(type_byte, |enc| {
+                    enc.u64(1);
+                    enc.u32(u32::MAX);
+                    enc.u8(4);
+                }),
+            );
+            // One byte short of the items the count declares.
+            expect_corrupt(
+                "truncated items",
+                sealed(type_byte, |enc| {
+                    enc.u64(1);
+                    enc.u32(3);
+                    enc.u8(4);
+                    enc.u8(4);
+                }),
+            );
+        }
+    }
+
+    #[test]
+    fn bitset_items_of_one_batch_share_one_vertex_budget() {
+        let empty_bitsets = |n: u32, items: u32| {
+            sealed(0x0C, |enc| {
+                enc.u64(1);
+                enc.u32(items);
+                for _ in 0..items {
+                    enc.u8(10);
+                    enc.u32(n);
+                    enc.u32(0);
+                }
+            })
+        };
+        let half = MAX_BITSET_VERTICES / 2;
+        match read_frame(&mut Cursor::new(empty_bitsets(half, 2))).unwrap() {
+            WireMessage::BatchResponse { payloads, .. } => assert_eq!(payloads.len(), 2),
+            other => panic!("expected a batch response, got {other:?}"),
+        }
+        expect_corrupt("budget overspent", empty_bitsets(half + 1, 2));
+        expect_corrupt(
+            "one full table, then another",
+            empty_bitsets(MAX_BITSET_VERTICES, 2),
+        );
+    }
+
+    #[test]
+    fn non_canonical_bytes_are_corruption() {
+        // Every encoder writes flags as 0 or 1, edges as (u < v) and
+        // triangles sorted; anything else would decode to a value that
+        // re-encodes differently.
+        let response = |payload: &[u8]| {
+            let payload = payload.to_vec();
+            sealed(0x04, move |enc| {
+                enc.u64(1);
+                enc.buf.extend_from_slice(&payload);
+            })
+        };
+        expect_corrupt("bit 2", response(&[1, 2]));
+        expect_corrupt("vertex presence 2", response(&[4, 2, 0, 0, 0, 7]));
+        expect_corrupt("edge presence 2", response(&[6, 2, 0, 0, 0, 1, 0, 0, 0, 2]));
+        expect_corrupt("edge (2, 1)", response(&[6, 1, 0, 0, 0, 2, 0, 0, 0, 1]));
+        expect_corrupt(
+            "triangle presence 2",
+            response(&[8, 2, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3]),
+        );
+        expect_corrupt(
+            "triangle (1, 3, 2)",
+            response(&[8, 1, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 2]),
+        );
+        expect_corrupt(
+            "hello slot flag 2",
+            sealed(0x01, |enc| {
+                enc.u8(2);
+                enc.u32(0);
+                enc.u8(0);
+                enc.u8(0);
+            }),
+        );
+        expect_corrupt(
+            "hello token flag 2",
+            sealed(0x01, |enc| {
+                enc.u8(0);
+                enc.u8(2);
+                enc.u8(0);
+            }),
+        );
+        expect_corrupt(
+            "hello resume flag 2",
+            sealed(0x01, |enc| {
+                enc.u8(0);
+                enc.u8(0);
+                enc.u8(2);
+            }),
+        );
+        // A sparse row longer than the set would keep sparse.
+        let n = 64u32;
+        let long = EdgeBitset::max_sparse_row(n as usize) as u32 + 1;
+        expect_bitset_reject("over-long sparse row", |enc| {
+            enc.u32(n);
+            enc.u32(1);
+            enc.u32(0);
+            enc.u8(0);
+            enc.u32(long);
+            for v in 1..=long {
+                enc.u32(v);
+            }
+        });
     }
 
     #[test]
@@ -1286,18 +1569,13 @@ mod tests {
 
     #[test]
     fn unknown_error_codes_are_corruption_not_panics() {
-        let mut enc = Enc::new();
-        enc.u8(WIRE_VERSION);
-        enc.u8(0x09); // Error
-        enc.u8(200); // unknown code byte
-        enc.str("made up");
-        let framed = enc.buf;
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(framed.len() as u32).to_be_bytes());
-        buf.extend_from_slice(&framed);
-        buf.extend_from_slice(&checksum_bytes(&framed).to_be_bytes());
-        let err = read_frame(&mut Cursor::new(buf)).unwrap_err();
-        assert!(matches!(err, WireError::Corrupt(_)), "{err}");
+        expect_corrupt(
+            "unknown code byte",
+            sealed(0x09, |enc| {
+                enc.u8(200);
+                enc.str("made up");
+            }),
+        );
     }
 
     #[test]
@@ -1380,27 +1658,15 @@ mod tests {
     /// payload is a hand-written tag-10 bitset body — so the only thing
     /// under test is the bitset decoder's validation, not the checksum.
     fn sealed_bitset_frame(build: impl FnOnce(&mut Enc)) -> Vec<u8> {
-        let mut enc = Enc::new();
-        enc.u8(WIRE_VERSION);
-        enc.u8(0x04); // Response
-        enc.u64(1); // correlation id
-        enc.u8(10); // EdgeBits payload tag
-        build(&mut enc);
-        let framed = enc.buf;
-        let mut out = Vec::new();
-        out.extend_from_slice(&(framed.len() as u32).to_be_bytes());
-        out.extend_from_slice(&framed);
-        out.extend_from_slice(&checksum_bytes(&framed).to_be_bytes());
-        out
+        sealed(0x04, |enc| {
+            enc.u64(1); // correlation id
+            enc.u8(10); // EdgeBits payload tag
+            build(enc);
+        })
     }
 
     fn expect_bitset_reject(what: &str, build: impl FnOnce(&mut Enc)) {
-        let buf = sealed_bitset_frame(build);
-        let err = read_frame(&mut Cursor::new(buf)).unwrap_err();
-        assert!(
-            matches!(err, WireError::Corrupt(_)),
-            "{what}: expected Corrupt, got {err}"
-        );
+        expect_corrupt(what, sealed_bitset_frame(build));
     }
 
     #[test]

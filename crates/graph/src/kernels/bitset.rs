@@ -78,12 +78,12 @@ pub struct EdgeBitset {
 }
 
 impl EdgeBitset {
-    /// Sparse rows longer than this promote to dense words. The
-    /// break-even is memory-exact: a sparse entry is one `u32`, so a
-    /// row of `2·⌈n/64⌉` ids occupies the same bytes as the full dense
-    /// row, and anything longer is strictly smaller (and faster to
-    /// union) packed.
-    fn promote_at(n: usize) -> usize {
+    /// The longest row a set over `n` vertices keeps sparse: longer
+    /// rows promote to dense words. The break-even is memory-exact: a
+    /// sparse entry is one `u32`, so a row of `2·⌈n/64⌉` ids occupies
+    /// the same bytes as the full dense row, and anything longer is
+    /// strictly smaller (and faster to union) packed.
+    pub fn max_sparse_row(n: usize) -> usize {
         2 * words_for(n)
     }
 
@@ -136,7 +136,7 @@ impl EdgeBitset {
             "edge {e} out of range for n = {}",
             self.n
         );
-        let promote = Self::promote_at(self.n);
+        let promote = Self::max_sparse_row(self.n);
         let row = &mut self.rows[u];
         let inserted = match row {
             Row::Sparse(ids) => match ids.binary_search(&v) {
@@ -178,7 +178,7 @@ impl EdgeBitset {
     /// Panics if the two sets disagree on `n`.
     pub fn union_with(&mut self, other: &EdgeBitset) {
         assert_eq!(self.n, other.n, "union of bitsets over different n");
-        let promote = Self::promote_at(self.n);
+        let promote = Self::max_sparse_row(self.n);
         for (row, theirs) in self.rows.iter_mut().zip(&other.rows) {
             match (&mut *row, theirs) {
                 (_, Row::Sparse(ids)) if ids.is_empty() => {}

@@ -8,8 +8,8 @@
 //!    degree `d_j(v)`; the sum of the rounded powers `Σ 2^{I_j}` is a
 //!    `2k`-approximation from above.
 //! 2. **Guess-shrinking phase** — the coordinator walks guesses `d''`
-//!    down from that bound by factors of `√α`, running per guess a batch
-//!    of public sampling experiments ("does the set `S ~ Bernoulli(1/d'')`
+//!    down from that bound by factors of `√α`, running per guess one
+//!    round of public sampling experiments ("does the set `S ~ Bernoulli(1/d'')`
 //!    contain a neighbor of `v`?", one bit per player per experiment).
 //!    The first guess whose observed success rate reaches the threshold
 //!    `θ·F(d'')`, with `F(g) = 1 − (1 − 1/g)^g` the success probability
@@ -96,18 +96,22 @@ pub fn approx_degree<R: Recorder>(
 
 fn run_experiments<R: Recorder>(rt: &mut Runtime<R>, v: VertexId, guess: f64, m: usize) -> usize {
     let p = (1.0 / guess).min(1.0);
-    let mut successes = 0;
-    for _ in 0..m {
-        let tag = rt.fresh_tag();
-        let hit = rt
-            .broadcast(PlayerRequest::SampleHit { v, tag, p })
-            .into_iter()
-            .any(|r| r == Payload::Bit(true));
-        if hit {
-            successes += 1;
-        }
-    }
-    successes
+    count_hits(rt, m, |tag| PlayerRequest::SampleHit { v, tag, p })
+}
+
+/// Runs one guess's `m` experiments — independent draws over public
+/// randomness, so one round — and counts those some player reported a
+/// hit in. Tags are drawn in experiment order.
+fn count_hits<R: Recorder>(
+    rt: &mut Runtime<R>,
+    m: usize,
+    mut experiment: impl FnMut(u64) -> PlayerRequest,
+) -> usize {
+    let round: Vec<PlayerRequest> = (0..m).map(|_| experiment(rt.fresh_tag())).collect();
+    rt.broadcast_all(&round)
+        .iter()
+        .filter(|row| row.contains(&Payload::Bit(true)))
+        .count()
 }
 
 /// The distinct-elements generalization of Theorem 3.1 (the paper's
@@ -142,17 +146,7 @@ pub fn approx_edge_count<R: Recorder>(rt: &mut Runtime<R>, tuning: &Tuning) -> D
     while guess > floor_guess {
         rounds += 1;
         let p = (1.0 / guess).min(1.0);
-        let mut successes = 0usize;
-        for _ in 0..m {
-            let tag = rt.fresh_tag();
-            let hit = rt
-                .broadcast(PlayerRequest::GlobalSampleHit { tag, p })
-                .into_iter()
-                .any(|r| r == Payload::Bit(true));
-            if hit {
-                successes += 1;
-            }
-        }
+        let successes = count_hits(rt, m, |tag| PlayerRequest::GlobalSampleHit { tag, p });
         let threshold = THETA * f_of(guess) * m as f64;
         if successes as f64 >= threshold {
             return DegreeEstimate {

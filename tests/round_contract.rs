@@ -1,0 +1,288 @@
+//! The broadcast round's contract: `Runtime::try_broadcast_all(reqs)`
+//! answers, charges and fails exactly as `reqs.len()` separate
+//! `try_broadcast` calls — same payloads, same first fault, same
+//! `CommStats` and the same per-phase/player/round/direction rollups —
+//! under every cost model, whether the transport delivers one request
+//! at a time (`LocalTransport`, `FaultyTransport`) or the whole round
+//! at once (`TcpTransport` over loopback).
+
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+use triad::comm::{
+    CostModel, FaultPlan, FaultRates, FaultyTransport, LocalTransport, Payload, PlayerRequest,
+    PlayerSession, PlayerState, RunError, RunErrorKind, Runtime, ServeConfig, SharedRandomness,
+    SharedTransport, SimMessage, Tally, TcpCoordinator, Transport,
+};
+use triad::graph::generators::gnp_with_average_degree;
+use triad::graph::partition::random_disjoint;
+use triad::graph::{Edge, VertexId};
+
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+
+const N: usize = 60;
+const K: usize = 3;
+const SEED: u64 = 17;
+const MODELS: [CostModel; 3] = [
+    CostModel::Coordinator,
+    CostModel::Blackboard,
+    CostModel::MessagePassing,
+];
+
+fn shares() -> Vec<Vec<Edge>> {
+    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    let g = gnp_with_average_degree(N, 6.0, &mut rng);
+    random_disjoint(&g, K, &mut rng).shares().to_vec()
+}
+
+/// Rounds of every shape the protocols send: a guess's degree
+/// experiments, edge-count experiments, a mix of request kinds
+/// (edge-producing ones included), a round of one and an empty round.
+fn script() -> Vec<Vec<PlayerRequest>> {
+    let v = VertexId(3);
+    let e = Edge::new(VertexId(1), VertexId(2));
+    vec![
+        (1..=20)
+            .map(|tag| PlayerRequest::SampleHit { v, tag, p: 0.25 })
+            .collect(),
+        (21..=25)
+            .map(|tag| PlayerRequest::GlobalSampleHit { tag, p: 0.05 })
+            .collect(),
+        vec![
+            PlayerRequest::DegreeMsb { v },
+            PlayerRequest::LocalEdgeCount,
+            PlayerRequest::HasEdge(e),
+            PlayerRequest::InducedEdges {
+                tag: 26,
+                p: 0.5,
+                cap: 100,
+            },
+            PlayerRequest::LocalDegree { v },
+        ],
+        vec![PlayerRequest::EdgeCountMsb],
+        Vec::new(),
+    ]
+}
+
+type Rows = Vec<Vec<Payload<'static>>>;
+
+/// Runs `round` once per script round, each in its own phase and round
+/// of the recorder, so every rollup has something to compare.
+fn drive<T>(
+    rt: &mut Runtime<Tally>,
+    mut round: impl FnMut(&mut Runtime<Tally>, &[PlayerRequest]) -> T,
+) -> Vec<T> {
+    const PHASES: [&str; 5] = ["experiments", "edge-count", "mixed", "one", "empty"];
+    script()
+        .iter()
+        .zip(PHASES)
+        .map(|(reqs, phase)| {
+            let out = rt.phase(phase, |rt| round(rt, reqs));
+            rt.next_round();
+            out
+        })
+        .collect()
+}
+
+/// The round through `broadcast_all`.
+fn as_rounds(rt: &mut Runtime<Tally>) -> Vec<Rows> {
+    drive(rt, |rt, reqs| rt.broadcast_all(reqs))
+}
+
+/// The same requests through one `broadcast` each.
+fn one_by_one(rt: &mut Runtime<Tally>) -> Vec<Rows> {
+    drive(rt, |rt, reqs| {
+        reqs.iter().map(|r| rt.broadcast(r.clone())).collect()
+    })
+}
+
+/// The round through `try_broadcast_all`.
+fn try_as_rounds(rt: &mut Runtime<Tally>) -> Vec<Result<Rows, RunError>> {
+    drive(rt, |rt, reqs| rt.try_broadcast_all(reqs))
+}
+
+/// The same requests through one `try_broadcast` each, stopping at the
+/// first failure as the round does.
+fn try_one_by_one(rt: &mut Runtime<Tally>) -> Vec<Result<Rows, RunError>> {
+    drive(rt, |rt, reqs| {
+        reqs.iter()
+            .map(|r| rt.try_broadcast(r.clone()))
+            .collect::<Result<Rows, RunError>>()
+    })
+}
+
+fn assert_same_accounting(label: &str, got: &Runtime<Tally>, want: &Runtime<Tally>) {
+    assert_eq!(got.stats(), want.stats(), "{label}: stats");
+    let (got, want) = (got.recorder(), want.recorder());
+    assert_eq!(got.by_phase(), want.by_phase(), "{label}: by phase");
+    assert_eq!(got.by_player(), want.by_player(), "{label}: by player");
+    assert_eq!(got.by_round(), want.by_round(), "{label}: by round");
+    assert_eq!(
+        got.by_direction(),
+        want.by_direction(),
+        "{label}: by direction"
+    );
+}
+
+fn runtime(transport: impl Transport + 'static, model: CostModel) -> Runtime<Tally> {
+    Runtime::new_with(Box::new(transport), N, SharedRandomness::new(SEED), model)
+}
+
+fn local() -> LocalTransport {
+    LocalTransport::new(N, &shares(), SharedRandomness::new(SEED))
+}
+
+#[test]
+fn rounds_match_separate_broadcasts_in_process() {
+    for model in MODELS {
+        let label = format!("{model:?}");
+        let mut round = runtime(local(), model);
+        let mut single = runtime(local(), model);
+        assert_eq!(as_rounds(&mut round), one_by_one(&mut single), "{label}");
+        assert_eq!(round.take_fault(), None, "{label}");
+        assert_eq!(single.take_fault(), None, "{label}");
+        assert_same_accounting(&label, &round, &single);
+        assert!(
+            round.stats().total_bits > 0,
+            "{label}: the script communicates"
+        );
+
+        let mut round = runtime(local(), model);
+        let mut single = runtime(local(), model);
+        assert_eq!(
+            try_as_rounds(&mut round),
+            try_one_by_one(&mut single),
+            "{label}: fallible"
+        );
+        assert_same_accounting(&format!("{label}, fallible"), &round, &single);
+    }
+}
+
+#[test]
+fn rounds_match_separate_broadcasts_under_injected_faults() {
+    // A crash-bearing mixed rate: drops, corruptions and duplicates are
+    // retried and charged as retransmits, crashes end the round. The
+    // fault schedule is drawn per logical request, so the round must
+    // hit the same faults at the same requests as separate broadcasts.
+    let plan = FaultPlan::new(77, FaultRates::mixed(0.08));
+    let mut crashed = 0;
+    let mut recovered = 0;
+    for rep in 0..12u32 {
+        for model in MODELS {
+            let label = format!("rep {rep}, {model:?}");
+            let round_faults = FaultyTransport::new(local(), plan, rep);
+            let round_counters = round_faults.counters();
+            let mut round = runtime(round_faults, model);
+            let single_faults = FaultyTransport::new(local(), plan, rep);
+            let single_counters = single_faults.counters();
+            let mut single = runtime(single_faults, model);
+            assert_eq!(as_rounds(&mut round), one_by_one(&mut single), "{label}");
+            let fault = round.take_fault();
+            assert_eq!(fault, single.take_fault(), "{label}: fault");
+            assert_same_accounting(&label, &round, &single);
+            assert_eq!(
+                round_counters.snapshot(),
+                single_counters.snapshot(),
+                "{label}: injected faults"
+            );
+            crashed += usize::from(fault.is_some_and(|f| f.kind() == RunErrorKind::Transport));
+            recovered += usize::from(round_counters.snapshot().drops > 0);
+
+            let mut round = runtime(FaultyTransport::new(local(), plan, rep), model);
+            let mut single = runtime(FaultyTransport::new(local(), plan, rep), model);
+            assert_eq!(
+                try_as_rounds(&mut round),
+                try_one_by_one(&mut single),
+                "{label}: fallible"
+            );
+            assert_same_accounting(&format!("{label}, fallible"), &round, &single);
+        }
+    }
+    assert!(
+        crashed > 0,
+        "the plan should crash a player in some repetition"
+    );
+    assert!(recovered > 0, "the plan should drop and retry some request");
+}
+
+#[test]
+fn rounds_over_tcp_match_separate_broadcasts_in_process() {
+    let shares = Arc::new(shares());
+    let coordinator = TcpCoordinator::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = coordinator.local_addr().expect("local addr");
+    let players: Vec<_> = (0..K)
+        .map(|_| {
+            let shares = Arc::clone(&shares);
+            std::thread::spawn(move || {
+                let session = PlayerSession::connect(addr, None, Duration::from_secs(20)).unwrap();
+                let w = session.welcome().clone();
+                let state = PlayerState::new(w.player as usize, N, &shares[w.player as usize]);
+                session
+                    .serve(&state, |_, _| SimMessage::empty())
+                    .expect("serve to the goodbye")
+            })
+        })
+        .collect();
+    let cfg = ServeConfig {
+        k: K,
+        n: N,
+        seed: SEED,
+        cost_model: CostModel::Coordinator,
+        protocol: "unrestricted".into(),
+        params: String::new(),
+    };
+    let transport = coordinator
+        .accept_players(&cfg, Duration::from_secs(20))
+        .expect("register every player");
+    let handle = Arc::new(Mutex::new(transport));
+    let tcp = |model| runtime(SharedTransport::new(Arc::clone(&handle)), model);
+    let mut logical = 0;
+    for model in MODELS {
+        let label = format!("{model:?}");
+        let mut round = tcp(model);
+        let mut single = runtime(local(), model);
+        assert_eq!(as_rounds(&mut round), one_by_one(&mut single), "{label}");
+        assert_eq!(round.take_fault(), None, "{label}");
+        assert_same_accounting(&label, &round, &single);
+
+        let mut round = tcp(model);
+        let mut single = runtime(local(), model);
+        assert_eq!(
+            try_as_rounds(&mut round),
+            try_one_by_one(&mut single),
+            "{label}: fallible"
+        );
+        assert_same_accounting(&format!("{label}, fallible"), &round, &single);
+
+        // Separate broadcasts over TCP are rounds of one.
+        let mut separate = tcp(model);
+        let mut single = runtime(local(), model);
+        assert_eq!(
+            one_by_one(&mut separate),
+            one_by_one(&mut single),
+            "{label}: separate"
+        );
+        assert_same_accounting(&format!("{label}, separate"), &separate, &single);
+        logical += 3 * script().iter().map(Vec::len).sum::<usize>();
+    }
+    handle.lock().unwrap().goodbye("done");
+    let mut requests = 0;
+    let mut frames = 0;
+    for p in players {
+        let summary = p.join().unwrap();
+        assert_eq!(summary.farewell.as_deref(), Some("done"));
+        requests += summary.requests;
+        frames += summary.frames;
+    }
+    assert_eq!(
+        requests as usize,
+        K * logical,
+        "every logical request was answered once"
+    );
+    // Two of the three passes send one frame per non-empty round; the
+    // one-by-one pass sends one frame per request.
+    let rounds = script().iter().filter(|r| !r.is_empty()).count();
+    let singles = script().iter().map(Vec::len).sum::<usize>();
+    assert_eq!(frames as usize, K * MODELS.len() * (2 * rounds + singles));
+}

@@ -19,14 +19,15 @@
 //!    repetition.
 
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use triad::comm::{
     run_simultaneous_collected, run_simultaneous_prepared, ConnectOptions, CostModel, FaultPlan,
-    FaultRates, FaultyTransport, PayloadRepr, PlayerSession, PlayerState, Recorder, ResumeClaim,
-    RunErrorKind, Runtime, ServeConfig, SessionOptions, SharedRandomness, SharedTransport,
-    SimMessage, SimultaneousProtocol, Tally, TcpCoordinator, TcpTransport, Transport, Welcome,
+    FaultRates, FaultyTransport, LocalTransport, Payload, PayloadRepr, PlayerRequest,
+    PlayerSession, PlayerState, Recorder, ResumeClaim, RunError, RunErrorKind, Runtime,
+    ServeConfig, SessionOptions, SharedRandomness, SharedTransport, SimMessage,
+    SimultaneousProtocol, Tally, TcpCoordinator, TcpTransport, Transport, Welcome,
 };
 use triad::graph::generators::gnp_with_average_degree;
 use triad::graph::partition::{random_disjoint, Partition};
@@ -440,6 +441,144 @@ fn rejoin_within_window_is_bit_identical_to_uninterrupted() {
     assert_tallies_equal("rejoin", &rt.into_recorder(), &reference.transcript);
     for h in handles {
         h.join().unwrap();
+    }
+}
+
+/// Records every request the wrapped transport delivers to player 0.
+struct PlayerZeroLog {
+    inner: LocalTransport,
+    requests: Arc<Mutex<Vec<PlayerRequest>>>,
+}
+
+impl Transport for PlayerZeroLog {
+    fn k(&self) -> usize {
+        self.inner.k()
+    }
+
+    fn try_deliver(
+        &mut self,
+        player: usize,
+        req: &PlayerRequest,
+    ) -> Result<Payload<'static>, RunError> {
+        if player == 0 {
+            self.requests.lock().unwrap().push(req.clone());
+        }
+        self.inner.try_deliver(player, req)
+    }
+}
+
+#[test]
+fn rejoin_inside_a_degree_experiment_round_is_bit_identical() {
+    // A player that drops its connection on a degree-experiment batch,
+    // before answering it, then rejoins: the coordinator replays the
+    // whole batch on the new connection, below the charging layer, so
+    // the run equals the in-process one — verdict, stats and tally.
+    let (g, parts) = workload(240, 3, 5);
+    let n = g.vertex_count();
+    let input = PreparedInput::new(&g, &parts).unwrap();
+    let tester = UnrestrictedTester::new(Tuning::practical(0.2));
+    let seed = 11u64;
+    let reference = tester.run_prepared(&input, seed, None).unwrap().run;
+    // Where player 0's first degree-experiment round starts, counted in
+    // logical requests (the same with or without rounds).
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let shared = SharedRandomness::new(seed);
+    let mut rt: Runtime<Tally> = Runtime::new_with(
+        Box::new(PlayerZeroLog {
+            inner: LocalTransport::new(n, parts.shares(), shared),
+            requests: Arc::clone(&log),
+        }),
+        n,
+        shared,
+        CostModel::Coordinator,
+    );
+    tester.run_on(&mut rt);
+    let log = log.lock().unwrap();
+    let before = log
+        .iter()
+        .position(|r| matches!(r, PlayerRequest::SampleHit { .. }))
+        .expect("the tester runs degree experiments");
+    let round = log[before..]
+        .iter()
+        .take_while(|r| matches!(r, PlayerRequest::SampleHit { .. }))
+        .count();
+    assert!(
+        round > 1,
+        "premise: the experiments travel as a round of {round}"
+    );
+    // With `before + 1` as its budget, player 0 answers every frame up to
+    // the round and walks away on reading the round's batch.
+    let limit = before as u64 + 1;
+    let shares = Arc::new(parts.shares().to_vec());
+    let cfg = config("unrestricted", 3, n, seed, 0.2, 6.0);
+    let coordinator = TcpCoordinator::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = coordinator.local_addr().expect("local addr");
+    let handles: Vec<_> = (0..3u32)
+        .map(|j| {
+            let shares = Arc::clone(&shares);
+            std::thread::spawn(move || {
+                let opts = ConnectOptions {
+                    slot: Some(j),
+                    retries: 40,
+                    backoff: Duration::from_millis(10),
+                    ..ConnectOptions::default()
+                };
+                let session = PlayerSession::connect_with(addr, &opts).unwrap();
+                let w = session.welcome().clone();
+                let state =
+                    PlayerState::new(w.player as usize, w.n as usize, &shares[w.player as usize]);
+                let mut sim = sim_closure(&w);
+                if j != 0 {
+                    return session.serve(&state, sim).ok();
+                }
+                let walked = session.serve_until(&state, &mut sim, Some(limit)).unwrap();
+                assert_eq!(
+                    walked.requests,
+                    limit - 1,
+                    "dropped on the round, unanswered"
+                );
+                assert_eq!(walked.farewell, None);
+                let claim = ResumeClaim {
+                    slot: w.player,
+                    nonce: w.resume_nonce,
+                    last_acked: 0,
+                };
+                let rejoined = PlayerSession::rejoin_with(addr, &opts, claim).unwrap();
+                rejoined.serve(&state, sim).ok()
+            })
+        })
+        .collect();
+    let options = SessionOptions {
+        auth_token: None,
+        reconnect_window: Duration::from_secs(20),
+    };
+    let transport = coordinator
+        .accept_players_with(&cfg, TIMEOUT, &options)
+        .expect("register all players");
+    let handle = Arc::new(Mutex::new(transport));
+    let mut rt: Runtime<Tally> = Runtime::new_with(
+        Box::new(SharedTransport::new(Arc::clone(&handle))),
+        n,
+        SharedRandomness::new(seed),
+        CostModel::Coordinator,
+    );
+    let outcome = tester.run_on(&mut rt);
+    assert_eq!(
+        rt.take_fault(),
+        None,
+        "the rejoin must be invisible to the run"
+    );
+    assert_eq!(outcome.triangle(), reference.outcome.triangle());
+    assert_eq!(rt.stats(), reference.stats, "stats must be bit-identical");
+    assert_tallies_equal(
+        "rejoin in a round",
+        &rt.into_recorder(),
+        &reference.transcript,
+    );
+    handle.lock().unwrap().goodbye("done");
+    for h in handles {
+        let summary = h.join().unwrap().expect("served to the goodbye");
+        assert_eq!(summary.farewell.as_deref(), Some("done"));
     }
 }
 

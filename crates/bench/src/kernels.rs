@@ -10,9 +10,10 @@
 //!
 //! [`time_store_workload`] adds the out-of-core tier: the same forward
 //! and pool-parallel kernels over an mmap-backed
-//! [`triad_graph::CsrStore`]'s borrowed slices (no owned edge list, no
-//! `Graph`), with peak-RSS and owned-allocation evidence recorded next
-//! to the timings, plus one prepared protocol run whose shares are
+//! [`triad_graph::CsrStore`] (no owned edge list, no `Graph`; the one
+//! owned structure is the full-row transpose the kernels need, timed
+//! on its own), with peak-RSS and owned-allocation evidence recorded
+//! next to the timings, plus one prepared protocol run whose shares are
 //! partitioned straight off the mapping. Naive, bitset, and greedy
 //! columns are `null` for store rows: the naive references are
 //! deliberately untimed at out-of-core sizes (hours, not milliseconds)
@@ -33,8 +34,8 @@ use triad_graph::{distance, CsrStore, Graph};
 ///
 /// In-memory rows fill the naive/bitset/greedy columns; store rows
 /// (out-of-core CSR) leave them `None` and fill the evidence columns
-/// (`peak_rss_mb`, `store_owned_bytes`, `file_bytes`, `mapped`,
-/// `sim_test_ms`) instead.
+/// (`peak_rss_mb`, `transpose_ms`, `store_owned_bytes`, `file_bytes`,
+/// `mapped`, `sim_test_ms`) instead.
 #[derive(Debug, Clone)]
 pub struct KernelTiming {
     /// Workload name.
@@ -70,7 +71,11 @@ pub struct KernelTiming {
     /// after the kernels ran — the "no materialized edge list" evidence
     /// for store rows.
     pub peak_rss_mb: Option<f64>,
-    /// Bytes of owned memory held by the store backing (0 when mapped).
+    /// Building the store's full neighbor rows (the transpose of its
+    /// forward rows) on their first use, milliseconds.
+    pub transpose_ms: Option<f64>,
+    /// Bytes of owned memory held by the store after the kernels ran:
+    /// the full rows, plus the decoded sections when not mapped.
     pub store_owned_bytes: Option<usize>,
     /// On-disk CSR file size in bytes.
     pub file_bytes: Option<u64>,
@@ -153,6 +158,7 @@ impl KernelTiming {
             opt_ms(self.greedy_speedup())
         ));
         s.push_str(&format!("\"peak_rss_mb\":{},", opt_ms(self.peak_rss_mb)));
+        s.push_str(&format!("\"transpose_ms\":{},", opt_ms(self.transpose_ms)));
         s.push_str(&format!(
             "\"store_owned_bytes\":{},",
             self.store_owned_bytes
@@ -247,6 +253,7 @@ pub fn time_workload(
         view_greedy_ms,
         greedy_removed,
         peak_rss_mb: None,
+        transpose_ms: None,
         store_owned_bytes: None,
         file_bytes: None,
         mapped: None,
@@ -255,17 +262,23 @@ pub fn time_workload(
 }
 
 /// Times the forward and pool-parallel kernels over an out-of-core
-/// [`CsrStore`] — every neighbor access goes through the store's
-/// borrowed slices (the mapping, or the owned fallback), never an
-/// in-memory [`Graph`]. Also runs one prepared simultaneous-protocol
-/// test whose shares are partitioned straight off the store, and
-/// records the allocation evidence: peak RSS, the store's owned bytes,
-/// the file size, and whether the backing is mapped.
+/// [`CsrStore`], never an in-memory [`Graph`]: edges come from the
+/// store's forward rows (the mapping, or the owned fallback), full
+/// neighbor rows from the transpose the store builds on first use,
+/// which is timed first and on its own. Also runs one prepared
+/// simultaneous-protocol test whose shares are partitioned straight
+/// off the store, and records the allocation evidence: peak RSS, the
+/// store's owned bytes, the file size, and whether the backing is
+/// mapped.
 ///
 /// # Panics
 ///
 /// Panics if the serial and parallel counts disagree.
 pub fn time_store_workload(name: &str, store: &CsrStore, reps: usize, pool: &Pool) -> KernelTiming {
+    // The kernels read full rows; the store builds them once, here.
+    let start = Instant::now();
+    store.full_rows();
+    let transpose_ms = start.elapsed().as_secs_f64() * 1e3;
     let (kernel_count_ms, kernel_count) = time_best(reps, || {
         let fwd = Forward::build(store);
         fwd.count_range(store, 0..store.edge_count())
@@ -304,6 +317,7 @@ pub fn time_store_workload(name: &str, store: &CsrStore, reps: usize, pool: &Poo
         view_greedy_ms: None,
         greedy_removed: None,
         peak_rss_mb: peak_rss_mb(),
+        transpose_ms: Some(transpose_ms),
         store_owned_bytes: Some(store.owned_bytes()),
         file_bytes: Some(store.file_bytes()),
         mapped: Some(store.mapped()),
@@ -421,8 +435,9 @@ mod tests {
         assert!(t.naive_count_ms.is_none() && t.bitset_count_ms.is_none());
         assert_eq!(t.file_bytes, Some(store.file_bytes()));
         assert_eq!(t.mapped, Some(store.mapped()));
-        assert!(t.sim_test_ms.is_some());
+        assert!(t.sim_test_ms.is_some() && t.transpose_ms.is_some());
         let json = t.to_json();
+        assert!(json.contains("\"transpose_ms\":"), "{json}");
         assert!(json.contains("\"naive_count_ms\":null"), "{json}");
         assert!(json.contains("\"file_bytes\":"), "{json}");
         std::fs::remove_dir_all(&dir).ok();

@@ -705,6 +705,12 @@ fn bench_store(args: &ArgMap, path: &str) -> Result<String, CliError> {
         store.file_bytes(),
         if store.mapped() { "mmap" } else { "owned" },
     );
+    if let Some(ms) = t.transpose_ms {
+        out.push_str(&format!(
+            "  full rows:       {:>10.3} ms  (transpose, built once)\n",
+            ms
+        ));
+    }
     out.push_str(&format!(
         "  forward kernel:  {:>10.3} ms  ({} triangles)\n",
         t.kernel_count_ms, t.triangles

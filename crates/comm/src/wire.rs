@@ -55,6 +55,12 @@ pub const WIRE_VERSION: u8 = 3;
 /// allocation happens.
 pub const MAX_FRAME_BYTES: u32 = 1 << 26; // 64 MiB
 
+/// The most [`read_frame`] allocates before a frame's body arrives.
+/// A frame up to this size fills one exact allocation; a larger one
+/// grows its buffer only as its bytes are read, so a bare length prefix
+/// costs its reader at most this much.
+const FRAME_PREALLOC_BYTES: usize = 64 << 10;
+
 /// Upper bound on the vertex-count a bitset payload (tag 10) may
 /// declare — and on the vertex-counts of all bitset items of one
 /// [`BatchResponse`](WireMessage::BatchResponse) together. Decoding an
@@ -1199,8 +1205,11 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<WireMessage, WireError> {
     if !(2..=MAX_FRAME_BYTES).contains(&len) {
         return Err(WireError::corrupt(format!("impossible frame length {len}")));
     }
-    let mut framed = vec![0u8; len as usize];
-    r.read_exact(&mut framed)?;
+    let len = len as usize;
+    let mut framed = Vec::with_capacity(len.min(FRAME_PREALLOC_BYTES));
+    if r.by_ref().take(len as u64).read_to_end(&mut framed)? < len {
+        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+    }
     let mut sum_buf = [0u8; 8];
     r.read_exact(&mut sum_buf)?;
     if u64::from_be_bytes(sum_buf) != checksum_bytes(&framed) {

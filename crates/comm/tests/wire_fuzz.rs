@@ -26,8 +26,8 @@ use std::io::Cursor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use triad_comm::wire::{
-    checksum_bytes, read_frame, write_frame, ErrorCode, ResumeClaim, Welcome, WireMessage,
-    MAX_BITSET_VERTICES, WIRE_VERSION,
+    checksum_bytes, read_frame, write_frame, ErrorCode, ResumeClaim, Welcome, WireError,
+    WireMessage, MAX_BITSET_VERTICES, MAX_FRAME_BYTES, WIRE_VERSION,
 };
 use triad_comm::{mix64, CostModel, Payload, PlayerRequest, SimMessage};
 use triad_graph::kernels::EdgeBitset;
@@ -517,4 +517,41 @@ fn a_batch_of_bitsets_allocates_at_most_one_row_table() {
         "a {}-byte frame allocated {peak} bytes (one table is {table})",
         frame.len()
     );
+}
+
+#[test]
+fn a_bare_length_prefix_allocates_no_more_than_the_preallocation() {
+    // A peer announces the largest legal frame and sends nothing more:
+    // the reader may reserve 64 KiB, not the 64 MiB it was promised.
+    let prefix = MAX_FRAME_BYTES.to_be_bytes();
+    let (decoded, peak) = peak_of(|| read_frame(&mut &prefix[..]));
+    match decoded {
+        Err(WireError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+        other => panic!("a bodiless frame was not an i/o error: {other:?}"),
+    }
+    assert!(
+        peak <= (64 << 10) + 1024,
+        "a 4-byte prefix allocated {peak} bytes"
+    );
+}
+
+#[test]
+fn frames_past_the_preallocation_still_round_trip() {
+    // 40 000 edges: a ~320 KiB body read through the growing buffer.
+    let edges: Vec<Edge> = (0..40_000u32).map(|i| e(i, i + 1)).collect();
+    let msg = WireMessage::Response {
+        id: 9,
+        payload: Payload::Edges(edges.into()),
+    };
+    let mut buf = Vec::new();
+    write_frame(&mut buf, &msg).unwrap();
+    assert!(buf.len() > 256 << 10);
+    let decoded = read_frame(&mut Cursor::new(&buf)).unwrap();
+    let mut again = Vec::new();
+    write_frame(&mut again, &decoded).unwrap();
+    assert_eq!(again, buf);
+    // Cut anywhere in the body, it is an error, not a short frame.
+    for cut in [5, 64 << 10, (64 << 10) + 1, buf.len() - 9] {
+        assert!(read_frame(&mut &buf[..cut]).is_err(), "cut at {cut}");
+    }
 }

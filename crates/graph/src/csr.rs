@@ -5,8 +5,8 @@
 //! rather than [`Graph`], so the same code runs over
 //!
 //! * a heap-resident [`Graph`] (adjacency in `Vec`s), or
-//! * an out-of-core [`crate::store::CsrStore`] whose adjacency lives in a
-//!   read-only `mmap` of a `.csr` file (see `docs/IO.md`),
+//! * an out-of-core [`crate::store::CsrStore`] whose forward rows live in
+//!   a read-only `mmap` of a `.csr` file (see `docs/IO.md`),
 //!
 //! with **identical results**: the trait exposes the canonical edge order
 //! (sorted `(u, v)` pairs with `u < v`, which equals row-major forward
@@ -15,9 +15,13 @@
 //! mapped-vs-in-memory differential suite (`tests/store_differential.rs`)
 //! pins this bit-for-bit.
 //!
-//! The trait is deliberately *slice-shaped*: [`AsCsr::neighbors`] returns
-//! a borrowed `&[VertexId]`, never an owned list, so kernels built on it
-//! cannot accidentally materialize per-vertex copies of a mapped file.
+//! The trait is deliberately *slice-shaped*: [`AsCsr::neighbors`] and
+//! [`AsCsr::forward_neighbors`] return borrowed `&[VertexId]`s, never
+//! owned lists, so kernels built on it cannot accidentally materialize
+//! per-vertex copies of a mapped file. A store holds forward rows only
+//! and builds full rows on the first [`AsCsr::neighbors`] call, so a
+//! caller that needs only the edges walks [`AsCsr::forward_neighbors`]
+//! or the canonical edge order.
 
 use std::ops::Range;
 
@@ -48,6 +52,15 @@ pub trait AsCsr: Sync {
     ///
     /// Panics if `v` is out of range.
     fn neighbors(&self, v: VertexId) -> &[VertexId];
+
+    /// Sorted neighbors of `v` above `v`: the second endpoints of the
+    /// canonical edges `(v, w)`, in canonical order. Walking these rows
+    /// for `v = 0..n` visits every edge once, in canonical order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    fn forward_neighbors(&self, v: VertexId) -> &[VertexId];
 
     /// Start of `v`'s slice in the flat CSR adjacency array: slot `i` of
     /// `neighbors(v)` lives at flat index `adj_start(v) + i`. Used by the
@@ -172,6 +185,12 @@ impl AsCsr for Graph {
         Graph::neighbors(self, v)
     }
 
+    fn forward_neighbors(&self, v: VertexId) -> &[VertexId] {
+        // The suffix of the sorted row past `v` (no self-loops).
+        let row = Graph::neighbors(self, v);
+        &row[row.partition_point(|w| *w < v)..]
+    }
+
     fn adj_start(&self, v: VertexId) -> usize {
         // Inherent (pub(crate)) accessor; inherent methods shadow the
         // trait method of the same name, so this does not recurse.
@@ -210,6 +229,10 @@ impl<G: AsCsr + ?Sized> AsCsr for &G {
         (**self).neighbors(v)
     }
 
+    fn forward_neighbors(&self, v: VertexId) -> &[VertexId] {
+        (**self).forward_neighbors(v)
+    }
+
     fn adj_start(&self, v: VertexId) -> usize {
         (**self).adj_start(v)
     }
@@ -224,6 +247,10 @@ impl<G: AsCsr + ?Sized> AsCsr for &G {
 
     fn for_each_edge_in(&self, range: Range<usize>, f: &mut dyn FnMut(usize, Edge) -> bool) {
         (**self).for_each_edge_in(range, f)
+    }
+
+    fn has_edge(&self, e: Edge) -> bool {
+        (**self).has_edge(e)
     }
 }
 
@@ -256,6 +283,13 @@ mod tests {
         for v in g.vertices() {
             assert_eq!(AsCsr::neighbors(&g, v), Graph::neighbors(&g, v));
             assert_eq!(AsCsr::degree(&g, v), Graph::degree(&g, v));
+            let above: Vec<VertexId> = g
+                .edges()
+                .iter()
+                .filter(|e| e.u() == v)
+                .map(|e| e.v())
+                .collect();
+            assert_eq!(g.forward_neighbors(v), &above[..]);
         }
         assert_eq!(AsCsr::adj_len(&g), 2 * g.edge_count());
     }

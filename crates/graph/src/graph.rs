@@ -95,7 +95,7 @@ impl Graph {
     /// tombstone overlays in [`crate::kernels`].
     #[inline]
     pub(crate) fn adj_start(&self, v: VertexId) -> usize {
-        self.adjacency.offsets[v.index()]
+        self.adjacency.start(v)
     }
 
     /// Position of `e` in the canonical sorted edge array, if present.
@@ -220,22 +220,31 @@ impl CsrAdjacency {
             edges.windows(2).all(|w| w[0] < w[1]),
             "edges must be sorted and deduplicated"
         );
-        // One counting pass: `offsets[v + 1]` starts as deg(v).
+        Self::from_canonical_edges(n, edges.iter().map(|e| e.endpoints()))
+    }
+
+    /// Builds the lists from edges `(u, v)`, `u < v < n`, in canonical
+    /// order (sorted, deduplicated): one counting pass for the offsets
+    /// and one fill pass that leaves every list sorted.
+    pub(crate) fn from_canonical_edges<I>(n: usize, edges: I) -> Self
+    where
+        I: Iterator<Item = (VertexId, VertexId)> + Clone,
+    {
+        // `offsets[v + 1]` starts as deg(v).
         let mut offsets = vec![0usize; n + 1];
-        for e in edges {
-            offsets[e.u().index() + 1] += 1;
-            offsets[e.v().index() + 1] += 1;
+        for (u, v) in edges.clone() {
+            offsets[u.index() + 1] += 1;
+            offsets[v.index() + 1] += 1;
         }
         for v in 0..n {
             offsets[v + 1] += offsets[v];
         }
         let mut cursor = offsets[..n].to_vec();
         let mut adj = vec![VertexId(0); offsets[n]];
-        // Sorted canonical edges fill every list in ascending order: `w`'s
-        // lower neighbors (edges `(x, w)`, `x < w`) all precede its upper
-        // ones (edges `(w, y)`), and each run arrives ascending.
-        for e in edges {
-            let (u, v) = e.endpoints();
+        // Canonical edges fill every list in ascending order: `w`'s lower
+        // neighbors (edges `(x, w)`, `x < w`) all precede its upper ones
+        // (edges `(w, y)`), and each run arrives ascending.
+        for (u, v) in edges {
             adj[cursor[u.index()]] = v;
             cursor[u.index()] += 1;
             adj[cursor[v.index()]] = u;
@@ -248,6 +257,18 @@ impl CsrAdjacency {
             "adjacency lists must come out sorted"
         );
         CsrAdjacency { offsets, adj }
+    }
+
+    /// Heap bytes held by the offsets and the lists.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.offsets.len() * std::mem::size_of::<usize>()
+            + self.adj.len() * std::mem::size_of::<VertexId>()
+    }
+
+    /// Start of `v`'s list in the flat adjacency array.
+    #[inline]
+    pub(crate) fn start(&self, v: VertexId) -> usize {
+        self.offsets[v.index()]
     }
 
     /// Number of vertices `n`.

@@ -115,17 +115,29 @@ impl Forward {
         count
     }
 
+    /// Calls `f` on every triangle whose base edge lies in
+    /// `g.edges()[range]`, in (edge index, closing rank) order, holding
+    /// none of them.
+    pub(crate) fn for_each_in_range<G: AsCsr + ?Sized>(
+        &self,
+        g: &G,
+        range: Range<usize>,
+        mut f: impl FnMut(Triangle),
+    ) {
+        g.for_each_edge_in(range, &mut |_, e| {
+            let (a, b) = self.oriented_lists(e.u(), e.v());
+            merge_common(a, b, |r| {
+                f(Triangle::new(e.u(), e.v(), self.order[r as usize]))
+            });
+            true
+        });
+    }
+
     /// Enumerates the triangles whose base edge lies in
     /// `g.edges()[range]`, in (edge index, closing rank) order.
     pub fn enumerate_range<G: AsCsr + ?Sized>(&self, g: &G, range: Range<usize>) -> Vec<Triangle> {
         let mut out = Vec::new();
-        g.for_each_edge_in(range, &mut |_, e| {
-            let (a, b) = self.oriented_lists(e.u(), e.v());
-            merge_common(a, b, |r| {
-                out.push(Triangle::new(e.u(), e.v(), self.order[r as usize]));
-            });
-            true
-        });
+        self.for_each_in_range(g, range, |t| out.push(t));
         out
     }
 

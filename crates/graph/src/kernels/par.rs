@@ -4,11 +4,13 @@
 //! array** — shard boundaries depend only on the edge count, never on
 //! the thread count — and shard results are reduced in shard order by
 //! the executor's ordered map. Counting reduces by summation
-//! (commutative) and triangle-edge collection reduces by OR-ing
-//! per-shard bitmaps then emitting in canonical edge order, so both
-//! functions are byte-identical to the serial kernel at any thread
-//! count: the `docs/PARALLELISM.md` contract, enforced by
-//! `tests/kernels_differential.rs`.
+//! (commutative) and triangle-edge collection sets one shared mark per
+//! edge (idempotent, so the order of the stores does not matter), then
+//! emits in canonical edge order, so both functions are byte-identical
+//! to the serial kernel at any thread count: the `docs/PARALLELISM.md`
+//! contract, enforced by `tests/kernels_differential.rs`.
+
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::kernels::{Forward, ParallelExecutor};
 use crate::{AsCsr, Edge};
@@ -43,32 +45,27 @@ pub fn count_triangles_par<G: AsCsr + ?Sized, E: ParallelExecutor>(g: &G, exec: 
 /// All edges of `g` participating in at least one triangle, in
 /// canonical order, computed by sharded forward enumeration on `exec`.
 ///
-/// Each shard enumerates the triangles based in its edge range and
-/// marks all three edges of each; the marks are OR-ed and emitted in
-/// canonical order, so the result equals the naive per-edge filter
-/// (`kernels::naive::triangle_edges`) bit for bit.
+/// Each shard marks all three edges of every triangle based in its edge
+/// range in one mark vector shared by every shard, so the extra memory
+/// is one byte per edge whatever the triangle count. The marks are
+/// emitted in canonical order, so the result equals the naive per-edge
+/// filter (`kernels::naive::triangle_edges`) bit for bit.
 pub fn triangle_edges_par<G: AsCsr + ?Sized, E: ParallelExecutor>(g: &G, exec: &E) -> Vec<Edge> {
     let fwd = Forward::build(g);
     let m = g.edge_count();
-    let shard_marks = exec.ordered_map_items(shard_count(m), |s| {
-        let mut marks = vec![false; m];
-        for t in fwd.enumerate_range(g, shard_range(s, m)) {
+    let marked: Vec<AtomicBool> = (0..m).map(|_| AtomicBool::new(false)).collect();
+    exec.ordered_map_items(shard_count(m), |s| {
+        fwd.for_each_in_range(g, shard_range(s, m), |t| {
             for e in t.edges() {
                 let i = g.edge_index(e).expect("triangle edges are graph edges");
-                marks[i] = true;
+                marked[i].store(true, Ordering::Relaxed);
             }
-        }
-        marks
+        });
     });
-    let mut marked = vec![false; m];
-    for marks in shard_marks {
-        for (slot, hit) in marked.iter_mut().zip(marks) {
-            *slot |= hit;
-        }
-    }
+    // The executor has joined every shard, so every store is visible.
     let mut out = Vec::new();
     g.for_each_edge(&mut |i, e| {
-        if marked[i] {
+        if marked[i].load(Ordering::Relaxed) {
             out.push(e);
         }
     });

@@ -1,5 +1,5 @@
 use super::Partition;
-use crate::{triangles, AsCsr, Graph, VertexId};
+use crate::{triangles, AsCsr, Edge, Graph};
 use rand::Rng;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -86,25 +86,31 @@ pub fn adversarial_triangle_split<R: Rng + ?Sized>(g: &Graph, k: usize, rng: &mu
 ///
 /// # Panics
 ///
-/// Panics if `k == 0`.
+/// Panics if `k == 0` or `k > u32::MAX`.
 pub fn by_vertex<G: AsCsr + ?Sized>(g: &G, k: usize) -> Partition {
     assert!(k >= 1, "need at least one player");
-    let mut shares = vec![Vec::new(); k];
-    // Canonical edge order groups edges by `u`, so each source vertex is
-    // hashed once and its owner reused for the rest of its run.
-    let mut last: Option<(VertexId, usize)> = None;
-    g.for_each_edge(&mut |_, e| {
-        let j = match last {
-            Some((u, j)) if u == e.u() => j,
-            _ => {
-                let mut h = DefaultHasher::new();
-                e.u().hash(&mut h);
-                (h.finish() % k as u64) as usize
-            }
+    let k32 = u32::try_from(k).expect("at most u32::MAX players");
+    // The edges `(u, ·)` are `u`'s forward row. One pass hashes each
+    // vertex with a nonempty row and sizes every share exactly; a second
+    // walks the rows in order, so each share keeps canonical order.
+    let mut owners = Vec::with_capacity(g.vertex_count());
+    let mut sizes = vec![0usize; k];
+    for u in g.vertices() {
+        let len = g.forward_neighbors(u).len();
+        let j = if len == 0 {
+            0
+        } else {
+            let mut h = DefaultHasher::new();
+            u.hash(&mut h);
+            (h.finish() % u64::from(k32)) as u32
         };
-        last = Some((e.u(), j));
-        shares[j].push(e);
-    });
+        owners.push(j);
+        sizes[j as usize] += len;
+    }
+    let mut shares: Vec<Vec<Edge>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for (u, &j) in g.vertices().zip(&owners) {
+        shares[j as usize].extend(g.forward_neighbors(u).iter().map(|&v| Edge::new(u, v)));
+    }
     Partition::new(shares)
 }
 

@@ -2,19 +2,21 @@
 //! file format and the [`CsrStore`] that serves it to the kernels.
 //!
 //! The normative byte-level specification lives in `docs/IO.md`; in
-//! brief, a `.csr` file is
+//! brief, a `.csr` file (format version 2) is
 //!
 //! ```text
 //! magic "TRIADCSR" | version u32 | flags u32 | n u64 | m u64 | checksum u64
-//! offsets: (n+1) × u64            // offsets[0] = 0, offsets[n] = 2m
-//! adjacency: 2m × u32             // row v = adjacency[offsets[v]..offsets[v+1]]
+//! offsets: (n+1) × u64            // offsets[0] = 0, offsets[n] = m
+//! adjacency: m × u32              // row v = adjacency[offsets[v]..offsets[v+1]]
 //! ```
 //!
-//! all little-endian. Files are written **once** by the streaming
-//! [`writer`] (generators emit edges chunk-by-chunk; the full edge list
-//! is never resident) and then opened read-only: [`CsrStore::open`]
-//! memory-maps the file on little-endian unix targets (raw
-//! `mmap`/`munmap`, see the `mmap` module's docs) and falls back to
+//! all little-endian. Row `v` holds only the neighbors `w > v`, so each
+//! edge is stored once, the adjacency section *is* the canonical edge
+//! order, and symmetry holds by construction. Files are written **once**
+//! by the streaming [`writer`] (generators emit edges chunk-by-chunk;
+//! the full edge list is never resident) and then opened read-only:
+//! [`CsrStore::open`] memory-maps the file on little-endian unix targets
+//! (raw `mmap`/`munmap`, see the `mmap` module's docs) and falls back to
 //! a buffered read into owned `Vec`s everywhere else — behind the same
 //! [`crate::AsCsr`] surface, with bit-identical results (pinned by
 //! `tests/store_differential.rs`).
@@ -22,18 +24,21 @@
 //! Like the `wire.rs` frame codec in `triad-comm`, the reader is
 //! paranoid *before* it commits resources: header, declared geometry and
 //! file size are checked before any mapping or allocation, and the full
-//! structural battery (monotone offsets, strictly sorted rows, symmetry,
-//! checksum) runs before a store is handed to callers. Setting the
-//! `TRIAD_NO_MMAP` environment variable forces the owned fallback — CI
-//! uses it to exercise that path on hosts where mmap works fine.
+//! structural battery (monotone offsets, rows strictly increasing above
+//! their vertex, checksum) runs before a store is handed to callers.
+//! Full neighbor rows, which only some kernels read, are the transpose
+//! the store builds on first use. Setting the `TRIAD_NO_MMAP`
+//! environment variable forces the owned fallback — CI uses it to
+//! exercise that path on hosts where mmap works fine.
 
 use std::fs::File;
 use std::io::Read;
 use std::ops::Range;
 use std::path::Path;
+use std::sync::OnceLock;
 
 use crate::csr::AsCsr;
-use crate::{Edge, Graph, VertexId};
+use crate::{CsrAdjacency, Edge, Graph, VertexId};
 
 #[cfg(all(unix, target_endian = "little"))]
 mod mmap;
@@ -46,8 +51,10 @@ pub use writer::{write_csr, write_csr_with_budget, EdgeStream, WriteSummary};
 /// The 8-byte magic at offset 0 of every `.csr` file.
 pub const MAGIC: [u8; 8] = *b"TRIADCSR";
 
-/// The current (and only) format version.
-pub const VERSION: u32 = 1;
+/// The format version this build reads and writes. Version 1 (every
+/// edge stored in both endpoints' rows) is rejected as
+/// [`StoreError::BadVersion`]`(1)`.
+pub const VERSION: u32 = 2;
 
 /// Fixed header size in bytes: magic + version + flags + n + m + checksum.
 pub const HEADER_BYTES: usize = 40;
@@ -67,25 +74,68 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     x
 }
 
-/// The sequential checksum chain of `docs/IO.md`: starting from a fixed
-/// IV, each 64-bit word (in spec order: `n`, `m`, every offset word,
-/// every adjacency `u32` zero-extended) is folded in as
-/// `state = mix64(state ^ word)`. Order-sensitive by construction, so
+/// Interleaved checksum lanes (see `docs/IO.md`).
+const LANES: usize = 4;
+
+/// The checksum's initial value, and the base of every lane's.
+const CHECKSUM_IV: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The lane checksum of `docs/IO.md`: the 64-bit words of the payload
+/// (in spec order: `n`, `m`, every offset word, every adjacency `u32`
+/// zero-extended) are dealt round-robin to four splitmix64 chains, each
+/// folding its words in as `lane = mix64(lane ^ word)`, and the digest
+/// folds the four lane states the same way. The lanes are independent,
+/// so one core runs them interleaved; each is order-sensitive, so
 /// swapped rows or reordered neighbors change the digest.
 #[derive(Debug, Clone)]
-pub(crate) struct Checksum(u64);
+pub(crate) struct Checksum {
+    lanes: [u64; LANES],
+    /// The lane the next word goes to.
+    next: usize,
+}
 
 impl Checksum {
     pub(crate) fn new() -> Checksum {
-        Checksum(0x9E37_79B9_7F4A_7C15)
+        Checksum {
+            lanes: std::array::from_fn(|l| CHECKSUM_IV.wrapping_add(l as u64)),
+            next: 0,
+        }
     }
 
     pub(crate) fn absorb(&mut self, word: u64) {
-        self.0 = mix64(self.0 ^ word);
+        let lane = &mut self.lanes[self.next];
+        *lane = mix64(*lane ^ word);
+        self.next = (self.next + 1) % LANES;
+    }
+
+    /// Absorbs `words` in order, four lanes at a time.
+    pub(crate) fn absorb_slice<T: Copy + Into<u64>>(&mut self, words: &[T]) {
+        let mut words = words;
+        while self.next != 0 {
+            let Some((&w, rest)) = words.split_first() else {
+                return;
+            };
+            self.absorb(w.into());
+            words = rest;
+        }
+        let mut quads = words.chunks_exact(LANES);
+        let [mut a, mut b, mut c, mut d] = self.lanes;
+        for q in &mut quads {
+            a = mix64(a ^ q[0].into());
+            b = mix64(b ^ q[1].into());
+            c = mix64(c ^ q[2].into());
+            d = mix64(d ^ q[3].into());
+        }
+        self.lanes = [a, b, c, d];
+        for &w in quads.remainder() {
+            self.absorb(w.into());
+        }
     }
 
     pub(crate) fn finish(&self) -> u64 {
-        self.0
+        self.lanes
+            .iter()
+            .fold(CHECKSUM_IV, |state, &lane| mix64(state ^ lane))
     }
 }
 
@@ -109,8 +159,8 @@ pub enum StoreError {
     BadVersion(u32),
     /// Nonzero reserved flags.
     BadFlags(u32),
-    /// Structurally invalid contents: offset/row/symmetry/checksum
-    /// violations, oversized geometry, or trailing bytes.
+    /// Structurally invalid contents: offset/row/checksum violations,
+    /// oversized geometry, or trailing bytes.
     Corrupt(String),
     /// A graph handed to the writer that cannot be encoded (endpoint out
     /// of the declared vertex range, vertex count exceeding `u32`).
@@ -181,9 +231,7 @@ fn parse_header(bytes: &[u8; HEADER_BYTES]) -> Result<Header, StoreError> {
     let n = usize::try_from(n)
         .map_err(|_| StoreError::Corrupt(format!("vertex count {n} does not fit this platform")))?;
     let m = usize::try_from(m)
-        .ok()
-        .filter(|m| m.checked_mul(2).is_some())
-        .ok_or_else(|| StoreError::Corrupt(format!("edge count {m} does not fit this platform")))?;
+        .map_err(|_| StoreError::Corrupt(format!("edge count {m} does not fit this platform")))?;
     Ok(Header { n, m, checksum })
 }
 
@@ -194,7 +242,7 @@ fn expected_len(n: usize, m: usize) -> Result<u64, StoreError> {
         .and_then(|w| w.checked_mul(8))
         .ok_or_else(|| StoreError::Corrupt("offset section size overflow".into()))?;
     let slots = (m as u64)
-        .checked_mul(8)
+        .checked_mul(4)
         .ok_or_else(|| StoreError::Corrupt("adjacency section size overflow".into()))?;
     (HEADER_BYTES as u64)
         .checked_add(words)
@@ -278,19 +326,19 @@ enum Mode {
 
 /// A validated, read-only CSR graph backed by a `.csr` file — mapped
 /// when possible, owned otherwise. Implements [`AsCsr`], so every kernel
-/// and partition scheme runs over it directly; the only heap the mapped
-/// variant allocates is the `(n+1)`-word forward-edge index that gives
-/// the canonical edge order in `O(log n)` per lookup.
+/// and partition scheme runs over it directly. The canonical edge order
+/// is the file's adjacency section, so edge lookups are offset
+/// arithmetic and a mapped store owns no heap until a caller asks for
+/// full neighbor rows ([`AsCsr::neighbors`], [`CsrStore::full_rows`]);
+/// those are built once, on first use.
 pub struct CsrStore {
     n: usize,
     m: usize,
     checksum: u64,
     file_bytes: u64,
     backing: Backing,
-    /// `edge_starts[u]` = number of canonical edges `(x, y)` with `x < u`;
-    /// equivalently a prefix sum of forward degrees. Length `n + 1`,
-    /// `edge_starts[n] = m`.
-    edge_starts: Vec<u64>,
+    /// Full sorted neighbor rows: the forward rows plus their transpose.
+    rows: OnceLock<CsrAdjacency>,
 }
 
 impl std::fmt::Debug for CsrStore {
@@ -363,7 +411,7 @@ impl CsrStore {
             )));
         }
         let words = header.n + 1;
-        let slots = header.m * 2;
+        let slots = header.m;
         let backing = match mode {
             #[cfg(all(unix, target_endian = "little"))]
             Mode::Mapped => Backing::Mapped {
@@ -390,14 +438,14 @@ impl CsrStore {
                 }
             }
         };
-        let edge_starts = validate(header.n, header.m, &backing, header.checksum)?;
+        validate(header.n, header.m, &backing, header.checksum)?;
         Ok(CsrStore {
             n: header.n,
             m: header.m,
             checksum: header.checksum,
             file_bytes: expected,
             backing,
-            edge_starts,
+            rows: OnceLock::new(),
         })
     }
 
@@ -435,12 +483,25 @@ impl CsrStore {
         self.file_bytes
     }
 
-    /// Heap bytes this store owns: the forward-edge index plus, for the
-    /// owned backing, the decoded sections. For a mapped store this is
-    /// `≈ 8·(n+1)` regardless of `m` — the allocation-side evidence that
-    /// kernels run over the mapping, not a materialized copy.
+    /// Heap bytes this store owns: the decoded sections for the owned
+    /// backing, plus the full rows once something has asked for them.
+    /// A mapped store owns nothing until then — the allocation-side
+    /// evidence that a caller ran over the mapping, not a copy.
     pub fn owned_bytes(&self) -> usize {
-        self.edge_starts.len() * 8 + self.backing.owned_bytes()
+        self.backing.owned_bytes() + self.rows.get().map_or(0, CsrAdjacency::heap_bytes)
+    }
+
+    /// Full sorted neighbor rows, built from the forward rows on the
+    /// first call (`O(n + m)` time, `8·(n+1) + 8m` bytes on 64-bit
+    /// targets) and kept for the store's lifetime.
+    pub fn full_rows(&self) -> &CsrAdjacency {
+        self.rows.get_or_init(|| {
+            let edges = (0..self.n).flat_map(move |u| {
+                let u_id = VertexId(u as u32);
+                self.forward_row(u).iter().map(move |&v| (u_id, v))
+            });
+            CsrAdjacency::from_canonical_edges(self.n, edges)
+        })
     }
 
     /// Materializes the store as an in-memory [`Graph`] — the
@@ -451,18 +512,18 @@ impl CsrStore {
         Graph::from_sorted_dedup_edges(self.n, edges)
     }
 
-    fn row(&self, v: usize) -> &[VertexId] {
+    /// Row `u` of the file: `u`'s neighbors above `u`, ascending, i.e.
+    /// the canonical edges `(u, v)` in order.
+    fn forward_row(&self, u: usize) -> &[VertexId] {
         let offsets = self.backing.offsets();
-        let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
+        let (lo, hi) = (offsets[u] as usize, offsets[u + 1] as usize);
         cast::vertex_ids(&self.backing.adj()[lo..hi])
     }
 
-    /// The forward suffix of row `u`: neighbors strictly greater than `u`,
-    /// i.e. the canonical edges `(u, v)` in order.
-    fn forward_row(&self, u: usize) -> &[VertexId] {
-        let row = self.row(u);
-        let fwd = (self.edge_starts[u + 1] - self.edge_starts[u]) as usize;
-        &row[row.len() - fwd..]
+    /// The row holding canonical edge `i < m`: the last `u` with
+    /// `offsets[u] <= i` (empty rows share their successor's offset).
+    fn row_of(&self, i: usize) -> usize {
+        self.backing.offsets().partition_point(|&o| o <= i as u64) - 1
     }
 }
 
@@ -477,19 +538,23 @@ impl AsCsr for CsrStore {
 
     fn neighbors(&self, v: VertexId) -> &[VertexId] {
         assert!(v.index() < self.n, "vertex {v} out of range");
-        self.row(v.index())
+        self.full_rows().neighbors(v)
+    }
+
+    fn forward_neighbors(&self, v: VertexId) -> &[VertexId] {
+        assert!(v.index() < self.n, "vertex {v} out of range");
+        self.forward_row(v.index())
     }
 
     fn adj_start(&self, v: VertexId) -> usize {
         assert!(v.index() < self.n, "vertex {v} out of range");
-        self.backing.offsets()[v.index()] as usize
+        self.full_rows().start(v)
     }
 
     fn edge_at(&self, i: usize) -> Edge {
         assert!(i < self.m, "edge index {i} out of range");
-        let u = self.edge_starts.partition_point(|&s| s <= i as u64) - 1;
-        let v = self.forward_row(u)[i - self.edge_starts[u] as usize];
-        Edge::new(VertexId(u as u32), v)
+        let u = VertexId(self.row_of(i) as u32);
+        Edge::new(u, VertexId(self.backing.adj()[i]))
     }
 
     fn edge_index(&self, e: Edge) -> Option<usize> {
@@ -497,10 +562,8 @@ impl AsCsr for CsrStore {
         if v.index() >= self.n {
             return None;
         }
-        let fwd = self.forward_row(u.index());
-        fwd.binary_search(&v)
-            .ok()
-            .map(|pos| self.edge_starts[u.index()] as usize + pos)
+        let pos = self.forward_row(u.index()).binary_search(&v).ok()?;
+        Some(self.backing.offsets()[u.index()] as usize + pos)
     }
 
     fn for_each_edge_in(&self, range: Range<usize>, f: &mut dyn FnMut(usize, Edge) -> bool) {
@@ -508,25 +571,23 @@ impl AsCsr for CsrStore {
             return;
         }
         assert!(range.end <= self.m, "edge range out of bounds");
-        let mut u = self
-            .edge_starts
-            .partition_point(|&s| s <= range.start as u64)
-            - 1;
+        let (offsets, adj) = (self.backing.offsets(), self.backing.adj());
+        let mut u = self.row_of(range.start);
         let mut i = range.start;
         while i < range.end {
-            let fwd = self.forward_row(u);
-            let skip = i - self.edge_starts[u] as usize;
-            for &v in &fwd[skip..] {
-                if i >= range.end {
-                    return;
-                }
-                if !f(i, Edge::new(VertexId(u as u32), v)) {
+            let row_end = (offsets[u + 1] as usize).min(range.end);
+            for &v in &adj[i..row_end] {
+                if !f(i, Edge::new(VertexId(u as u32), VertexId(v))) {
                     return;
                 }
                 i += 1;
             }
             u += 1;
         }
+    }
+
+    fn has_edge(&self, e: Edge) -> bool {
+        self.edge_index(e).is_some()
     }
 }
 
@@ -562,154 +623,70 @@ fn read_owned(file: &mut File, words: usize, slots: usize) -> Result<Backing, St
     Ok(Backing::Owned { offsets, adj })
 }
 
-/// The structural battery: offsets, rows, symmetry, checksum. Returns the
-/// forward-edge prefix index on success.
-fn validate(n: usize, m: usize, backing: &Backing, declared: u64) -> Result<Vec<u64>, StoreError> {
+/// The structural battery: offsets, rows, checksum.
+fn validate(n: usize, m: usize, backing: &Backing, declared: u64) -> Result<(), StoreError> {
     let offsets = backing.offsets();
     let adj = backing.adj();
     debug_assert_eq!(offsets.len(), n + 1);
-    debug_assert_eq!(adj.len(), 2 * m);
+    debug_assert_eq!(adj.len(), m);
     if offsets[0] != 0 {
         return Err(StoreError::Corrupt(format!(
             "offsets[0] = {}, expected 0",
             offsets[0]
         )));
     }
-    if offsets[n] != 2 * m as u64 {
+    if offsets[n] != m as u64 {
         return Err(StoreError::Corrupt(format!(
-            "offsets[n] = {}, expected 2m = {}",
-            offsets[n],
-            2 * m
+            "offsets[n] = {}, expected m = {m}",
+            offsets[n]
         )));
     }
-    // The whole offset section must be validated before any row is
-    // sliced: the symmetry check below reads the mate row of a forward
-    // edge, which can sit arbitrarily far ahead of the cursor, so a
-    // decreasing offset there would otherwise panic instead of erroring.
-    // Monotone + `offsets[n] == 2m` also bounds every row, so no
-    // per-row overrun check is needed.
-    for u in 0..n {
-        if offsets[u] > offsets[u + 1] {
-            return Err(StoreError::Corrupt(format!(
-                "offsets decrease at vertex {u} ({} > {})",
-                offsets[u],
-                offsets[u + 1]
-            )));
-        }
-    }
-    // Symmetry by cursor matching. Rows are walked in order and are
-    // strictly increasing, so the forward entries `(u, v)` naming one `v`
-    // arrive with `u` ascending, and each must be the next unmatched
-    // backward entry of row `v`. Until row `v` is reached, that entry's
-    // position (the cursor) lives in the not-yet-written slot `v + 1` of
-    // the forward-edge index; on reaching row `v` the cursor must sit
-    // exactly at its first forward entry. A forward entry then always
-    // names a backward entry and every backward entry is named, so
-    // `u ∈ row v ⟺ v ∈ row u`. A cursor is not bounded by its row's end:
-    // a match can never take a forward entry (each exceeds the rows that
-    // match), so a cursor only runs past the end of a row that has none,
-    // and that row's own check then fails.
-    let mut edge_starts = Vec::with_capacity(n + 1);
-    edge_starts.push(0);
-    edge_starts.extend_from_slice(&offsets[..n]);
-    let mut forward = 0u64;
-    for u in 0..n {
-        let (lo, hi) = (offsets[u] as usize, offsets[u + 1] as usize);
-        let fwd_start = lo + check_row(u, &adj[lo..hi], n)?;
-        let cursor = edge_starts[u + 1] as usize;
-        if cursor < fwd_start {
-            // Stopped at a backward entry whose row did not name `u`.
-            return Err(asymmetric(adj[cursor], u));
-        }
-        if cursor > fwd_start {
-            // Ran off the end of row `u`: the first entry past it is the
-            // row that named `u` with no slot left for it.
-            return Err(asymmetric(u as u32, adj[fwd_start] as usize));
-        }
-        for &v in &adj[fwd_start..hi] {
-            let slot = &mut edge_starts[v as usize + 1];
-            if adj.get(*slot as usize) == Some(&(u as u32)) {
-                *slot += 1;
-            } else {
-                return Err(unmatched(n, offsets, adj, u, v as usize, *slot as usize));
-            }
-        }
-        forward += (hi - fwd_start) as u64;
-        edge_starts[u + 1] = forward;
-    }
-    if forward != m as u64 {
+    // Monotone offsets ending at `m` bound every row, so no row slice
+    // below can overrun the adjacency section.
+    if let Some(u) = (0..n).find(|&u| offsets[u] > offsets[u + 1]) {
         return Err(StoreError::Corrupt(format!(
-            "forward-edge count {forward} disagrees with declared m = {m}"
+            "offsets decrease at vertex {u} ({} > {})",
+            offsets[u],
+            offsets[u + 1]
         )));
     }
-    // The checksum chain, last and in a pass of its own: the chain is
-    // serial, and inside the row walk it would stall the walk's
-    // independent mate-row loads.
+    for u in 0..n {
+        check_row(u, &adj[offsets[u] as usize..offsets[u + 1] as usize], n)?;
+    }
     let mut checksum = Checksum::new();
     checksum.absorb(n as u64);
     checksum.absorb(m as u64);
-    for &o in offsets {
-        checksum.absorb(o);
-    }
-    for &v in adj {
-        checksum.absorb(u64::from(v));
-    }
+    checksum.absorb_slice(offsets);
+    checksum.absorb_slice(adj);
     let computed = checksum.finish();
     if computed != declared {
         return Err(StoreError::Corrupt(format!(
             "checksum mismatch: header declares {declared:#018x}, contents hash to {computed:#018x}"
         )));
     }
-    Ok(edge_starts)
+    Ok(())
 }
 
-/// The per-row checks: entries `< n`, no self-loop, strictly increasing.
-/// Returns the number of backward entries (those `< u`).
-fn check_row(u: usize, row: &[u32], n: usize) -> Result<usize, StoreError> {
+/// The per-entry checks of row `u`, in order: entry `< n`, no
+/// self-loop, no neighbor below `u`, strictly increasing.
+fn check_row(u: usize, row: &[u32], n: usize) -> Result<(), StoreError> {
     let mut prev: Option<u32> = None;
-    let mut backward = 0;
-    for &v in row {
-        if v as usize >= n {
-            return Err(StoreError::Corrupt(format!(
-                "row {u} references vertex {v} ≥ n = {n}"
-            )));
-        }
-        if v as usize == u {
-            return Err(StoreError::Corrupt(format!("self-loop at vertex {u}")));
-        }
-        if let Some(p) = prev {
-            if v <= p {
-                return Err(StoreError::Corrupt(format!(
-                    "row {u} is not strictly increasing ({p} then {v})"
-                )));
-            }
-        }
-        prev = Some(v);
-        backward += usize::from((v as usize) < u);
+    for &w in row {
+        let defect = if w as usize >= n {
+            format!("row {u} references vertex {w} ≥ n = {n}")
+        } else if w as usize == u {
+            format!("self-loop at vertex {u}")
+        } else if (w as usize) < u {
+            format!("row {u} holds {w}, below {u}: a row holds only higher neighbors")
+        } else if let Some(p) = prev.filter(|&p| w <= p) {
+            format!("row {u} is not strictly increasing ({p} then {w})")
+        } else {
+            prev = Some(w);
+            continue;
+        };
+        return Err(StoreError::Corrupt(defect));
     }
-    Ok(backward)
-}
-
-/// The error for a pair with `a ∈ row b` but `b ∉ row a`.
-fn asymmetric(a: u32, b: usize) -> StoreError {
-    StoreError::Corrupt(format!("asymmetric edge: {a} ∈ row {b} but {b} ∉ row {a}"))
-}
-
-/// Names the defect behind a forward entry `v` of row `u` that does not
-/// match slot `at`, the cursor of row `v`. Row `v` lies ahead of the
-/// walk, so its own checks run first; once it is known to be strictly
-/// increasing, its slots before `at` hold the rows `< u` that named `v`.
-/// If the entry at `at` is below `u`, its row did not name `v`; otherwise
-/// (a larger entry, or none left in the row) `u` is missing from row `v`.
-fn unmatched(n: usize, offsets: &[u64], adj: &[u32], u: usize, v: usize, at: usize) -> StoreError {
-    let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
-    if let Err(e) = check_row(v, &adj[lo..hi], n) {
-        return e;
-    }
-    match adj.get(at..hi).and_then(<[u32]>::first) {
-        Some(&w) if (w as usize) < u => asymmetric(w, v),
-        _ => asymmetric(v as u32, u),
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -726,12 +703,44 @@ mod tests {
         b.absorb(1);
         assert_ne!(a.finish(), b.finish());
         assert_ne!(Checksum::new().finish(), 0);
+        // Two words of one lane, swapped.
+        let words = [1u64, 0, 0, 0, 2];
+        let mut swapped = words;
+        swapped.swap(0, 4);
+        let mut a = Checksum::new();
+        a.absorb_slice(&words);
+        let mut b = Checksum::new();
+        b.absorb_slice(&swapped);
+        assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn bulk_absorption_equals_word_by_word_at_any_lane_offset() {
+        let words: Vec<u64> = (0..23u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+        let mut one = Checksum::new();
+        for &w in &words {
+            one.absorb(w);
+        }
+        for lead in 0..5 {
+            let mut bulk = Checksum::new();
+            for &w in &words[..lead] {
+                bulk.absorb(w);
+            }
+            bulk.absorb_slice(&words[lead..]);
+            assert_eq!(bulk.finish(), one.finish(), "lead {lead}");
+        }
+        let narrow: Vec<u32> = (0..9u32).collect();
+        let mut a = Checksum::new();
+        a.absorb_slice(&narrow);
+        let mut b = Checksum::new();
+        b.absorb_slice(&narrow.iter().map(|&w| u64::from(w)).collect::<Vec<_>>());
+        assert_eq!(a.finish(), b.finish(), "u32 words are zero-extended");
     }
 
     #[test]
     fn expected_len_matches_geometry_and_overflows_cleanly() {
         assert_eq!(expected_len(0, 0).unwrap(), 48);
-        assert_eq!(expected_len(4, 5).unwrap(), 40 + 5 * 8 + 10 * 4);
+        assert_eq!(expected_len(4, 5).unwrap(), 40 + 5 * 8 + 5 * 4);
         assert!(expected_len(usize::MAX - 1, usize::MAX / 2).is_err());
     }
 

@@ -6,16 +6,17 @@
 //! its slice) — in passes:
 //!
 //! 1. **Degree pass**: one replay counts per-vertex emission-inclusive
-//!    degrees and validates endpoints. No edges are stored.
+//!    forward degrees (each edge counts at its lower endpoint, the one
+//!    whose row stores it) and validates endpoints. No edges are stored.
 //! 2. **Window passes**: vertex rows are grouped into windows whose
 //!    total entry count fits the memory budget; one replay per window
-//!    collects only that window's `(row, neighbor)` pairs, sorts and
-//!    deduplicates them, and appends the neighbor words to a temporary
+//!    collects only that window's canonical `(u, v)` pairs, sorts and
+//!    deduplicates them, and appends the `v` words to a temporary
 //!    adjacency file. Duplicate emissions (overlapping triangles,
 //!    colliding extras) are eliminated here, per row, so any emission
 //!    order and multiplicity yields the identical file.
 //! 3. **Assembly pass**: header + offsets are written, the temporary
-//!    adjacency is copied through while the `docs/IO.md` checksum chain
+//!    adjacency is copied through while the `docs/IO.md` lane checksum
 //!    absorbs every word, and the digest is patched into the header.
 //!
 //! Peak memory is `O(n + window)` — the two degree arrays plus one
@@ -128,7 +129,7 @@ fn write_inner(
     n: usize,
     window_entries: usize,
 ) -> Result<WriteSummary, StoreError> {
-    // Pass 1: emission-inclusive degrees + endpoint validation.
+    // Pass 1: emission-inclusive forward degrees + endpoint validation.
     let mut deg_dup = vec![0u64; n];
     let mut bad: Option<String> = None;
     stream.replay(&mut |e| {
@@ -144,7 +145,6 @@ fn write_inner(
             return;
         }
         deg_dup[e.u().index()] += 1;
-        deg_dup[e.v().index()] += 1;
     });
     if let Some(msg) = bad {
         return Err(StoreError::InvalidGraph(msg));
@@ -165,40 +165,34 @@ fn write_inner(
     }
 
     // Pass 2 (× windows): collect, sort, dedup and append each window's
-    // rows to the temporary adjacency file.
+    // rows to the temporary adjacency file. A pair packs as `u << 32 | v`,
+    // so numeric order is canonical edge order.
     let mut deg = vec![0u64; n];
     {
         let mut tmp = std::io::BufWriter::new(File::create(tmp_path)?);
         for &(lo, hi) in &windows {
             let cap = deg_dup[lo..hi].iter().sum::<u64>();
-            let mut pairs: Vec<(u32, u32)> =
+            let mut pairs: Vec<u64> =
                 Vec::with_capacity(usize::try_from(cap).unwrap_or(usize::MAX));
             stream.replay(&mut |e| {
-                let (u, v) = (e.u().0, e.v().0);
-                if (lo..hi).contains(&(u as usize)) {
-                    pairs.push((u, v));
-                }
-                if (lo..hi).contains(&(v as usize)) {
-                    pairs.push((v, u));
+                if (lo..hi).contains(&e.u().index()) {
+                    pairs.push(u64::from(e.u().0) << 32 | u64::from(e.v().0));
                 }
             });
             pairs.sort_unstable();
             pairs.dedup();
-            for &(row, nbr) in &pairs {
-                deg[row as usize] += 1;
-                tmp.write_all(&nbr.to_le_bytes())?;
+            for &pair in &pairs {
+                deg[(pair >> 32) as usize] += 1;
+                tmp.write_all(&(pair as u32).to_le_bytes())?;
             }
         }
         tmp.flush()?;
     }
     drop(deg_dup);
+    let m: u64 = deg.iter().sum();
 
-    let slots: u64 = deg.iter().sum();
-    debug_assert!(slots.is_multiple_of(2), "every edge contributes two slots");
-    let m = slots / 2;
-
-    // Pass 3: assemble header + offsets + adjacency, computing the
-    // checksum chain in spec order, then patch the digest in.
+    // Pass 3: assemble header + offsets + adjacency, absorbing the
+    // payload words in spec order, then patch the digest in.
     let mut w = std::io::BufWriter::new(File::create(path)?);
     w.write_all(&MAGIC)?;
     w.write_all(&VERSION.to_le_bytes())?;
@@ -221,25 +215,28 @@ fn write_inner(
 
     let mut tmp = File::open(tmp_path)?;
     let actual = tmp.metadata()?.len();
-    if actual != slots * 4 {
+    if actual != m * 4 {
         return Err(StoreError::Corrupt(format!(
             "temporary adjacency holds {actual} bytes, expected {}",
-            slots * 4
+            m * 4
         )));
     }
     const CHUNK: usize = 1 << 16; // multiple of 4
     let mut buf = vec![0u8; CHUNK];
-    let mut remaining = usize::try_from(slots * 4).map_err(|_| {
+    let mut words = Vec::with_capacity(CHUNK / 4);
+    let mut remaining = usize::try_from(m * 4).map_err(|_| {
         StoreError::InvalidGraph("adjacency section does not fit this platform".into())
     })?;
     while remaining > 0 {
         let take = remaining.min(CHUNK);
         tmp.read_exact(&mut buf[..take])?;
-        for c in buf[..take].chunks_exact(4) {
-            checksum.absorb(u64::from(u32::from_le_bytes(
-                c.try_into().expect("4 bytes"),
-            )));
-        }
+        words.clear();
+        words.extend(
+            buf[..take]
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))),
+        );
+        checksum.absorb_slice(&words);
         w.write_all(&buf[..take])?;
         remaining -= take;
     }
@@ -247,11 +244,11 @@ fn write_inner(
     let mut file = w.into_inner().map_err(|e| StoreError::Io(e.into_error()))?;
     file.seek(SeekFrom::Start(CHECKSUM_OFFSET))?;
     file.write_all(&checksum.finish().to_le_bytes())?;
-    let file_bytes = 40 + (n as u64 + 1) * 8 + slots * 4;
+    let file_bytes = 40 + (n as u64 + 1) * 8 + m * 4;
 
     Ok(WriteSummary {
         vertices: n,
-        edges: usize::try_from(m).expect("m fits: 2m slots were materialized"),
+        edges: usize::try_from(m).expect("m fits: its pairs were materialized"),
         file_bytes,
         windows: windows.len(),
     })

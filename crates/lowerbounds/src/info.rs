@@ -85,14 +85,16 @@ impl InfoReport {
 /// Panics if `len > 20` (enumeration would be too large).
 pub fn exact_information<M, F>(len: usize, p: f64, f: F) -> InfoReport
 where
-    M: Hash + Eq + Clone,
+    M: Hash + Eq,
     F: Fn(&[bool]) -> M,
 {
     assert!(len <= 20, "enumeration limited to 20 input bits");
     let size = 1usize << len;
-    // P(m) and P(m, X_i = 1).
-    let mut p_m: HashMap<M, f64> = HashMap::new();
-    let mut p_m_xi: HashMap<M, Vec<f64>> = HashMap::new();
+    // P(m) and P(m, X_i = 1), one slot per message in first-seen order,
+    // so every sum below runs in the same order on every call.
+    let mut slot_of: HashMap<M, usize> = HashMap::new();
+    let mut p_m: Vec<f64> = Vec::new();
+    let mut p_m_xi: Vec<Vec<f64>> = Vec::new();
     let mut input = vec![false; len];
     for mask in 0..size {
         let mut weight = 1.0;
@@ -103,20 +105,22 @@ where
         if weight == 0.0 {
             continue;
         }
-        let m = f(&input);
-        *p_m.entry(m.clone()).or_insert(0.0) += weight;
-        let slot = p_m_xi.entry(m).or_insert_with(|| vec![0.0; len]);
+        let slot = *slot_of.entry(f(&input)).or_insert_with(|| {
+            p_m.push(0.0);
+            p_m_xi.push(vec![0.0; len]);
+            p_m.len() - 1
+        });
+        p_m[slot] += weight;
         for (i, b) in input.iter().enumerate() {
             if *b {
-                slot[i] += weight;
+                p_m_xi[slot][i] += weight;
             }
         }
     }
-    let message_entropy = entropy(&p_m.values().copied().collect::<Vec<_>>());
+    let message_entropy = entropy(&p_m);
     // I(X_i; M) = Σ_m P(m)·D( P(X_i | m) ‖ P(X_i) ).
     let mut per_bit = vec![0.0; len];
-    for (m, pm) in &p_m {
-        let joint = &p_m_xi[m];
+    for (pm, joint) in p_m.iter().zip(&p_m_xi) {
         for i in 0..len {
             let q = joint[i] / pm;
             per_bit[i] += pm * bernoulli_kl(q.clamp(0.0, 1.0), p);
@@ -173,6 +177,22 @@ mod tests {
             assert!((b - h).abs() < 1e-9, "each bit fully revealed");
         }
         assert!(report.superadditivity_slack().abs() < 1e-9);
+    }
+
+    #[test]
+    fn repeated_calls_give_bit_identical_reports() {
+        // Many distinct messages: a sum in hash-map order would change
+        // its rounding from one call to the next.
+        let f = |x: &[bool]| x[..10].iter().fold(0u32, |acc, &b| 2 * acc + u32::from(b));
+        let first = exact_information(12, 0.3, f);
+        let bits = |r: &InfoReport| {
+            let mut out = vec![r.message_entropy.to_bits(), r.total_information.to_bits()];
+            out.extend(r.per_bit.iter().map(|b| b.to_bits()));
+            out
+        };
+        for _ in 0..20 {
+            assert_eq!(bits(&exact_information(12, 0.3, f)), bits(&first));
+        }
     }
 
     #[test]

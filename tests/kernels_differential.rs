@@ -15,17 +15,86 @@
 //! * two runs of the greedy removal yield the identical `Vec` — the
 //!   `HashSet`-iteration-order nondeterminism is gone;
 //! * `distance::exact_distance` (forbidden-set pruned, view-backed) is
-//!   unchanged on small instances.
+//!   unchanged on small instances;
+//! * `triangle_edges_par` allocates per edge, not per triangle, measured
+//!   on a clique by a counting global allocator in this test binary.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use triad::comm::pool::Pool;
 use triad::graph::generators::{far_graph, gnp, TripartiteMu};
-use triad::graph::kernels::{self, naive, DeletionView};
+use triad::graph::kernels::{self, naive, DeletionView, SerialExecutor};
 use triad::graph::{distance, triangles, Graph};
 
 const SEEDS: [u64; 4] = [1, 7, 42, 1000003];
 const THREADS: [usize; 3] = [1, 2, 8];
+
+/// Counts the bytes each thread has live, and its peak.
+struct Counting;
+
+thread_local! {
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+/// Charges `delta` bytes to this thread.
+fn charge(delta: isize) {
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + delta;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
+
+// SAFETY: every method forwards to `System` with the caller's own
+// arguments, so `System`'s guarantees are this allocator's; the counters
+// are thread-local `Cell`s whose const initialisers never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        charge(layout.size() as isize);
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        charge(layout.size() as isize);
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, hence from `System`,
+        // with this `layout`.
+        unsafe { System.dealloc(ptr, layout) };
+        charge(-(layout.size() as isize));
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `ptr` came from `System` with `layout`, and the caller
+        // upholds `realloc`'s contract for `new_size`.
+        let out = unsafe { System.realloc(ptr, layout, new_size) };
+        if !out.is_null() {
+            charge(new_size as isize - layout.size() as isize);
+        }
+        out
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `f` and returns its result with the peak number of bytes this
+/// thread had allocated on top of what was live when `f` started.
+fn peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(base));
+    let out = f();
+    let peak = PEAK.with(Cell::get) - base;
+    (out, peak.max(0) as usize)
+}
 
 /// The generator matrix: one small instance per (kind, seed).
 fn workloads(seed: u64) -> Vec<(String, Graph)> {
@@ -98,6 +167,35 @@ fn parallel_kernels_are_thread_count_independent() {
             }
         }
     }
+}
+
+#[test]
+fn parallel_triangle_edges_on_a_clique_allocate_per_edge_not_per_triangle() {
+    // K_160: 12 720 edges, 669 920 triangles. One index per triangle
+    // edge would be 16 MB; the shared marks are one byte per edge.
+    let n = 160u32;
+    let g = Graph::from_edges(
+        n as usize,
+        (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v))),
+    );
+    let m = g.edge_count();
+    let edges = naive::triangle_edges(&g);
+    assert_eq!(edges.len(), m);
+    for threads in THREADS {
+        assert_eq!(
+            kernels::triangle_edges_par(&g, &Pool::new(threads)),
+            edges,
+            "clique @ {threads} threads: triangle edges"
+        );
+    }
+    // The serial executor runs every shard on this thread, so the
+    // per-thread peak is the kernel's whole footprint.
+    let (serial, peak) = peak_of(|| kernels::triangle_edges_par(&g, &SerialExecutor));
+    assert_eq!(serial, edges);
+    assert!(
+        peak <= 32 * m + (64 << 10),
+        "triangle_edges_par allocated {peak} bytes for {m} edges"
+    );
 }
 
 #[test]

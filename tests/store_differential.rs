@@ -22,11 +22,11 @@ use rand_chacha::ChaCha8Rng;
 
 use triad::comm::pool::Pool;
 use triad::graph::kernels::{self, Forward};
-use triad::graph::partition::{random_disjoint, Partition};
+use triad::graph::partition::{by_vertex, random_disjoint, Partition};
 use triad::graph::store::{
     write_csr, FarStream, GnpStream, StoreError, HEADER_BYTES, MAGIC, VERSION,
 };
-use triad::graph::{CsrStore, Graph};
+use triad::graph::{AsCsr, CsrStore, Graph, VertexId};
 use triad::protocols::amplify::{run_amplified_prepared, PreparedInput};
 use triad::protocols::baseline::SendEverything;
 use triad::protocols::{
@@ -192,6 +192,13 @@ fn kernels_agree_across_backings_and_thread_counts() {
     let store = CsrStore::open(&path).unwrap();
     let owned = CsrStore::open_owned(&path).unwrap();
     let g = store.to_graph();
+    // Allocation evidence: a mapped store owns no heap until a kernel
+    // asks for full rows; the owned backing holds exactly its sections.
+    let (n, m) = (store.vertex_count(), store.edge_count());
+    if store.mapped() {
+        assert_eq!(store.owned_bytes(), 0);
+    }
+    assert_eq!(owned.owned_bytes(), (n + 1) * 8 + m * 4);
 
     let reference = kernels::count_triangles(&g);
     let fwd = Forward::build(&store);
@@ -212,12 +219,65 @@ fn kernels_agree_across_backings_and_thread_counts() {
         "witness presence must match the count"
     );
 
-    // Allocation evidence: the mapped store owns only the (n+1)-word
-    // forward index; the adjacency lives in the mapping.
+    // The forward kernel read full rows, so both stores now hold the
+    // transpose: `n + 1` offsets and `2m` neighbor slots.
+    let rows = (n + 1) * std::mem::size_of::<usize>() + 2 * m * 4;
     if store.mapped() {
-        assert_eq!(store.owned_bytes(), (store.vertex_count() + 1) * 8);
+        assert_eq!(store.owned_bytes(), rows);
     }
-    assert!(owned.owned_bytes() > store.vertex_count() * 8);
+    assert_eq!(owned.owned_bytes(), (n + 1) * 8 + m * 4 + rows);
+    for v in g.vertices() {
+        assert_eq!(store.neighbors(v), g.neighbors(v));
+        assert_eq!(owned.neighbors(v), g.neighbors(v));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn the_graph_file_query_path_never_builds_the_transpose() {
+    // What `triad test --graph-file --scheme vertex` does: open, partition
+    // by vertex, prepare, run, and check a witness against the store.
+    let dir = tempdir("no-transpose");
+    let path = dir.join("g.csr");
+    write_csr(
+        &path,
+        &GnpStream::with_average_degree(400, 12.0, 23).unwrap(),
+    )
+    .unwrap();
+    let store = CsrStore::open(&path).unwrap();
+    let g = store.to_graph();
+    let owned_before = store.owned_bytes();
+    if store.mapped() {
+        assert_eq!(owned_before, 0, "a mapped store owns no heap after open");
+    }
+    let parts = by_vertex(&store, 4);
+    assert_eq!(parts, by_vertex(&g, 4), "by_vertex is backing-invariant");
+    let input = PreparedInput::from_partition(store.vertex_count(), &parts).unwrap();
+    let tester = SimultaneousTester::new(
+        Tuning::practical(EPS),
+        SimProtocolKind::Low {
+            avg_degree: store.average_degree(),
+        },
+    );
+    let run = run_amplified_prepared(&Pool::serial(), &tester, &input, REPS, 7).unwrap();
+    for &e in g.edges() {
+        assert!(store.edge_index(e).is_some() && store.has_edge(e));
+    }
+    if let Some(t) = run.outcome.triangle() {
+        assert!(t.edges().iter().all(|&e| store.edge_index(e).is_some()));
+    }
+    assert_eq!(
+        store.owned_bytes(),
+        owned_before,
+        "the query path built the transpose"
+    );
+    // The first full-row read builds it, once.
+    let (n, m) = (store.vertex_count(), store.edge_count());
+    let rows = (n + 1) * std::mem::size_of::<usize>() + 2 * m * 4;
+    assert_eq!(store.neighbors(VertexId(0)), g.neighbors(VertexId(0)));
+    assert_eq!(store.owned_bytes(), owned_before + rows);
+    assert_eq!(store.degree(VertexId(5)), g.degree(VertexId(5)));
+    assert_eq!(store.owned_bytes(), owned_before + rows);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -265,20 +325,14 @@ proptest! {
 
 /// A valid triangle file (n = 3, edges 01/02/12) whose layout the
 /// corruption cases patch byte-by-byte: header 0..40, four u64 offsets
-/// `[0, 2, 4, 6]` at 40..72, six u32 adjacency slots
-/// `[1,2, 0,2, 0,1]` at 72..96.
+/// `[0, 2, 3, 3]` at 40..72, three u32 adjacency slots `[1, 2, 2]` (rows
+/// `[1, 2]`, `[2]`, `[]`) at 72..84.
 fn triangle_bytes(dir: &Path) -> Vec<u8> {
     graph_bytes(
         dir,
         "tri",
         &Graph::from_edges(3, [(0u32, 1u32), (0, 2), (1, 2)]),
     )
-}
-
-/// A valid path file (n = 3, edges 01/12): offsets `[0, 1, 3, 4]`,
-/// adjacency `[1, 0,2, 1]` — the seed for the asymmetry case.
-fn path_bytes(dir: &Path) -> Vec<u8> {
-    graph_bytes(dir, "path", &Graph::from_edges(3, [(0u32, 1u32), (1, 2)]))
 }
 
 /// The container bytes `write_csr` produces for `g`.
@@ -288,6 +342,29 @@ fn graph_bytes(dir: &Path, tag: &str, g: &Graph) -> Vec<u8> {
     std::fs::read(&path).unwrap()
 }
 
+/// The same triangle in the version 1 layout (both copies of every edge,
+/// `offsets[n] = 2m`, one serial checksum chain), as the v1 writer
+/// produced it.
+fn triangle_v1_bytes() -> Vec<u8> {
+    let (n, m) = (3u64, 3u64);
+    let offsets = [0u64, 2, 4, 6];
+    let adj = [1u32, 2, 0, 2, 0, 1];
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    for w in [n, m].into_iter().chain(offsets).chain(adj.map(u64::from)) {
+        state = mix64(state ^ w);
+    }
+    let mut b = MAGIC.to_vec();
+    b.extend_from_slice(&1u32.to_le_bytes());
+    b.extend_from_slice(&0u32.to_le_bytes());
+    for w in [n, m, state].into_iter().chain(offsets) {
+        b.extend_from_slice(&w.to_le_bytes());
+    }
+    for w in adj {
+        b.extend_from_slice(&w.to_le_bytes());
+    }
+    b
+}
+
 fn open_bytes(dir: &Path, tag: &str, bytes: &[u8]) -> Result<CsrStore, StoreError> {
     let path = dir.join(format!("{tag}.csr"));
     std::fs::write(&path, bytes).unwrap();
@@ -295,9 +372,9 @@ fn open_bytes(dir: &Path, tag: &str, bytes: &[u8]) -> Result<CsrStore, StoreErro
     let owned = CsrStore::open_owned(&path);
     let auto = CsrStore::open(&path);
     assert_eq!(
-        owned.is_err(),
-        auto.is_err(),
-        "{tag}: backings disagree on validity"
+        owned.as_ref().err().map(ToString::to_string),
+        auto.as_ref().err().map(ToString::to_string),
+        "{tag}: backings disagree"
     );
     auto
 }
@@ -314,7 +391,7 @@ fn put_u32(bytes: &mut [u8], at: usize, v: u32) {
 fn every_corruption_is_rejected_with_the_precise_error() {
     let dir = tempdir("reject");
     let tri = triangle_bytes(&dir);
-    assert_eq!(tri.len(), HEADER_BYTES + 4 * 8 + 6 * 4);
+    assert_eq!(tri.len(), HEADER_BYTES + 4 * 8 + 3 * 4);
     assert_eq!(&tri[0..8], &MAGIC);
     assert!(open_bytes(&dir, "valid", &tri).is_ok());
 
@@ -348,7 +425,7 @@ fn every_corruption_is_rejected_with_the_precise_error() {
         open_bytes(&dir, "magic", &b),
         Err(StoreError::BadMagic)
     ));
-    for bad_version in [0u32, VERSION + 1] {
+    for bad_version in [0u32, 1, VERSION + 1] {
         let mut b = tri.clone();
         put_u32(&mut b, 8, bad_version);
         assert!(matches!(
@@ -356,6 +433,12 @@ fn every_corruption_is_rejected_with_the_precise_error() {
             Err(StoreError::BadVersion(v)) if v == bad_version
         ));
     }
+    // A genuine version 1 file is refused by its version word, before
+    // its geometry (which v2 would read as trailing bytes) is looked at.
+    assert!(matches!(
+        open_bytes(&dir, "v1-file", &triangle_v1_bytes()),
+        Err(StoreError::BadVersion(1))
+    ));
     let mut b = tri.clone();
     put_u32(&mut b, 12, 0x8000_0001);
     assert!(matches!(
@@ -378,7 +461,7 @@ fn every_corruption_is_rejected_with_the_precise_error() {
         other => panic!("oversized n accepted: {other:?}"),
     }
     let mut b = tri[..HEADER_BYTES].to_vec();
-    put_u64(&mut b, 24, u64::MAX); // m whose slot count overflows
+    put_u64(&mut b, 24, u64::MAX); // m whose section size overflows
     assert!(open_bytes(&dir, "huge-m", &b).is_err());
     let mut b = tri[..HEADER_BYTES].to_vec();
     put_u64(&mut b, 16, 1_000_000_000); // plausible n, 40-byte file
@@ -394,8 +477,7 @@ fn every_corruption_is_rejected_with_the_precise_error() {
         ("offsets-decrease", 2, 1, "decrease"),
         // An offset past a later row's start is also a decrease —
         // monotonicity plus the pinned final offset bound every row,
-        // and both are checked before any adjacency byte is sliced
-        // (a decreasing mate-row offset once panicked here).
+        // and both are checked before any adjacency byte is sliced.
         ("offsets-overrun", 1, 7, "decrease"),
     ] {
         let mut b = tri.clone();
@@ -407,94 +489,88 @@ fn every_corruption_is_rejected_with_the_precise_error() {
     }
 
     // -- adjacency section -------------------------------------------------
-    for (tag, slot, value, needle) in [
-        ("neighbor-range", 1usize, 5u32, "≥ n"),
-        ("self-loop", 0, 0, "self-loop"),
-        ("row-unsorted", 0, 2, "strictly increasing"),
+    for (tag, patch, expected) in [
+        (
+            "neighbor-range",
+            &[(1usize, 5u32)][..],
+            "row 0 references vertex 5 ≥ n = 3",
+        ),
+        ("self-loop", &[(2, 1)][..], "self-loop at vertex 1"),
+        (
+            "below-row",
+            &[(2, 0)][..],
+            "row 1 holds 0, below 1: a row holds only higher neighbors",
+        ),
+        (
+            "row-unsorted",
+            &[(0, 2), (1, 1)][..],
+            "row 0 is not strictly increasing (2 then 1)",
+        ),
+        (
+            "row-duplicate",
+            &[(0, 2)][..],
+            "row 0 is not strictly increasing (2 then 2)",
+        ),
     ] {
         let mut b = tri.clone();
-        put_u32(&mut b, adj_at(slot), value);
-        if tag == "row-unsorted" {
-            put_u32(&mut b, adj_at(1), 1); // row 0 becomes [2, 1]
+        for &(slot, value) in patch {
+            put_u32(&mut b, adj_at(slot), value);
         }
         match open_bytes(&dir, tag, &b) {
-            Err(StoreError::Corrupt(msg)) => assert!(msg.contains(needle), "{tag}: {msg}"),
+            Err(StoreError::Corrupt(msg)) => assert_eq!(msg, expected, "{tag}"),
             other => panic!("{tag} accepted: {other:?}"),
         }
-    }
-    // Asymmetry needs the path graph: rewriting row 0 from [1] to [2]
-    // leaves every row sorted and in range, but 0 ∉ row 2.
-    let path = path_bytes(&dir);
-    let mut b = path.clone();
-    put_u32(&mut b, HEADER_BYTES + 4 * 8, 2);
-    match open_bytes(&dir, "asymmetric", &b) {
-        Err(StoreError::Corrupt(msg)) => assert!(msg.contains("asymmetric"), "{msg}"),
-        other => panic!("asymmetric edge accepted: {other:?}"),
-    }
-    // The first defect reached is an unmatched backward entry: edges
-    // 02/23 (rows [2], [], [0,3], [2]) with row 2's 3 rewritten to 1.
-    // Row 0 names 2 and is matched, row 1 names nothing, so on reaching
-    // row 2 its cursor stops at the 1 that no row named.
-    let g = Graph::from_edges(4, [(0u32, 2u32), (2, 3)]);
-    let mut b = graph_bytes(&dir, "unmatched-backward", &g);
-    put_u32(&mut b, HEADER_BYTES + 5 * 8 + 2 * 4, 1);
-    match open_bytes(&dir, "unmatched-backward", &b) {
-        Err(StoreError::Corrupt(msg)) => assert_eq!(
-            msg, "asymmetric edge: 1 ∈ row 2 but 2 ∉ row 1",
-            "the row-completeness check must name the pair"
-        ),
-        other => panic!("unmatched backward entry accepted: {other:?}"),
-    }
-    // A cursor that runs past the end of its row: edges 02/13 (rows [2],
-    // [3], [0], [1]) with row 1's 3 rewritten to 2. Row 1's entry 2
-    // finds row 2 fully matched and matches the 1 just past it (row 3's
-    // first slot), so the overrun shows when the walk reaches row 2.
-    let g = Graph::from_edges(4, [(0u32, 2u32), (1, 3)]);
-    let mut b = graph_bytes(&dir, "cursor-overrun", &g);
-    put_u32(&mut b, HEADER_BYTES + 5 * 8 + 4, 2);
-    match open_bytes(&dir, "cursor-overrun", &b) {
-        Err(StoreError::Corrupt(msg)) => {
-            assert_eq!(msg, "asymmetric edge: 2 ∈ row 1 but 1 ∉ row 2")
-        }
-        other => panic!("overrun cursor accepted: {other:?}"),
     }
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The docs/IO.md checksum chain over a file's payload, for re-patching
+/// The docs/IO.md lane checksum over a file's payload, for re-sealing
 /// the header after a corruption so the structural checks alone must
 /// catch it.
 fn payload_checksum(bytes: &[u8]) -> u64 {
-    let mix64 = |mut x: u64| {
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
-    };
+    const IV: u64 = 0x9E37_79B9_7F4A_7C15;
     let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
     let n = word(16) as usize;
-    let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    for w in [word(16), word(24)] {
-        state = mix64(state ^ w);
-    }
     let adj_at = HEADER_BYTES + (n + 1) * 8;
-    for at in (HEADER_BYTES..adj_at).step_by(8) {
-        state = mix64(state ^ word(at));
+    let words = [word(16), word(24)]
+        .into_iter()
+        .chain((HEADER_BYTES..adj_at).step_by(8).map(word))
+        .chain(
+            bytes[adj_at..]
+                .chunks_exact(4)
+                .map(|c| u64::from(u32::from_le_bytes(c.try_into().unwrap()))),
+        );
+    let mut lanes = [IV, IV + 1, IV + 2, IV + 3];
+    for (i, w) in words.enumerate() {
+        lanes[i % 4] = mix64(lanes[i % 4] ^ w);
     }
-    for c in bytes[adj_at..].chunks_exact(4) {
-        state = mix64(state ^ u64::from(u32::from_le_bytes(c.try_into().unwrap())));
-    }
-    state
+    lanes
+        .into_iter()
+        .fold(IV, |state, lane| mix64(state ^ lane))
+}
+
+/// The splitmix64 finalizer the checksum is built from.
+fn mix64(mut x: u64) -> u64 {
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
 }
 
 #[test]
 fn every_one_word_adjacency_corruption_is_rejected_truthfully() {
+    // One adjacency word moved to any other value in `0..=n`. With the
+    // header's checksum left stale, every such file is rejected. Re-sealed
+    // with a valid checksum, the structural checks alone decide: a
+    // rejection must name a defect the bytes really have, and a file
+    // that keeps every rule (the word moved within its row's gap) is
+    // another graph, accepted as exactly the graph its rows name.
     let dir = tempdir("mutate");
     let mut rng = ChaCha8Rng::seed_from_u64(14);
-    let mut cases = 0;
-    while cases < 150 {
+    let (mut rejected, mut accepted) = (0, 0);
+    for case in 0..300 {
         let n: usize = rng.gen_range(2..24);
         let pairs: Vec<(u32, u32)> = (0..rng.gen_range(1..3 * n))
             .map(|_| (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32)))
@@ -505,81 +581,90 @@ fn every_one_word_adjacency_corruption_is_rejected_truthfully() {
             continue;
         }
         let bytes = graph_bytes(&dir, "mutate", &g);
-        let offsets_at = |v: usize| HEADER_BYTES + v * 8;
         let offset = |v: usize| {
-            u64::from_le_bytes(bytes[offsets_at(v)..offsets_at(v) + 8].try_into().unwrap()) as usize
+            let at = HEADER_BYTES + v * 8;
+            u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
         };
         let slot_at = |i: usize| HEADER_BYTES + (n + 1) * 8 + i * 4;
-        let slot = |b: &[u8], i: usize| {
-            u32::from_le_bytes(b[slot_at(i)..slot_at(i) + 4].try_into().unwrap())
+        let i = rng.gen_range(0..g.edge_count());
+        let old = u32::from_le_bytes(bytes[slot_at(i)..slot_at(i) + 4].try_into().unwrap());
+        let new = loop {
+            let x = rng.gen_range(0..n as u32 + 1);
+            if x != old {
+                break x;
+            }
         };
-
-        // One adjacency word moved to another value that keeps its row
-        // strictly increasing and in range.
-        let i = rng.gen_range(0..2 * g.edge_count());
-        let row = (0..n)
-            .find(|&v| offset(v) <= i && i < offset(v + 1))
-            .unwrap();
-        let below = if i > offset(row) {
-            slot(&bytes, i - 1) + 1
-        } else {
-            0
-        };
-        let above = if i + 1 < offset(row + 1) {
-            slot(&bytes, i + 1)
-        } else {
-            n as u32
-        };
-        let old = slot(&bytes, i);
-        let choices: Vec<u32> = (below..above).filter(|&x| x != old).collect();
-        if choices.is_empty() {
-            continue;
-        }
-        cases += 1;
         let mut corrupt = bytes.clone();
-        put_u32(
-            &mut corrupt,
-            slot_at(i),
-            choices[rng.gen_range(0..choices.len())],
-        );
-        let rows: Vec<std::collections::BTreeSet<u32>> = (0..n)
+        put_u32(&mut corrupt, slot_at(i), new);
+        let rows: Vec<Vec<u32>> = (0..n)
             .map(|v| {
                 (offset(v)..offset(v + 1))
-                    .map(|j| slot(&corrupt, j))
+                    .map(|j| {
+                        u32::from_le_bytes(corrupt[slot_at(j)..slot_at(j) + 4].try_into().unwrap())
+                    })
                     .collect()
             })
             .collect();
+        let mut sealed = corrupt.clone();
+        put_u64(&mut sealed, 32, payload_checksum(&corrupt));
 
-        let mut patched = corrupt.clone();
-        put_u64(&mut patched, 32, payload_checksum(&corrupt));
-        for (tag, b) in [("stale", &corrupt), ("patched", &patched)] {
-            let path = dir.join(format!("mutate-{tag}.csr"));
-            std::fs::write(&path, b).unwrap();
-            let (mapped, owned) = (CsrStore::open(&path), CsrStore::open_owned(&path));
-            let msg = match (mapped, owned) {
-                (Err(StoreError::Corrupt(a)), Err(StoreError::Corrupt(o))) => {
-                    assert_eq!(a, o, "backings disagree on the defect");
-                    a
-                }
-                other => panic!("case {cases} ({tag}): corruption not rejected: {other:?}"),
-            };
-            // The structural battery fires, never the checksum: one moved
-            // word always breaks symmetry (or makes a self-loop).
-            if let Some(pair) = msg.strip_prefix("asymmetric edge: ") {
-                let num = |s: &str| s.trim().parse::<u32>().unwrap();
-                let (a, rest) = pair.split_once(" ∈ row ").unwrap();
-                let (b, _) = rest.split_once(" but ").unwrap();
-                let (a, b) = (num(a), num(b));
+        let stale = open_bytes(&dir, "mutate-stale", &corrupt);
+        assert!(stale.is_err(), "case {case}: a stale checksum was accepted");
+        match open_bytes(&dir, "mutate-sealed", &sealed) {
+            Ok(store) => {
+                accepted += 1;
                 assert!(
-                    rows[b as usize].contains(&a) && !rows[a as usize].contains(&b),
-                    "case {cases} ({tag}): \"{msg}\" is false of the bytes"
+                    matches!(stale, Err(StoreError::Corrupt(ref m)) if m.contains("checksum")),
+                    "case {case}: a structurally valid file failed otherwise: {stale:?}"
                 );
-            } else {
-                assert!(msg.starts_with("self-loop"), "case {cases} ({tag}): {msg}");
+                let named = Graph::from_edges(
+                    n,
+                    rows.iter()
+                        .enumerate()
+                        .flat_map(|(u, row)| row.iter().map(move |&w| (u as u32, w))),
+                );
+                assert_eq!(store.to_graph(), named, "case {case}");
+                let again = graph_bytes(&dir, "mutate-again", &named);
+                assert_eq!(again, sealed, "case {case}: two encodings of one graph");
             }
+            Err(StoreError::Corrupt(msg)) => {
+                rejected += 1;
+                assert!(
+                    defect_is_true(&msg, &rows, n),
+                    "case {case}: \"{msg}\" is false of the bytes {rows:?}"
+                );
+            }
+            Err(other) => panic!("case {case}: unexpected rejection {other}"),
         }
     }
+    assert!(
+        rejected > 50 && accepted > 10,
+        "{rejected} rejected, {accepted} accepted"
+    );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Whether the validator's message `msg` describes a defect `rows` has.
+fn defect_is_true(msg: &str, rows: &[Vec<u32>], n: usize) -> bool {
+    let nums: Vec<usize> = msg
+        .split(|c: char| !c.is_ascii_digit())
+        .filter(|s| !s.is_empty())
+        .map(|s| s.parse().unwrap())
+        .collect();
+    let row = |u: usize| &rows[u][..];
+    if msg.starts_with("self-loop at vertex") {
+        row(nums[0]).contains(&(nums[0] as u32))
+    } else if msg.contains("references vertex") {
+        nums[2] == n && nums[1] >= n && row(nums[0]).contains(&(nums[1] as u32))
+    } else if msg.contains("below") {
+        nums[1] < nums[0] && row(nums[0]).contains(&(nums[1] as u32))
+    } else if msg.contains("not strictly increasing") {
+        row(nums[0])
+            .windows(2)
+            .any(|w| w[0] as usize == nums[1] && w[1] as usize == nums[2] && w[1] <= w[0])
+    } else {
+        false
+    }
 }
 
 #[test]

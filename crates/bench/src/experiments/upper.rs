@@ -5,7 +5,7 @@ use crate::fit::fit_power_law;
 use crate::table::{f, Report};
 use crate::workloads::{mean_over_seeds, planted_far};
 use triad_comm::pool::Pool;
-use triad_comm::{CostModel, Runtime, SharedRandomness, Tally};
+use triad_comm::{CostModel, Recorder, Runtime, SharedRandomness, Tally};
 use triad_protocols::{
     PreparedInput, Repeatable, SimProtocolKind, SimultaneousTester, Tuning, UnrestrictedTester,
 };

@@ -189,8 +189,12 @@ pub fn peak_rss_mb() -> Option<f64> {
 }
 
 /// Best-of-`reps` wall-clock time of `f`, in milliseconds, together with
-/// the (identical across reps) result of the final run.
-fn time_best<T: PartialEq + std::fmt::Debug, F: FnMut() -> T>(reps: usize, mut f: F) -> (f64, T) {
+/// the (identical across reps) result of the final run. Shared with the
+/// amplified-sweep timings of [`crate::runtime`].
+pub(crate) fn time_best<T: PartialEq + std::fmt::Debug, F: FnMut() -> T>(
+    reps: usize,
+    mut f: F,
+) -> (f64, T) {
     let mut best = f64::INFINITY;
     let mut result = None;
     for _ in 0..reps.max(1) {

@@ -11,7 +11,7 @@ use crate::predict;
 use crate::workloads::Workload;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use triad_comm::{CostReport, ReportParams, Transcript};
+use triad_comm::{CostReport, Recorder, ReportParams};
 use triad_graph::generators;
 use triad_graph::partition::random_disjoint;
 use triad_protocols::{
@@ -153,13 +153,10 @@ pub fn run_protocol(
 /// predicted bound when the protocol has one. The run's parameters
 /// arrive bundled as a [`ReportParams`] (the same struct the report
 /// embeds), not as a positional argument list.
-pub fn report_for_run(
-    params: ReportParams,
-    run: &ProtocolRun,
-    transcript: &Transcript,
-) -> CostReport {
+pub fn report_for_run(params: ReportParams, run: &ProtocolRun) -> CostReport {
     let (protocol, n, d, k) = (params.protocol.clone(), params.n, params.d, params.k);
-    let report = CostReport::from_transcript(params, run.outcome_str(), run.stats, transcript);
+    let report =
+        CostReport::from_tally(params, run.outcome_str(), run.stats, run.transcript.tally());
     match predict::for_protocol(&protocol, n, d, k) {
         Some(p) => report.with_predicted(p.formula, p.bits),
         None => report,
@@ -202,7 +199,7 @@ pub fn run_report(
         eps,
         seed,
     };
-    Ok(report_for_run(params, &run, &run.transcript))
+    Ok(report_for_run(params, &run))
 }
 
 /// The standard cost suite: every protocol on the planted workload at

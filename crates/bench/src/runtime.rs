@@ -25,10 +25,10 @@
 //! the recorder and prepared-input design.
 
 use crate::experiments::Scale;
+use crate::kernels::time_best;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::time::Instant;
 use triad_comm::pool::Pool;
 use triad_comm::{
     run_simultaneous_prepared, CommStats, CostModel, PayloadRepr, PlayerState, Recorder, Runtime,
@@ -139,23 +139,6 @@ impl RuntimeTiming {
         s.push('}');
         s
     }
-}
-
-/// Best-of-`reps` wall-clock time of `f`, in milliseconds, with the
-/// (identical across reps) result of the final run.
-fn time_best<T: PartialEq + std::fmt::Debug, F: FnMut() -> T>(reps: usize, mut f: F) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut result = None;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let r = f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-        if let Some(prev) = &result {
-            assert!(prev == &r, "timed sweep is not deterministic");
-        }
-        result = Some(r);
-    }
-    (best, result.expect("at least one rep ran"))
 }
 
 /// A deterministic triangle-free (bipartite) workload: `n/2 · d/2`
@@ -406,7 +389,7 @@ pub fn time_unrestricted_sweep(
             ProtocolRun {
                 outcome,
                 stats: rt.stats(),
-                transcript: rt.into_transcript(),
+                transcript: rt.into_recorder(),
             }
         })
     });

@@ -399,10 +399,10 @@ pub fn test(args: &ArgMap) -> Result<String, CliError> {
         ));
     }
     if breakdown {
-        // Per-phase bit breakdown needs transcript access: drive the
-        // runtime directly.
-        use triad_comm::{Runtime, SharedRandomness};
-        let mut rt = Runtime::local(
+        // The per-label breakdown is read from the runtime's recorder:
+        // drive the runtime directly.
+        use triad_comm::{Runtime, SharedRandomness, Tally};
+        let mut rt = Runtime::<Tally>::local_with(
             g.vertex_count(),
             parts.shares(),
             SharedRandomness::new(seed),
@@ -416,7 +416,7 @@ pub fn test(args: &ArgMap) -> Result<String, CliError> {
             Some(t) => format!("triangle {t}\n"),
             None => "accepted (no triangle found)\n".to_string(),
         });
-        for row in rt.transcript().breakdown() {
+        for row in rt.recorder().breakdown() {
             out.push_str(&format!(
                 "  {:<18} {:>10} bits  {:>8} messages\n",
                 row.label, row.bits, row.messages
@@ -612,7 +612,6 @@ pub fn report(args: &ArgMap) -> Result<String, CliError> {
             seed,
         },
         &run,
-        &run.transcript,
     );
     if let Some(path) = args.optional("transcript") {
         run.transcript

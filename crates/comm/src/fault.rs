@@ -1,9 +1,9 @@
 //! Seeded, deterministic fault injection for coordinator protocols.
 //!
-//! The paper analyzes a failure-free coordinator model, but the threaded
-//! transport already has real failure modes (a player thread can panic
-//! and hang up), and distributed triangle-detection work treats message
-//! loss as first-class. This module makes faults *measurable*: a
+//! The paper analyzes a failure-free coordinator model, but the TCP
+//! transport already has real failure modes (a player can hang up or
+//! miss its read deadline), and distributed triangle-detection work
+//! treats message loss as first-class. This module makes faults *measurable*: a
 //! [`FaultPlan`] decides, reproducibly per `(seed, rep, player,
 //! request-index)`, whether a delivery is dropped, delayed, duplicated,
 //! corrupted, or whether the player crashes outright; a

@@ -12,11 +12,11 @@
 //!
 //! * an exact bit-cost model ([`bits`], [`message::Payload`]),
 //! * transcripts and statistics ([`transcript`]),
-//! * pluggable cost recorders — the full event log or an allocation-free
-//!   counter tally with identical totals ([`recorder`]),
+//! * pluggable cost recorders — an allocation-free counter tally, or the
+//!   full event log over one ([`recorder`]),
 //! * free shared randomness realized as a PRF ([`rand`]),
 //! * player state with typed request handlers ([`player`], [`request`]),
-//! * runtimes — sequential and one-thread-per-player — under a common
+//! * runtimes — sequential in-process and TCP — under a common
 //!   cost-accounting [`runtime::Runtime`], with coordinator and blackboard
 //!   charging models,
 //! * the one-round simultaneous framework ([`simultaneous`]),
@@ -83,12 +83,12 @@ pub use report::{
 pub use request::PlayerRequest;
 pub use runtime::{
     CostModel, LocalTransport, RunError, RunErrorKind, Runtime, SharedTransport, TcpTransport,
-    ThreadedTransport, Transport, TransportError, DEFAULT_NET_TIMEOUT, DEFAULT_RETRY_BUDGET,
+    Transport, TransportError, DEFAULT_NET_TIMEOUT, DEFAULT_RETRY_BUDGET,
 };
 pub use scheduler::{run_sessions, FnSession, SessionHandle, SessionJob};
 pub use simultaneous::{
-    run_simultaneous, run_simultaneous_collected, run_simultaneous_prepared,
-    run_simultaneous_threaded, SimMessage, SimRun, SimultaneousProtocol,
+    run_simultaneous, run_simultaneous_collected, run_simultaneous_prepared, SimMessage, SimRun,
+    SimultaneousProtocol,
 };
 pub use streaming::{
     run_stream, stream_as_one_way, EdgeReservoir, StreamAlgorithm, StreamOneWayRun, StreamRun,

@@ -41,8 +41,8 @@
 //! assert_eq!(parallel, serial);
 //! ```
 
-use crossbeam::channel::unbounded;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 /// Process-wide thread-count override (0 = unset). Set once at startup
 /// by the CLI's `--threads` flag; read by [`Pool::current`].
@@ -79,10 +79,11 @@ pub fn configured_threads() -> usize {
 
 /// A scoped worker pool with deterministic, index-ordered reduction.
 ///
-/// The pool owns no threads between calls: each combinator spawns scoped
-/// workers (crossbeam scoped threads over crossbeam channels) and joins
-/// them before returning, so borrowing inputs from the caller's stack is
-/// free and no shutdown protocol exists to get wrong.
+/// The pool owns no threads between calls: each combinator spawns
+/// workers in a [`std::thread::scope`], collects their results over a
+/// [`std::sync::mpsc`] channel and joins them before returning, so
+/// borrowing inputs from the caller's stack is free and no shutdown
+/// protocol exists to get wrong.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     threads: usize,
@@ -175,14 +176,14 @@ impl Pool {
         // have been executed.
         let next = AtomicUsize::new(0);
         let cutoff = AtomicUsize::new(n);
-        let (tx, rx) = unbounded::<(usize, T)>();
+        let (tx, rx) = mpsc::channel::<(usize, T)>();
         let workers = self.threads.min(n);
         let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..workers {
                 let tx = tx.clone();
                 let (next, cutoff, f, stop) = (&next, &cutoff, &f, &stop);
-                s.spawn(move |_| loop {
+                s.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::SeqCst);
                     if i >= n || i > cutoff.load(Ordering::SeqCst) {
                         break;
@@ -201,8 +202,7 @@ impl Pool {
             while let Ok((i, r)) = rx.recv() {
                 slots[i] = Some(r);
             }
-        })
-        .expect("pool worker panicked");
+        });
         let stop_at = cutoff.load(Ordering::SeqCst);
         let len = if stop_at < n { stop_at + 1 } else { n };
         slots

@@ -1,32 +1,32 @@
-//! Pluggable cost recorders: full-fidelity [`Transcript`] vs the
-//! zero-allocation [`Tally`].
+//! Pluggable cost recorders: the zero-allocation [`Tally`] and the
+//! full-fidelity [`Transcript`](crate::transcript::Transcript) built on
+//! it.
 //!
-//! Every runtime charge funnels through a [`Recorder`]. The
-//! [`Transcript`] implementation keeps the ordered per-event log behind
-//! `triad report`, transcript export, and the differential tests; the
-//! [`Tally`] implementation accumulates only the counters the reports
-//! need — total bits, per-phase / per-player / per-round / per-direction
-//! / per-label sums — in flat fixed buckets, with **zero heap
-//! allocation per recorded event**. Amplified sweeps and benches default
-//! to `Tally`; observability paths keep `Transcript`.
+//! Every runtime charge funnels through a [`Recorder`]. The [`Tally`]
+//! accumulates only the counters the reports need — total bits,
+//! per-phase / per-player / per-round / per-direction / per-label sums —
+//! in flat fixed buckets, with **zero heap allocation per recorded
+//! event**. The `Transcript` keeps the ordered per-event log behind
+//! `triad report` and transcript export, over an embedded `Tally` that
+//! receives every one of its charges. Amplified sweeps and benches
+//! record into `Tally` alone; observability paths keep `Transcript`.
 //!
-//! The two recorders are interchangeable by construction: for any event
-//! sequence, `Tally`'s totals, statistics, and rollups are byte-identical
-//! to the `Transcript` rollups over the same events (pinned by the unit
-//! tests here, `tests/recorder_differential.rs`, and a proptest). See
-//! `docs/RUNTIME.md`.
+//! Every total, statistic and rollup of either recorder is read from its
+//! [`Recorder::tally`], so the rollup rules exist once. A proptest in
+//! `tests/properties.rs` checks them against an independent fold over a
+//! transcript's events. See `docs/RUNTIME.md`.
 
 use crate::bits::BitCost;
-use crate::transcript::{CommStats, Direction, LabelTotals, Rollup, Transcript, DEFAULT_PHASE};
+use crate::transcript::{CommStats, Direction, LabelTotals, Rollup, DEFAULT_PHASE};
 
 /// A sink for per-message cost charges.
 ///
-/// The contract mirrors [`Transcript`]'s accounting exactly — same
-/// per-player attribution (only `ToCoordinator` messages with a player
-/// index inside the initial player range count toward
-/// `max_player_sent_bits`), same round numbering (`stats().rounds` is
-/// `round() + 1`), and the same pristine-absorb no-op that keeps
-/// [`Recorder::absorb`] associative for the deterministic parallel
+/// Every recorder keeps its counters in a [`Tally`] (see
+/// [`tally`](Self::tally)), and the provided methods read them there:
+/// only `ToCoordinator` messages with a player index inside the initial
+/// player range count toward `max_player_sent_bits`, `stats().rounds` is
+/// `round() + 1`, and absorbing a pristine recorder is a no-op, which
+/// keeps [`Recorder::absorb`] associative for the deterministic parallel
 /// engine's ordered reduction.
 pub trait Recorder: Send + 'static {
     /// An empty recorder for `k` players.
@@ -46,35 +46,57 @@ pub trait Recorder: Send + 'static {
     /// Advances to the next communication round.
     fn next_round(&mut self);
 
-    /// Current round index.
-    fn round(&self) -> u64;
-
     /// Sets the phase stamped onto subsequently recorded messages.
     fn set_phase(&mut self, phase: &'static str);
 
-    /// The phase currently being stamped onto recorded messages.
-    fn current_phase(&self) -> &'static str;
-
-    /// Total bits across all messages.
-    fn total_bits(&self) -> BitCost;
-
-    /// Aggregated statistics.
-    fn stats(&self) -> CommStats;
-
     /// Appends another recorder's charges as later rounds of this one
-    /// (the accounting behind repetition wrappers). Absorbing a pristine
-    /// recorder must be a no-op so the operation stays associative.
+    /// (the accounting behind repetition wrappers): totals add, rounds
+    /// concatenate, per-player counters accumulate, and the current
+    /// phase stays this recorder's. Absorbing a pristine recorder (no
+    /// message, round 0) is a no-op, so the operation stays associative.
     fn absorb(&mut self, other: &Self);
 
     /// Hints that about `additional` further messages will be recorded.
-    /// A no-op for counter recorders; [`Transcript`] pre-reserves its
+    /// A no-op for counter recorders;
+    /// [`Transcript`](crate::transcript::Transcript) pre-reserves its
     /// event log.
     fn reserve_messages(&mut self, additional: usize) {
         let _ = additional;
     }
 
+    /// The counters every total, statistic and rollup is read from.
+    fn tally(&self) -> &Tally;
+
+    /// Current round index.
+    fn round(&self) -> u64 {
+        self.tally().round
+    }
+
+    /// The phase currently being stamped onto recorded messages.
+    fn current_phase(&self) -> &'static str {
+        self.tally().current_phase
+    }
+
+    /// Total bits across all messages.
+    fn total_bits(&self) -> BitCost {
+        self.tally().total
+    }
+
+    /// Aggregated statistics.
+    fn stats(&self) -> CommStats {
+        let t = self.tally();
+        CommStats {
+            total_bits: t.total.get(),
+            rounds: t.round + 1,
+            messages: t.messages,
+            max_player_sent_bits: t.per_player_sent.iter().copied().max().unwrap_or(0),
+        }
+    }
+
     /// Total bits recorded under `label` (0 for unseen labels).
-    fn bits_for_label(&self, label: &str) -> u64;
+    fn bits_for_label(&self, label: &str) -> u64 {
+        bits_under(&self.tally().by_label, label)
+    }
 
     /// Bits spent on fault recovery — retransmitted requests, duplicate
     /// deliveries, and garbled responses — i.e. the rollup of the
@@ -82,58 +104,6 @@ pub trait Recorder: Send + 'static {
     /// runs.
     fn retransmit_bits(&self) -> u64 {
         self.bits_for_label(crate::fault::RETRANSMIT_LABEL)
-    }
-}
-
-impl Recorder for Transcript {
-    fn with_players(k: usize) -> Self {
-        Transcript::new(k)
-    }
-
-    fn record(
-        &mut self,
-        player: Option<usize>,
-        direction: Direction,
-        bits: BitCost,
-        label: &'static str,
-    ) {
-        Transcript::record(self, player, direction, bits, label);
-    }
-
-    fn next_round(&mut self) {
-        Transcript::next_round(self);
-    }
-
-    fn round(&self) -> u64 {
-        Transcript::round(self)
-    }
-
-    fn set_phase(&mut self, phase: &'static str) {
-        Transcript::set_phase(self, phase);
-    }
-
-    fn current_phase(&self) -> &'static str {
-        Transcript::current_phase(self)
-    }
-
-    fn total_bits(&self) -> BitCost {
-        Transcript::total_bits(self)
-    }
-
-    fn stats(&self) -> CommStats {
-        Transcript::stats(self)
-    }
-
-    fn absorb(&mut self, other: &Self) {
-        Transcript::absorb(self, other);
-    }
-
-    fn reserve_messages(&mut self, additional: usize) {
-        Transcript::reserve_events(self, additional);
-    }
-
-    fn bits_for_label(&self, label: &str) -> u64 {
-        Transcript::bits_for_label(self, label)
     }
 }
 
@@ -147,10 +117,7 @@ struct Bucket {
 impl Bucket {
     #[inline]
     fn add(&mut self, bits: u64) {
-        let mut total = BitCost(self.bits);
-        total.accumulate(BitCost(bits));
-        self.bits = total.get();
-        self.messages += 1;
+        self.merge(Bucket { bits, messages: 1 });
     }
 
     #[inline]
@@ -160,15 +127,48 @@ impl Bucket {
         self.bits = total.get();
         self.messages += other.messages;
     }
+
+    fn rollup(self, key: String) -> Rollup {
+        Rollup {
+            key,
+            bits: self.bits,
+            messages: self.messages,
+        }
+    }
+}
+
+/// The bucket of `key` in a linear-scanned name table, appended on first
+/// use. Protocols use a handful of phases and labels, so a scan beats
+/// hashing.
+#[inline]
+fn bucket_for<'t>(table: &'t mut Vec<(&'static str, Bucket)>, key: &'static str) -> &'t mut Bucket {
+    let i = match table.iter().position(|(k, _)| *k == key) {
+        Some(i) => i,
+        None => {
+            table.push((key, Bucket::default()));
+            table.len() - 1
+        }
+    };
+    &mut table[i].1
+}
+
+/// The bits under `key` in a name table (0 when absent).
+fn bits_under(table: &[(&'static str, Bucket)], key: &str) -> u64 {
+    table
+        .iter()
+        .find(|(k, _)| *k == key)
+        .map_or(0, |(_, b)| b.bits)
 }
 
 /// The counters-only recorder: every aggregate a [`CostReport`] or
 /// rollup export needs, with no per-event allocation.
 ///
-/// Phase and label buckets are linear-scanned `&'static str` tables —
-/// protocols use a handful of each, so a scan beats hashing — and
+/// Phase and label buckets are linear-scanned `&'static str` tables, and
 /// per-player / per-round buckets are dense index-addressed vectors that
 /// grow (amortized, outside the hot loop) to the largest index seen.
+/// Every rollup is a partition of the recorded messages, so its bit
+/// totals sum to [`total_bits`](Recorder::total_bits) and its message
+/// counts to `stats().messages`.
 ///
 /// [`CostReport`]: crate::report::CostReport
 ///
@@ -206,33 +206,21 @@ impl Default for Tally {
 }
 
 impl Tally {
-    /// Bits each player sent to the coordinator (index-capped at the
-    /// player count given to [`Recorder::with_players`], exactly like
-    /// [`Transcript::per_player_sent`]).
+    /// Bits each player sent to the coordinator: one entry per player
+    /// given to [`Recorder::with_players`] (or absorbed from a wider
+    /// recorder); charges to a player index outside that range count
+    /// only in [`by_player`](Self::by_player).
     pub fn per_player_sent(&self) -> &[u64] {
         &self.per_player_sent
     }
 
-    /// Total bits charged to messages carrying the given label.
-    pub fn bits_for_label(&self, label: &str) -> u64 {
-        self.by_label
-            .iter()
-            .find(|(l, _)| *l == label)
-            .map(|(_, b)| b.bits)
-            .unwrap_or(0)
-    }
-
-    /// Total bits charged under the given phase.
+    /// Total bits charged under the given phase (0 for unseen phases).
     pub fn bits_for_phase(&self, phase: &str) -> u64 {
-        self.by_phase
-            .iter()
-            .find(|(p, _)| *p == phase)
-            .map(|(_, b)| b.bits)
-            .unwrap_or(0)
+        bits_under(&self.by_phase, phase)
     }
 
-    /// Per-label totals, sorted by descending bits — identical to
-    /// [`Transcript::breakdown`] over the same events.
+    /// Per-label totals, sorted by descending bits, ties by ascending
+    /// label — the per-label cost breakdown of a run.
     pub fn breakdown(&self) -> Vec<LabelTotals> {
         let mut out: Vec<LabelTotals> = self
             .by_label
@@ -247,109 +235,60 @@ impl Tally {
         out
     }
 
-    /// Bits and messages per phase, sorted by descending bits then key —
-    /// identical to [`Transcript::by_phase`] over the same events.
+    /// Bits and messages per phase, sorted by descending bits, ties by
+    /// ascending phase name.
     pub fn by_phase(&self) -> Vec<Rollup> {
         let mut out: Vec<Rollup> = self
             .by_phase
             .iter()
-            .map(|(phase, b)| Rollup {
-                key: (*phase).to_string(),
-                bits: b.bits,
-                messages: b.messages,
-            })
+            .map(|(phase, b)| b.rollup((*phase).to_string()))
             .collect();
         out.sort_by(|a, b| b.bits.cmp(&a.bits).then(a.key.cmp(&b.key)));
         out
     }
 
-    /// Bits and messages per involved party (`player-j` in index order,
-    /// then `broadcast`) — identical to [`Transcript::by_player`].
+    /// Bits and messages per involved party: `player-j` for every player
+    /// index charged at least once, in index order, then `broadcast` for
+    /// coordinator postings charged to nobody.
     pub fn by_player(&self) -> Vec<Rollup> {
-        let mut out: Vec<Rollup> = self
-            .by_player
-            .iter()
-            .enumerate()
+        let players = self.by_player.iter().enumerate();
+        let mut out: Vec<Rollup> = players
             .filter(|(_, b)| b.messages > 0)
-            .map(|(j, b)| Rollup {
-                key: format!("player-{j}"),
-                bits: b.bits,
-                messages: b.messages,
-            })
+            .map(|(j, b)| b.rollup(format!("player-{j}")))
             .collect();
         if self.broadcast.messages > 0 {
-            out.push(Rollup {
-                key: "broadcast".to_string(),
-                bits: self.broadcast.bits,
-                messages: self.broadcast.messages,
-            });
+            out.push(self.broadcast.rollup("broadcast".to_string()));
         }
         out
     }
 
-    /// Bits and messages per round, in round order — identical to
-    /// [`Transcript::by_round`].
+    /// Bits and messages per round that carried a message, keyed
+    /// `round-i`, in round order.
     pub fn by_round(&self) -> Vec<Rollup> {
-        self.by_round
-            .iter()
-            .enumerate()
+        let rounds = self.by_round.iter().enumerate();
+        rounds
             .filter(|(_, b)| b.messages > 0)
-            .map(|(r, b)| Rollup {
-                key: format!("round-{r}"),
-                bits: b.bits,
-                messages: b.messages,
-            })
+            .map(|(r, b)| b.rollup(format!("round-{r}")))
             .collect()
     }
 
-    /// Bits and messages per [`Direction`], in declaration order —
-    /// identical to [`Transcript::by_direction`].
+    /// Bits and messages per [`Direction`] that carried a message, in
+    /// declaration order (`to_player`, `to_coordinator`, `broadcast`).
     pub fn by_direction(&self) -> Vec<Rollup> {
-        [
+        let directions = [
             Direction::ToPlayer,
             Direction::ToCoordinator,
             Direction::Broadcast,
-        ]
-        .into_iter()
-        .filter(|d| self.by_direction[*d as u8 as usize].messages > 0)
-        .map(|d| {
-            let b = self.by_direction[d as u8 as usize];
-            Rollup {
-                key: d.as_str().to_string(),
-                bits: b.bits,
-                messages: b.messages,
-            }
-        })
-        .collect()
+        ];
+        directions
+            .into_iter()
+            .map(|d| (d, self.by_direction[d as u8 as usize]))
+            .filter(|(_, b)| b.messages > 0)
+            .map(|(d, b)| b.rollup(d.as_str().to_string()))
+            .collect()
     }
 
-    #[inline]
-    fn phase_bucket(&mut self) -> &mut Bucket {
-        let phase = self.current_phase;
-        // Linear probe over a handful of phases; hit is almost always
-        // the most recent entry's neighborhood.
-        match self.by_phase.iter().position(|(p, _)| *p == phase) {
-            Some(i) => &mut self.by_phase[i].1,
-            None => {
-                self.by_phase.push((phase, Bucket::default()));
-                &mut self.by_phase.last_mut().expect("just pushed").1
-            }
-        }
-    }
-
-    #[inline]
-    fn label_bucket(&mut self, label: &'static str) -> &mut Bucket {
-        match self.by_label.iter().position(|(l, _)| *l == label) {
-            Some(i) => &mut self.by_label[i].1,
-            None => {
-                self.by_label.push((label, Bucket::default()));
-                &mut self.by_label.last_mut().expect("just pushed").1
-            }
-        }
-    }
-
-    /// True when no message has been recorded and no round advanced —
-    /// the same pristine predicate [`Transcript::absorb`] uses.
+    /// True when no message has been recorded and no round advanced.
     fn is_pristine(&self) -> bool {
         self.messages == 0 && self.round == 0
     }
@@ -387,8 +326,8 @@ impl Recorder for Tally {
         self.total.accumulate(bits);
         self.messages += 1;
         let raw = bits.get();
-        self.phase_bucket().add(raw);
-        self.label_bucket(label).add(raw);
+        bucket_for(&mut self.by_phase, self.current_phase).add(raw);
+        bucket_for(&mut self.by_label, label).add(raw);
         match player {
             Some(j) => {
                 if j >= self.by_player.len() {
@@ -410,42 +349,21 @@ impl Recorder for Tally {
         self.round += 1;
     }
 
-    fn round(&self) -> u64 {
-        self.round
-    }
-
     fn set_phase(&mut self, phase: &'static str) {
         self.current_phase = phase;
     }
 
-    fn current_phase(&self) -> &'static str {
-        self.current_phase
-    }
-
-    fn total_bits(&self) -> BitCost {
-        self.total
-    }
-
-    fn stats(&self) -> CommStats {
-        CommStats {
-            total_bits: self.total.get(),
-            rounds: self.round + 1,
-            messages: self.messages,
-            max_player_sent_bits: self.per_player_sent.iter().copied().max().unwrap_or(0),
-        }
-    }
-
-    fn bits_for_label(&self, label: &str) -> u64 {
-        Tally::bits_for_label(self, label)
+    fn tally(&self) -> &Tally {
+        self
     }
 
     fn absorb(&mut self, other: &Self) {
+        if self.per_player_sent.len() < other.per_player_sent.len() {
+            self.per_player_sent.resize(other.per_player_sent.len(), 0);
+        }
         if other.is_pristine() {
-            // Mirror Transcript::absorb: a pristine operand only widens
-            // the per-player table, so the operation stays associative.
-            if self.per_player_sent.len() < other.per_player_sent.len() {
-                self.per_player_sent.resize(other.per_player_sent.len(), 0);
-            }
+            // A pristine operand carries no rounds; starting a round for
+            // it would make `absorb` non-associative.
             return;
         }
         let offset = if self.is_pristine() {
@@ -465,19 +383,14 @@ impl Recorder for Tally {
         self.round = offset + other.round;
         self.total.accumulate(other.total);
         self.messages += other.messages;
-        if self.per_player_sent.len() < other.per_player_sent.len() {
-            self.per_player_sent.resize(other.per_player_sent.len(), 0);
-        }
         for (slot, sent) in self.per_player_sent.iter_mut().zip(&other.per_player_sent) {
             *slot += sent;
         }
         for (phase, b) in &other.by_phase {
-            self.current_phase = phase;
-            self.phase_bucket().merge(*b);
+            bucket_for(&mut self.by_phase, phase).merge(*b);
         }
-        self.current_phase = other.current_phase;
         for (label, b) in &other.by_label {
-            self.label_bucket(label).merge(*b);
+            bucket_for(&mut self.by_label, label).merge(*b);
         }
         if other.by_player.len() > self.by_player.len() {
             self.by_player
@@ -497,20 +410,6 @@ impl Recorder for Tally {
 mod tests {
     use super::*;
 
-    /// Drives both recorders through the same script and asserts every
-    /// aggregate matches.
-    fn assert_matches(t: &Transcript, y: &Tally) {
-        assert_eq!(y.total_bits(), t.total_bits());
-        assert_eq!(y.stats(), t.stats());
-        assert_eq!(Recorder::round(y), Recorder::round(t));
-        assert_eq!(y.per_player_sent(), t.per_player_sent());
-        assert_eq!(y.by_phase(), t.by_phase());
-        assert_eq!(y.by_player(), t.by_player());
-        assert_eq!(y.by_round(), t.by_round());
-        assert_eq!(y.by_direction(), t.by_direction());
-        assert_eq!(y.breakdown(), t.breakdown());
-    }
-
     fn script<R: Recorder>(r: &mut R) {
         r.set_phase("sample");
         r.record(Some(0), Direction::ToPlayer, BitCost(4), "req");
@@ -520,50 +419,89 @@ mod tests {
         r.record(Some(2), Direction::ToCoordinator, BitCost(6), "resp");
         r.record(None, Direction::Broadcast, BitCost(11), "post");
         // An out-of-range player index: counted in the by-player rollup
-        // but (like Transcript) not in per_player_sent.
+        // but not in per_player_sent.
         r.record(Some(7), Direction::ToCoordinator, BitCost(2), "stray");
     }
 
-    fn pair() -> (Transcript, Tally) {
-        let mut t = Transcript::with_players(3);
+    fn keys(rows: Vec<Rollup>) -> Vec<String> {
+        rows.into_iter().map(|r| r.key).collect()
+    }
+
+    #[test]
+    fn out_of_range_players_count_only_in_the_player_rollup() {
         let mut y = Tally::with_players(3);
-        script(&mut t);
         script(&mut y);
-        (t, y)
+        assert_eq!(y.per_player_sent(), &[9, 0, 6]);
+        assert_eq!(y.stats().max_player_sent_bits, 9);
+        assert_eq!(
+            keys(y.by_player()),
+            ["player-0", "player-2", "player-7", "broadcast"]
+        );
+        assert_eq!(y.by_player()[2].bits, 2);
     }
 
     #[test]
-    fn tally_matches_transcript_rollups() {
-        let (t, y) = pair();
-        assert_matches(&t, &y);
-        assert_eq!(y.bits_for_label("resp"), t.bits_for_label("resp"));
-        assert_eq!(y.bits_for_label("absent"), 0);
-        assert_eq!(y.bits_for_phase("sample"), t.bits_for_phase("sample"));
-        assert_eq!(y.bits_for_phase("absent"), 0);
-    }
-
-    #[test]
-    fn absorb_matches_transcript_absorb() {
-        let (mut t, mut y) = pair();
-        let (t2, y2) = pair();
-        t.absorb(&t2);
-        y.absorb(&y2);
-        assert_matches(&t, &y);
-        // Absorbing into pristine keeps round numbering, as Transcript does.
-        let mut t0 = Transcript::with_players(0);
-        let mut y0 = Tally::with_players(0);
-        t0.absorb(&t2);
-        y0.absorb(&y2);
-        assert_matches(&t0, &y0);
-    }
-
-    #[test]
-    fn pristine_absorb_is_a_no_op() {
-        let (mut t, mut y) = pair();
-        t.absorb(&Transcript::with_players(5));
+    fn pristine_absorb_only_widens_the_player_table() {
+        let mut y = Tally::with_players(3);
+        script(&mut y);
+        let before = y.clone();
         y.absorb(&Tally::with_players(5));
-        assert_matches(&t, &y);
-        assert_eq!(y.per_player_sent().len(), 5, "player table widened");
+        assert_eq!(
+            y.per_player_sent(),
+            &[9, 0, 6, 0, 0],
+            "player table widened"
+        );
+        assert_eq!(y.stats(), before.stats());
+        assert_eq!(y.by_round(), before.by_round());
+        assert_eq!(y.breakdown(), before.breakdown());
+    }
+
+    #[test]
+    fn absorb_keeps_the_receivers_phase() {
+        let mut y = Tally::with_players(3);
+        y.set_phase("outer");
+        let mut other = Tally::with_players(3);
+        script(&mut other);
+        y.absorb(&other);
+        assert_eq!(y.current_phase(), "outer");
+        assert_eq!(
+            y.round(),
+            1,
+            "absorbing into pristine keeps round numbering"
+        );
+        y.absorb(&other);
+        assert_eq!(y.round(), 3, "a non-pristine receiver starts a fresh round");
+        assert_eq!(keys(y.by_phase()), ["verify", "sample"]);
+    }
+
+    #[test]
+    fn absorbing_a_silent_recorder_only_advances_rounds() {
+        let mut y = Tally::with_players(3);
+        script(&mut y);
+        y.next_round();
+        let mut advanced = y.clone();
+        let mut silent = Tally::with_players(3);
+        silent.next_round();
+        silent.next_round();
+        y.absorb(&silent);
+        for _ in 0..3 {
+            advanced.next_round();
+        }
+        assert_eq!(y, advanced, "a fresh round, then the silent one's two");
+    }
+
+    #[test]
+    fn breakdown_aggregates_and_sorts() {
+        let mut y = Tally::with_players(2);
+        y.record(Some(0), Direction::ToCoordinator, BitCost(5), "small");
+        y.record(Some(1), Direction::ToCoordinator, BitCost(30), "big");
+        y.record(Some(0), Direction::ToPlayer, BitCost(10), "big");
+        let b = y.breakdown();
+        assert_eq!(b.len(), 2);
+        assert_eq!(b[0].label, "big");
+        assert_eq!(b[0].bits, 40);
+        assert_eq!(b[0].messages, 2);
+        assert_eq!(b[1].label, "small");
     }
 
     #[test]
@@ -587,5 +525,7 @@ mod tests {
         y.record(Some(0), Direction::ToPlayer, BitCost(2), "x");
         assert_eq!(y.bits_for_phase(DEFAULT_PHASE), 1);
         assert_eq!(y.bits_for_phase("p"), 2);
+        assert_eq!(y.bits_for_phase("absent"), 0);
+        assert_eq!(y.bits_for_label("absent"), 0);
     }
 }

@@ -2,13 +2,14 @@
 //!
 //! A [`CostReport`] is the structured summary of one protocol execution:
 //! the run's parameters, its [`CommStats`] totals, the per-phase and
-//! per-player rollups of its [`Transcript`], and (optionally) the paper's
+//! per-player rollups of its [`Tally`], and (optionally) the paper's
 //! predicted cost for those parameters. The CLI emits one report per
 //! invocation; the bench harness emits `BENCH_*.json` arrays of them so
 //! measured costs stay diffable across revisions. The JSON schema is
 //! documented in `docs/OBSERVABILITY.md`.
 
-use crate::transcript::{rollup_array_json, CommStats, Rollup, Transcript};
+use crate::recorder::Tally;
+use crate::transcript::{rollup_array_json, CommStats, Rollup};
 
 /// Version stamped into every exported report; bump on schema changes.
 pub const REPORT_SCHEMA_VERSION: u32 = 1;
@@ -51,9 +52,9 @@ pub struct PredictedBound {
 /// # Example
 ///
 /// ```
-/// use triad_comm::{BitCost, CostReport, Direction, ReportParams, Transcript};
+/// use triad_comm::{BitCost, CostReport, Direction, Recorder, ReportParams, Tally};
 ///
-/// let mut t = Transcript::new(2);
+/// let mut t = Tally::with_players(2);
 /// t.set_phase("sample");
 /// t.record(Some(0), Direction::ToCoordinator, BitCost(12), "edges");
 /// let params = ReportParams {
@@ -65,7 +66,7 @@ pub struct PredictedBound {
 ///     eps: 0.2,
 ///     seed: 7,
 /// };
-/// let report = CostReport::from_transcript(params, "accepted", t.stats(), &t);
+/// let report = CostReport::from_tally(params, "accepted", t.stats(), &t);
 /// assert_eq!(report.total_bits, 12);
 /// let phase_sum: u64 = report.phases.iter().map(|r| r.bits).sum();
 /// assert_eq!(phase_sum, report.total_bits);
@@ -96,44 +97,17 @@ pub struct CostReport {
 }
 
 impl CostReport {
-    /// Builds a report from a finished run's statistics and transcript.
-    pub fn from_transcript(
-        params: ReportParams,
-        outcome: &str,
-        stats: CommStats,
-        transcript: &Transcript,
-    ) -> Self {
-        CostReport::from_rollups(
-            params,
-            outcome,
-            stats,
-            transcript.by_phase(),
-            transcript.by_player(),
-        )
-    }
-
-    /// Builds a report from a tally-recorded run — same fields, same
-    /// JSON, no event log needed. A [`Tally`](crate::recorder::Tally)
-    /// produces rollups byte-identical to a [`Transcript`] over the same
-    /// charges, so reports from either recorder diff clean.
+    /// Builds a report from a finished run's statistics and the rollups
+    /// of its recorder's [`Tally`] (a [`Transcript`]'s is
+    /// [`Recorder::tally`]).
+    ///
+    /// [`Transcript`]: crate::transcript::Transcript
+    /// [`Recorder::tally`]: crate::recorder::Recorder::tally
     pub fn from_tally(
         params: ReportParams,
         outcome: &str,
         stats: CommStats,
-        tally: &crate::recorder::Tally,
-    ) -> Self {
-        CostReport::from_rollups(params, outcome, stats, tally.by_phase(), tally.by_player())
-    }
-
-    /// Builds a report from pre-computed rollups — the common core of
-    /// [`from_transcript`](Self::from_transcript) and
-    /// [`from_tally`](Self::from_tally).
-    pub fn from_rollups(
-        params: ReportParams,
-        outcome: &str,
-        stats: CommStats,
-        phases: Vec<Rollup>,
-        per_player: Vec<Rollup>,
+        tally: &Tally,
     ) -> Self {
         CostReport {
             schema_version: REPORT_SCHEMA_VERSION,
@@ -143,8 +117,8 @@ impl CostReport {
             rounds: stats.rounds,
             messages: stats.messages,
             max_player_sent_bits: stats.max_player_sent_bits,
-            phases,
-            per_player,
+            phases: tally.by_phase(),
+            per_player: tally.by_player(),
             predicted: None,
         }
     }
@@ -295,10 +269,11 @@ fn json_f64(v: f64) -> String {
 mod tests {
     use super::*;
     use crate::bits::BitCost;
+    use crate::recorder::Recorder;
     use crate::transcript::Direction;
 
     fn demo_report() -> CostReport {
-        let mut t = Transcript::new(2);
+        let mut t = Tally::with_players(2);
         t.set_phase("sample");
         t.record(Some(0), Direction::ToCoordinator, BitCost(10), "edges");
         t.set_phase("close");
@@ -312,7 +287,7 @@ mod tests {
             eps: 0.2,
             seed: 3,
         };
-        CostReport::from_transcript(params, "accepted", t.stats(), &t)
+        CostReport::from_tally(params, "accepted", t.stats(), &t)
     }
 
     #[test]
@@ -324,33 +299,6 @@ mod tests {
             r.per_player.iter().map(|x| x.bits).sum::<u64>(),
             r.total_bits
         );
-    }
-
-    #[test]
-    fn tally_report_matches_transcript_report() {
-        use crate::recorder::{Recorder, Tally};
-        let drive = |r: &mut dyn FnMut(Option<usize>, Direction, BitCost, &'static str)| {
-            r(Some(0), Direction::ToCoordinator, BitCost(10), "edges");
-            r(Some(1), Direction::ToCoordinator, BitCost(4), "bit");
-        };
-        let mut t = Transcript::new(2);
-        t.set_phase("sample");
-        drive(&mut |p, d, b, l| t.record(p, d, b, l));
-        let mut y = Tally::with_players(2);
-        y.set_phase("sample");
-        drive(&mut |p, d, b, l| y.record(p, d, b, l));
-        let params = || ReportParams {
-            protocol: "sim-low".into(),
-            generator: "planted".into(),
-            n: 100,
-            k: 2,
-            d: 8.0,
-            eps: 0.2,
-            seed: 3,
-        };
-        let from_t = CostReport::from_transcript(params(), "accepted", t.stats(), &t);
-        let from_y = CostReport::from_tally(params(), "accepted", y.stats(), &y);
-        assert_eq!(from_t.to_json(), from_y.to_json());
     }
 
     #[test]

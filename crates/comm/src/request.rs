@@ -215,15 +215,6 @@ impl PlayerRequest {
     }
 }
 
-/// Internal control messages for the threaded runtime.
-#[derive(Debug)]
-pub(crate) enum Envelope {
-    /// A protocol request expecting a [`Payload`] response.
-    Request(PlayerRequest),
-    /// Shut the player thread down.
-    Halt,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

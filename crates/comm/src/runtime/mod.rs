@@ -6,20 +6,18 @@
 //! zero-allocation [`crate::recorder::Tally`] on the fast path — charges
 //! every request/response pair, and delivers requests through a
 //! [`Transport`] — either [`LocalTransport`] (deterministic, sequential,
-//! in-process) or [`ThreadedTransport`] (one OS thread per player,
-//! crossbeam channels). Both transports produce **identical transcripts**
-//! for the same seed, because all protocol randomness flows through the
+//! in-process) or [`TcpTransport`] (one socket per player, real
+//! concurrency). Both transports produce **identical transcripts** for
+//! the same seed, because all protocol randomness flows through the
 //! shared string, never through scheduling; both recorders produce
 //! **identical totals and rollups**, because every charge funnels
 //! through the same [`Recorder::record`] calls (see `docs/RUNTIME.md`).
 
 mod local;
 mod tcp;
-mod threaded;
 
 pub use local::LocalTransport;
 pub use tcp::{SharedTransport, TcpTransport, DEFAULT_NET_TIMEOUT};
-pub use threaded::{ThreadedTransport, DEFAULT_RECV_TIMEOUT};
 
 use crate::bits::{bits_for_count, bits_per_edge, BitCost};
 use crate::message::Payload;
@@ -49,9 +47,9 @@ pub enum CostModel {
     MessagePassing,
 }
 
-/// A player's channel failed mid-protocol — e.g. its thread panicked and
-/// hung up. Surfaced by [`Transport::try_deliver`] instead of a deadlock
-/// or an opaque abort.
+/// A player's channel failed mid-protocol — e.g. its connection closed.
+/// Surfaced by [`Transport::try_deliver`] instead of a deadlock or an
+/// opaque abort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransportError {
     /// The player whose channel failed.
@@ -72,8 +70,8 @@ impl std::error::Error for TransportError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RunError {
-    /// A player's channel failed outright (thread panicked, hung up, or
-    /// the player crashed). Not retryable: the player stays dead.
+    /// A player's channel failed outright (the player hung up or
+    /// crashed). Not retryable: the player stays dead.
     Transport(TransportError),
     /// The response deadline expired — a dropped message or a player too
     /// slow to answer. Retryable.
@@ -169,8 +167,8 @@ impl From<TransportError> for RunError {
 /// Message delivery to players, independent of cost accounting.
 ///
 /// Responses are always `Payload<'static>`: a transport hands payload
-/// ownership across the coordinator boundary (and, for the threaded
-/// transport, across a channel), so borrowed player-side slices are
+/// ownership across the coordinator boundary (and, for the TCP
+/// transport, across a socket), so borrowed player-side slices are
 /// detached before delivery. Borrowing is exploited on the simultaneous
 /// path instead, where messages never cross an ownership boundary.
 ///
@@ -335,28 +333,6 @@ impl Runtime {
     ) -> Self {
         Runtime::local_with(n, shares, shared, cost_model)
     }
-
-    /// Convenience: a threaded full-transcript runtime (one thread per
-    /// player).
-    pub fn threaded(
-        n: usize,
-        shares: &[Vec<Edge>],
-        shared: SharedRandomness,
-        cost_model: CostModel,
-    ) -> Self {
-        Runtime::threaded_with(n, shares, shared, cost_model)
-    }
-
-    /// The transcript so far.
-    pub fn transcript(&self) -> &Transcript {
-        &self.recorder
-    }
-
-    /// Consumes the runtime, yielding its transcript — how finished
-    /// protocol drivers hand the full event log to their callers.
-    pub fn into_transcript(self) -> Transcript {
-        self.recorder
-    }
 }
 
 impl<R: Recorder> Runtime<R> {
@@ -443,21 +419,6 @@ impl<R: Recorder> Runtime<R> {
         )
     }
 
-    /// A threaded runtime (one thread per player), recording into `R`.
-    pub fn threaded_with(
-        n: usize,
-        shares: &[Vec<Edge>],
-        shared: SharedRandomness,
-        cost_model: CostModel,
-    ) -> Self {
-        Runtime::new_with(
-            Box::new(ThreadedTransport::spawn(n, shares, shared)),
-            n,
-            shared,
-            cost_model,
-        )
-    }
-
     /// Number of players `k`.
     pub fn k(&self) -> usize {
         self.transport.k()
@@ -483,7 +444,8 @@ impl<R: Recorder> Runtime<R> {
         &self.recorder
     }
 
-    /// Consumes the runtime, yielding its recorder.
+    /// Consumes the runtime, yielding its recorder — how finished
+    /// protocol drivers hand their transcript or tally to their callers.
     pub fn into_recorder(self) -> R {
         self.recorder
     }
@@ -507,7 +469,7 @@ impl<R: Recorder> Runtime<R> {
     /// phase registry in `docs/OBSERVABILITY.md`).
     ///
     /// ```
-    /// use triad_comm::{CostModel, PlayerRequest, Runtime, SharedRandomness};
+    /// use triad_comm::{CostModel, PlayerRequest, Recorder, Runtime, SharedRandomness};
     /// use triad_graph::{Edge, VertexId};
     ///
     /// let shares = vec![vec![Edge::new(VertexId(0), VertexId(1))]];
@@ -515,7 +477,7 @@ impl<R: Recorder> Runtime<R> {
     /// rt.phase("probe", |rt| {
     ///     rt.request(0, PlayerRequest::LocalEdgeCount);
     /// });
-    /// assert_eq!(rt.transcript().bits_for_phase("probe"), rt.stats().total_bits);
+    /// assert_eq!(rt.recorder().tally().bits_for_phase("probe"), rt.stats().total_bits);
     /// ```
     pub fn phase<T>(&mut self, name: &'static str, f: impl FnOnce(&mut Self) -> T) -> T {
         let previous = self.recorder.current_phase();
@@ -718,9 +680,8 @@ impl<R: Recorder> Runtime<R> {
     ///
     /// # Panics
     ///
-    /// Panics on transports that cannot switch seeds mid-run — currently
-    /// the threaded transport, whose players own their randomness copy.
-    /// Use a local runtime for private-coin executions.
+    /// Panics on transports that cannot switch seeds mid-run (the
+    /// default [`Transport::adopt_shared`]).
     pub fn adopt_shared(&mut self, shared: SharedRandomness) {
         self.shared = shared;
         self.transport.adopt_shared(shared);
@@ -1088,13 +1049,11 @@ mod tests {
         drive(&mut full);
         drive(&mut fast);
         assert_eq!(full.stats(), fast.stats());
-        assert_eq!(full.transcript().by_phase(), fast.recorder().by_phase());
-        assert_eq!(full.transcript().by_player(), fast.recorder().by_player());
-        assert_eq!(full.transcript().by_round(), fast.recorder().by_round());
-        assert_eq!(
-            full.transcript().by_direction(),
-            fast.recorder().by_direction()
-        );
+        let full = full.recorder().tally();
+        assert_eq!(full.by_phase(), fast.recorder().by_phase());
+        assert_eq!(full.by_player(), fast.recorder().by_player());
+        assert_eq!(full.by_round(), fast.recorder().by_round());
+        assert_eq!(full.by_direction(), fast.recorder().by_direction());
     }
 
     /// A local transport that answers rounds itself, player by player,
@@ -1213,19 +1172,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_matches_local_transcript() {
-        let shared = SharedRandomness::new(11);
-        let mut local = Runtime::local(4, &shares(), shared, CostModel::Coordinator);
-        let mut threaded = Runtime::threaded(4, &shares(), shared, CostModel::Coordinator);
-        for rt in [&mut local, &mut threaded] {
-            rt.request(0, PlayerRequest::LocalEdgeCount);
-            rt.request(1, PlayerRequest::FirstEdge { perm_tag: 9 });
-            rt.broadcast(PlayerRequest::HasEdge(e(1, 2)));
-        }
-        assert_eq!(local.stats(), threaded.stats());
-    }
-
-    #[test]
     fn message_passing_adds_routing_overhead() {
         let shared = SharedRandomness::new(7);
         let req = PlayerRequest::HasEdge(e(0, 1));
@@ -1265,7 +1211,7 @@ mod tests {
             rt.request(0, PlayerRequest::HasEdge(e(0, 1)));
         });
         rt.request(1, PlayerRequest::HasEdge(e(0, 1)));
-        let t = rt.transcript();
+        let t = rt.recorder().tally();
         assert_eq!(t.current_phase(), crate::transcript::DEFAULT_PHASE);
         let total = t.total_bits().get();
         assert_eq!(
@@ -1275,7 +1221,7 @@ mod tests {
             total
         );
         assert!(t.bits_for_phase("inner") > 0);
-        let events = rt.into_transcript();
+        let events = rt.into_recorder();
         assert_eq!(events.total_bits().get(), total);
     }
 

@@ -898,6 +898,12 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind(), RunErrorKind::Transport);
         assert!(!err.is_retryable());
+        // The panicking convenience names the dead player too.
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            t.deliver(0, &PlayerRequest::LocalEdgeCount)
+        }));
+        let msg = *caught.unwrap_err().downcast::<String>().unwrap();
+        assert!(msg.contains("player 0"), "{msg}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! sends its whole partition does so as a `Cow::Borrowed` slice with no
 //! per-run clone (see `docs/RUNTIME.md`). Ownership never needs to cross
 //! a boundary here — the referee reads the messages while the players are
-//! still alive, even in the threaded driver.
+//! still alive.
 
 use crate::bits::BitCost;
 use crate::message::Payload;
@@ -154,35 +154,6 @@ pub fn run_simultaneous_prepared<P: SimultaneousProtocol, R: Recorder>(
     finish(protocol, n, messages, shared)
 }
 
-/// Runs a simultaneous protocol with every player's message computed on
-/// its own thread — identical output and identical cost to
-/// [`run_simultaneous`], demonstrating that the messages really depend on
-/// private input and shared randomness alone. The messages still borrow
-/// from the players: the scoped threads return borrows into the outer
-/// `players` vector, no detaching clone needed.
-pub fn run_simultaneous_threaded<P>(
-    protocol: &P,
-    n: usize,
-    shares: &[Vec<Edge>],
-    shared: SharedRandomness,
-) -> SimRun<P::Output>
-where
-    P: SimultaneousProtocol + Sync,
-{
-    let players = players_from_shares(n, shares);
-    let messages: Vec<SimMessage> = std::thread::scope(|scope| {
-        let handles: Vec<_> = players
-            .iter()
-            .map(|p| scope.spawn(move || protocol.message(p, &shared)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("player thread panicked"))
-            .collect()
-    });
-    finish(protocol, n, messages, shared)
-}
-
 /// Finishes a simultaneous run from **already-collected** messages —
 /// the referee-side entry point of networked runs: `triad serve` gathers
 /// each player's [`SimMessage`] over its socket (the remote player
@@ -289,17 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_matches_sequential() {
-        let shares = vec![vec![e(0, 1)], vec![e(1, 2)], vec![e(0, 2)]];
-        let shared = SharedRandomness::new(9);
-        let a = run_simultaneous(&SendAll, 3, &shares, shared);
-        let b = run_simultaneous_threaded(&SendAll, 3, &shares, shared);
-        assert_eq!(a.output, b.output);
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.per_player_bits, b.per_player_bits);
-    }
-
-    #[test]
     fn borrowed_message_costs_like_owned() {
         let p = PlayerState::new(0, 8, &[e(0, 1), e(2, 3)]);
         let borrowed = SimMessage::of(Payload::Edges(p.share().into()));
@@ -328,15 +288,13 @@ mod tests {
         let shares = vec![vec![e(0, 1), e(1, 2)], vec![e(1, 2)]];
         let run = run_simultaneous(&TwoPhase, 4, &shares, SharedRandomness::new(1));
         assert_eq!(run.transcript.total_bits().get(), run.stats.total_bits);
-        let by_phase = run.transcript.by_phase();
+        let t = run.transcript.tally();
+        let by_phase = t.by_phase();
         let phase_sum: u64 = by_phase.iter().map(|r| r.bits).sum();
         assert_eq!(phase_sum, run.stats.total_bits);
-        assert_eq!(run.transcript.bits_for_phase("verdict"), 2);
-        assert_eq!(
-            run.transcript.bits_for_phase("induced-sample"),
-            run.stats.total_bits - 2
-        );
-        let per_player = run.transcript.by_player();
+        assert_eq!(t.bits_for_phase("verdict"), 2);
+        assert_eq!(t.bits_for_phase("induced-sample"), run.stats.total_bits - 2);
+        let per_player = t.by_player();
         assert_eq!(per_player.len(), 2);
         assert_eq!(
             per_player[0].bits + per_player[1].bits,

@@ -1,14 +1,14 @@
-//! Transcript recording, aggregation and structured export.
+//! Transcript recording and structured export.
 //!
 //! A [`Transcript`] is the ordered record of every message one protocol
-//! run exchanged. Besides the raw [`Event`] log it offers:
+//! run exchanged: the raw [`Event`] log over an embedded [`Tally`]. It
+//! offers:
 //!
-//! * rollups — [`by_phase`](Transcript::by_phase),
-//!   [`by_player`](Transcript::by_player),
-//!   [`by_round`](Transcript::by_round) and
-//!   [`by_direction`](Transcript::by_direction), each a partition of the
-//!   event log whose bit totals sum exactly to
-//!   [`total_bits`](Transcript::total_bits),
+//! * rollups — [`by_phase`](Tally::by_phase),
+//!   [`by_player`](Tally::by_player), [`by_round`](Tally::by_round) and
+//!   [`by_direction`](Tally::by_direction) of its
+//!   [`tally`](Recorder::tally), each a partition of the event log whose
+//!   bit totals sum exactly to [`total_bits`](Recorder::total_bits),
 //! * structured export — JSONL ([`write_jsonl`](Transcript::write_jsonl)),
 //!   a JSON array ([`write_events_json`](Transcript::write_events_json)),
 //!   CSV ([`write_events_csv`](Transcript::write_events_csv)) and both
@@ -20,6 +20,7 @@
 //! The JSON/CSV schema is documented in `docs/OBSERVABILITY.md`.
 
 use crate::bits::BitCost;
+use crate::recorder::{Recorder, Tally};
 use serde::Serialize;
 
 /// The phase events carry when no explicit phase scope is active.
@@ -75,12 +76,15 @@ pub struct Event {
     pub label: &'static str,
 }
 
-/// The ordered record of every message exchanged in one protocol run.
+/// The ordered record of every message exchanged in one protocol run:
+/// the [`Event`] log over an embedded [`Tally`] that every charge also
+/// goes through. Totals, statistics and rollups are read from
+/// [`tally`](Recorder::tally).
 ///
 /// # Example
 ///
 /// ```
-/// use triad_comm::{BitCost, Direction, Transcript};
+/// use triad_comm::{BitCost, Direction, Recorder, Transcript};
 ///
 /// let mut t = Transcript::new(2);
 /// t.set_phase("sample");
@@ -88,7 +92,7 @@ pub struct Event {
 /// t.set_phase("verify");
 /// t.record(Some(1), Direction::ToCoordinator, BitCost(5), "bit");
 ///
-/// let phases = t.by_phase();
+/// let phases = t.tally().by_phase();
 /// let total: u64 = phases.iter().map(|r| r.bits).sum();
 /// assert_eq!(total, t.total_bits().get());
 ///
@@ -98,19 +102,10 @@ pub struct Event {
 /// assert_eq!(parsed.len(), 2);
 /// assert_eq!(parsed[0].phase, "sample");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Transcript {
     events: Vec<Event>,
-    round: u64,
-    total: BitCost,
-    per_player_sent: Vec<u64>,
-    current_phase: &'static str,
-}
-
-impl Default for Transcript {
-    fn default() -> Self {
-        Transcript::new(0)
-    }
+    tally: Tally,
 }
 
 impl Transcript {
@@ -118,228 +113,13 @@ impl Transcript {
     pub fn new(k: usize) -> Self {
         Transcript {
             events: Vec::new(),
-            round: 0,
-            total: BitCost::ZERO,
-            per_player_sent: vec![0; k],
-            current_phase: DEFAULT_PHASE,
-        }
-    }
-
-    /// Pre-reserves space for `additional` further events — callers that
-    /// keep full transcripts on a hot path (e.g. the simultaneous
-    /// runner) size the log once instead of growing it per record.
-    pub fn reserve_events(&mut self, additional: usize) {
-        self.events.reserve(additional);
-    }
-
-    /// Advances to the next communication round.
-    pub fn next_round(&mut self) {
-        self.round += 1;
-    }
-
-    /// Current round index.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Sets the phase stamped onto subsequently recorded events.
-    pub fn set_phase(&mut self, phase: &'static str) {
-        self.current_phase = phase;
-    }
-
-    /// The phase currently being stamped onto recorded events.
-    pub fn current_phase(&self) -> &'static str {
-        self.current_phase
-    }
-
-    /// Records a message under the current phase.
-    pub fn record(
-        &mut self,
-        player: Option<usize>,
-        direction: Direction,
-        bits: BitCost,
-        label: &'static str,
-    ) {
-        if direction == Direction::ToCoordinator {
-            if let Some(j) = player {
-                if let Some(slot) = self.per_player_sent.get_mut(j) {
-                    *slot += bits.get();
-                }
-            }
-        }
-        self.total.accumulate(bits);
-        self.events.push(Event {
-            round: self.round,
-            player,
-            direction,
-            bits: bits.get(),
-            phase: self.current_phase,
-            label,
-        });
-    }
-
-    /// Appends another transcript as later rounds of this one — the
-    /// accounting behind repetition wrappers: totals add, rounds
-    /// concatenate, per-player counters accumulate.
-    ///
-    /// Absorbing a pristine transcript (no events, round 0) is a no-op,
-    /// which makes `absorb` associative — the invariant the deterministic
-    /// parallel engine's ordered reduction relies on (see
-    /// `tests/properties.rs`).
-    pub fn absorb(&mut self, other: &Transcript) {
-        if other.events.is_empty() && other.round == 0 {
-            // A pristine operand carries no rounds; bumping our round
-            // counter for it would make `absorb` non-associative.
-            if self.per_player_sent.len() < other.per_player_sent.len() {
-                self.per_player_sent.resize(other.per_player_sent.len(), 0);
-            }
-            return;
-        }
-        let offset = if self.events.is_empty() && self.round == 0 {
-            0
-        } else {
-            self.round + 1
-        };
-        self.events.reserve(other.events.len());
-        for e in &other.events {
-            self.events.push(Event {
-                round: e.round + offset,
-                ..*e
-            });
-        }
-        self.round = offset + other.round;
-        self.total.accumulate(other.total);
-        if self.per_player_sent.len() < other.per_player_sent.len() {
-            self.per_player_sent.resize(other.per_player_sent.len(), 0);
-        }
-        for (slot, sent) in self.per_player_sent.iter_mut().zip(&other.per_player_sent) {
-            *slot += sent;
+            tally: Tally::with_players(k),
         }
     }
 
     /// All recorded events in order.
     pub fn events(&self) -> &[Event] {
         &self.events
-    }
-
-    /// Total bits across all messages.
-    pub fn total_bits(&self) -> BitCost {
-        self.total
-    }
-
-    /// Bits each player sent to the coordinator.
-    pub fn per_player_sent(&self) -> &[u64] {
-        &self.per_player_sent
-    }
-
-    /// Aggregated statistics.
-    pub fn stats(&self) -> CommStats {
-        CommStats {
-            total_bits: self.total.get(),
-            rounds: self.round + 1,
-            messages: self.events.len() as u64,
-            max_player_sent_bits: self.per_player_sent.iter().copied().max().unwrap_or(0),
-        }
-    }
-
-    /// Total bits charged to events carrying the given label.
-    pub fn bits_for_label(&self, label: &str) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| e.label == label)
-            .map(|e| e.bits)
-            .sum()
-    }
-
-    /// Total bits charged to events recorded under the given phase.
-    pub fn bits_for_phase(&self, phase: &str) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| e.phase == phase)
-            .map(|e| e.bits)
-            .sum()
-    }
-
-    /// Per-label totals, sorted by descending bits — the per-label cost
-    /// breakdown of a run.
-    pub fn breakdown(&self) -> Vec<LabelTotals> {
-        let mut map: std::collections::HashMap<&'static str, LabelTotals> =
-            std::collections::HashMap::new();
-        for e in &self.events {
-            let slot = map.entry(e.label).or_insert(LabelTotals {
-                label: e.label,
-                bits: 0,
-                messages: 0,
-            });
-            slot.bits += e.bits;
-            slot.messages += 1;
-        }
-        let mut out: Vec<LabelTotals> = map.into_values().collect();
-        out.sort_by(|a, b| b.bits.cmp(&a.bits).then(a.label.cmp(b.label)));
-        out
-    }
-
-    fn rollup_by<K: Ord, F>(&self, key_of: F) -> Vec<(K, Rollup)>
-    where
-        F: Fn(&Event) -> (K, String),
-    {
-        let mut map: std::collections::BTreeMap<K, Rollup> = std::collections::BTreeMap::new();
-        for e in &self.events {
-            let (sort_key, key) = key_of(e);
-            let slot = map.entry(sort_key).or_insert(Rollup {
-                key,
-                bits: 0,
-                messages: 0,
-            });
-            slot.bits += e.bits;
-            slot.messages += 1;
-        }
-        map.into_iter().collect()
-    }
-
-    /// Bits and messages per phase, sorted by descending bits. Every
-    /// event carries exactly one phase, so the rollup's bit totals sum
-    /// to [`total_bits`](Self::total_bits).
-    pub fn by_phase(&self) -> Vec<Rollup> {
-        let mut out: Vec<Rollup> = self
-            .rollup_by(|e| (e.phase, e.phase.to_string()))
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect();
-        out.sort_by(|a, b| b.bits.cmp(&a.bits).then(a.key.cmp(&b.key)));
-        out
-    }
-
-    /// Bits and messages per involved party: `player-j` in index order,
-    /// then `broadcast` for coordinator postings charged to nobody. A
-    /// partition of the events, so bit totals sum to
-    /// [`total_bits`](Self::total_bits).
-    pub fn by_player(&self) -> Vec<Rollup> {
-        self.rollup_by(|e| match e.player {
-            Some(j) => ((0, j), format!("player-{j}")),
-            None => ((1, 0), "broadcast".to_string()),
-        })
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect()
-    }
-
-    /// Bits and messages per round, in round order. Bit totals sum to
-    /// [`total_bits`](Self::total_bits).
-    pub fn by_round(&self) -> Vec<Rollup> {
-        self.rollup_by(|e| (e.round, format!("round-{}", e.round)))
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect()
-    }
-
-    /// Bits and messages per [`Direction`], in declaration order. Bit
-    /// totals sum to [`total_bits`](Self::total_bits).
-    pub fn by_direction(&self) -> Vec<Rollup> {
-        self.rollup_by(|e| (e.direction as u8, e.direction.as_str().to_string()))
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect()
     }
 
     fn event_json(e: &Event) -> String {
@@ -415,6 +195,18 @@ impl Transcript {
         Ok(())
     }
 
+    /// The four rollups of [`tally`](Recorder::tally), named as the
+    /// rollup exports name them.
+    fn rollup_groups(&self) -> [(&'static str, Vec<Rollup>); 4] {
+        let t = &self.tally;
+        [
+            ("by_phase", t.by_phase()),
+            ("by_player", t.by_player()),
+            ("by_round", t.by_round()),
+            ("by_direction", t.by_direction()),
+        ]
+    }
+
     /// Serializes all four rollups plus the grand total as one JSON
     /// object: `{"total_bits": …, "by_phase": […], "by_player": […],
     /// "by_round": […], "by_direction": […]}`.
@@ -424,13 +216,8 @@ impl Transcript {
     /// Propagates writer failures.
     pub fn write_rollups_json<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
         writeln!(w, "{{")?;
-        writeln!(w, "  \"total_bits\": {},", self.total.get())?;
-        let groups = [
-            ("by_phase", self.by_phase()),
-            ("by_player", self.by_player()),
-            ("by_round", self.by_round()),
-            ("by_direction", self.by_direction()),
-        ];
+        writeln!(w, "  \"total_bits\": {},", self.total_bits().get())?;
+        let groups = self.rollup_groups();
         for (i, (name, rows)) in groups.iter().enumerate() {
             let sep = if i + 1 < groups.len() { "," } else { "" };
             writeln!(
@@ -452,18 +239,66 @@ impl Transcript {
     /// Propagates writer failures.
     pub fn write_rollups_csv<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
         writeln!(w, "grouping,key,bits,messages")?;
-        let groups = [
-            ("by_phase", self.by_phase()),
-            ("by_player", self.by_player()),
-            ("by_round", self.by_round()),
-            ("by_direction", self.by_direction()),
-        ];
-        for (name, rows) in &groups {
+        for (name, rows) in &self.rollup_groups() {
             for r in rows {
                 writeln!(w, "{},{},{},{}", name, r.key, r.bits, r.messages)?;
             }
         }
         Ok(())
+    }
+}
+
+impl Recorder for Transcript {
+    fn with_players(k: usize) -> Self {
+        Transcript::new(k)
+    }
+
+    /// Stamps the event with the tally's round and phase, then charges
+    /// the tally.
+    fn record(
+        &mut self,
+        player: Option<usize>,
+        direction: Direction,
+        bits: BitCost,
+        label: &'static str,
+    ) {
+        self.events.push(Event {
+            round: self.tally.round(),
+            player,
+            direction,
+            bits: bits.get(),
+            phase: self.tally.current_phase(),
+            label,
+        });
+        self.tally.record(player, direction, bits, label);
+    }
+
+    fn next_round(&mut self) {
+        self.tally.next_round();
+    }
+
+    fn set_phase(&mut self, phase: &'static str) {
+        self.tally.set_phase(phase);
+    }
+
+    /// Absorbs the other tally, then appends the other log with its
+    /// rounds shifted to where the tally put them: the other's last
+    /// round is now this one's last round.
+    fn absorb(&mut self, other: &Self) {
+        self.tally.absorb(&other.tally);
+        let offset = self.tally.round() - other.tally.round();
+        self.events.extend(other.events.iter().map(|e| Event {
+            round: e.round + offset,
+            ..*e
+        }));
+    }
+
+    fn reserve_messages(&mut self, additional: usize) {
+        self.events.reserve(additional);
+    }
+
+    fn tally(&self) -> &Tally {
+        &self.tally
     }
 }
 
@@ -698,7 +533,7 @@ mod tests {
         t.next_round();
         t.record(Some(2), Direction::ToCoordinator, BitCost(7), "b");
         assert_eq!(t.total_bits(), BitCost(22));
-        assert_eq!(t.per_player_sent(), &[10, 0, 7]);
+        assert_eq!(t.tally().per_player_sent(), &[10, 0, 7]);
         let s = t.stats();
         assert_eq!(s.total_bits, 22);
         assert_eq!(s.rounds, 2);
@@ -714,21 +549,7 @@ mod tests {
         let mut t = Transcript::new(2);
         t.record(None, Direction::Broadcast, BitCost(100), "bc");
         assert_eq!(t.total_bits(), BitCost(100));
-        assert_eq!(t.per_player_sent(), &[0, 0]);
-    }
-
-    #[test]
-    fn breakdown_aggregates_and_sorts() {
-        let mut t = Transcript::new(2);
-        t.record(Some(0), Direction::ToCoordinator, BitCost(5), "small");
-        t.record(Some(1), Direction::ToCoordinator, BitCost(30), "big");
-        t.record(Some(0), Direction::ToPlayer, BitCost(10), "big");
-        let b = t.breakdown();
-        assert_eq!(b.len(), 2);
-        assert_eq!(b[0].label, "big");
-        assert_eq!(b[0].bits, 40);
-        assert_eq!(b[0].messages, 2);
-        assert_eq!(b[1].label, "small");
+        assert_eq!(t.tally().per_player_sent(), &[0, 0]);
     }
 
     #[test]
@@ -779,7 +600,8 @@ mod tests {
     fn every_rollup_partitions_the_total() {
         let t = phased_transcript();
         let total = t.total_bits().get();
-        for rollup in [t.by_phase(), t.by_player(), t.by_round(), t.by_direction()] {
+        let y = t.tally();
+        for rollup in [y.by_phase(), y.by_player(), y.by_round(), y.by_direction()] {
             assert_eq!(rollup.iter().map(|r| r.bits).sum::<u64>(), total);
             assert_eq!(
                 rollup.iter().map(|r| r.messages).sum::<u64>(),
@@ -790,7 +612,8 @@ mod tests {
 
     #[test]
     fn rollup_keys_and_order() {
-        let t = phased_transcript();
+        let transcript = phased_transcript();
+        let t = transcript.tally();
         let phases: Vec<String> = t.by_phase().into_iter().map(|r| r.key).collect();
         assert_eq!(phases, ["verify", "sample"], "descending bits");
         let players: Vec<String> = t.by_player().into_iter().map(|r| r.key).collect();
@@ -900,7 +723,7 @@ mod tests {
             2,
             "absorbed events start a fresh round"
         );
-        assert_eq!(a.per_player_sent(), &[18, 0, 12]);
+        assert_eq!(a.tally().per_player_sent(), &[18, 0, 12]);
         let mut empty = Transcript::new(3);
         empty.absorb(&b);
         assert_eq!(
@@ -932,6 +755,6 @@ mod tests {
         right.absorb(&mid);
         assert_eq!(left.round(), right.round());
         assert_eq!(left.events(), right.events());
-        assert_eq!(left.per_player_sent(), right.per_player_sent());
+        assert_eq!(left.tally(), right.tally());
     }
 }

@@ -456,14 +456,12 @@ mod tests {
                     slow.transcript.total_bits(),
                     "seed {seed} t{threads}"
                 );
-                assert_eq!(fast.transcript.by_phase(), slow.transcript.by_phase());
-                assert_eq!(fast.transcript.by_player(), slow.transcript.by_player());
-                assert_eq!(fast.transcript.by_round(), slow.transcript.by_round());
-                assert_eq!(
-                    fast.transcript.by_direction(),
-                    slow.transcript.by_direction()
-                );
-                assert_eq!(fast.transcript.breakdown(), slow.transcript.breakdown());
+                let (fast, slow) = (&fast.transcript, slow.transcript.tally());
+                assert_eq!(fast.by_phase(), slow.by_phase());
+                assert_eq!(fast.by_player(), slow.by_player());
+                assert_eq!(fast.by_round(), slow.by_round());
+                assert_eq!(fast.by_direction(), slow.by_direction());
+                assert_eq!(fast.breakdown(), slow.breakdown());
             }
         }
     }
@@ -483,8 +481,9 @@ mod tests {
             let fast = fast.run;
             assert_eq!(fast.outcome, slow.outcome, "seed {seed}");
             assert_eq!(fast.stats, slow.stats, "seed {seed}");
-            assert_eq!(fast.transcript.by_phase(), slow.transcript.by_phase());
-            assert_eq!(fast.transcript.breakdown(), slow.transcript.breakdown());
+            let (fast, slow) = (&fast.transcript, slow.transcript.tally());
+            assert_eq!(fast.by_phase(), slow.by_phase());
+            assert_eq!(fast.breakdown(), slow.breakdown());
         }
     }
 

@@ -132,7 +132,7 @@ impl UnrestrictedTester {
         Ok(ProtocolRun {
             outcome,
             stats: rt.stats(),
-            transcript: rt.into_transcript(),
+            transcript: rt.into_recorder(),
         })
     }
 

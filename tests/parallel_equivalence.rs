@@ -8,7 +8,7 @@
 //! including early-exit cost accounting.
 
 use triad::comm::pool::Pool;
-use triad::comm::{CommStats, CostReport, PayloadRepr, Transcript};
+use triad::comm::{CommStats, CostReport, PayloadRepr, Recorder, Transcript};
 use triad::graph::partition::Partition;
 use triad::graph::Graph;
 use triad::protocols::amplify::{rep_seed, run_amplified_prepared, PreparedInput};
@@ -104,11 +104,11 @@ fn amplified_cost_reports_are_byte_identical_across_thread_counts() {
                     eps: EPS,
                     seed,
                 };
-                let ref_json = CostReport::from_transcript(
+                let ref_json = CostReport::from_tally(
                     params(),
                     reference.outcome_str(),
                     reference.stats,
-                    &reference.transcript,
+                    reference.transcript.tally(),
                 )
                 .to_json();
                 for threads in [1usize, 2, 8] {

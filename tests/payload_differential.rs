@@ -24,10 +24,9 @@ use std::time::Duration;
 
 use triad::comm::pool::Pool;
 use triad::comm::{
-    run_simultaneous_collected, run_simultaneous_prepared, run_simultaneous_threaded, CostModel,
-    FaultPlan, FaultRates, Payload, PayloadRepr, PlayerSession, PlayerState, Recorder, ServeConfig,
-    SharedRandomness, SimMessage, SimultaneousProtocol, Tally, TcpCoordinator, TcpTransport,
-    Welcome,
+    run_simultaneous_collected, run_simultaneous_prepared, CostModel, FaultPlan, FaultRates,
+    Payload, PayloadRepr, PlayerSession, PlayerState, Recorder, ServeConfig, SharedRandomness,
+    SimMessage, SimultaneousProtocol, Tally, TcpCoordinator, TcpTransport, Welcome,
 };
 use triad::graph::generators::gnp_with_average_degree;
 use triad::graph::partition::{random_disjoint, Partition};
@@ -234,40 +233,6 @@ fn threaded_pools_preserve_representation_independence() {
                     assert_runs_equal(&label, &got, &want);
                 }
             }
-        }
-    }
-}
-
-/// Threaded axis, single-round form: scoped player threads
-/// (`run_simultaneous_threaded`) produce the same run as the serial
-/// path at every representation. The exact baseline is the one
-/// protocol whose message depends only on the sorted share, so it is
-/// safe to rebuild players per call.
-#[test]
-fn scoped_player_threads_agree_at_every_representation() {
-    for density in densities() {
-        let g = &density.graph;
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let parts = random_disjoint(g, 3, &mut rng);
-        let shares = parts.shares();
-        let shared = SharedRandomness::new(5);
-        let n = g.vertex_count();
-        let edges_run = run_simultaneous_threaded(
-            &SendEverything::with_repr(PayloadRepr::Edges),
-            n,
-            shares,
-            shared,
-        );
-        for repr in [PayloadRepr::Bits, PayloadRepr::Auto] {
-            let got =
-                run_simultaneous_threaded(&SendEverything::with_repr(repr), n, shares, shared);
-            let label = format!("{}/{repr}", density.label);
-            assert_eq!(got.output, edges_run.output, "{label}: output");
-            assert_eq!(got.stats, edges_run.stats, "{label}: stats");
-            assert_eq!(
-                got.per_player_bits, edges_run.per_player_bits,
-                "{label}: per-player bits"
-            );
         }
     }
 }

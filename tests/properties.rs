@@ -2,10 +2,11 @@
 //! protocols rely on.
 
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use triad::comm::pool::Pool;
 use triad::comm::{
-    bits, mix64, BitCost, CommStats, Direction, Payload, SharedRandomness, Transcript,
+    bits, mix64, BitCost, CommStats, Direction, Event, Payload, Recorder, Rollup, SharedRandomness,
+    Transcript, DEFAULT_PHASE,
 };
 use triad::graph::{buckets, distance, triangles, Edge, Graph, GraphBuilder, VertexId};
 
@@ -39,13 +40,16 @@ fn transcript_ops(max_ops: usize) -> impl Strategy<Value = Vec<TranscriptOp>> {
     )
 }
 
+const LABELS: [&str; 3] = ["probe", "sample", "reply"];
+const PHASES: [&str; 3] = [DEFAULT_PHASE, "estimate", "verify"];
+
 fn build_transcript(k: usize, ops: &[TranscriptOp]) -> Transcript {
-    const LABELS: [&str; 3] = ["probe", "sample", "reply"];
     let mut t = Transcript::new(k);
     for &(p, bits, li, di, advance) in ops {
         if advance {
             t.next_round();
         }
+        t.set_phase(PHASES[(p + di) % PHASES.len()]);
         let dir = match di {
             0 => Direction::ToPlayer,
             1 => Direction::ToCoordinator,
@@ -59,6 +63,24 @@ fn build_transcript(k: usize, ops: &[TranscriptOp]) -> Transcript {
         t.record(player, dir, BitCost(bits), LABELS[li]);
     }
     t
+}
+
+/// The rollup rules written out as a fold over an event log, keyed by
+/// `key` (sort key, rollup name) and returned in sort-key order: the
+/// oracle the counters of `Tally` are checked against.
+fn fold_events<K: Ord>(events: &[Event], key: impl Fn(&Event) -> (K, String)) -> Vec<Rollup> {
+    let mut groups: BTreeMap<K, Rollup> = BTreeMap::new();
+    for e in events {
+        let (sort_key, name) = key(e);
+        let row = groups.entry(sort_key).or_insert(Rollup {
+            key: name,
+            bits: 0,
+            messages: 0,
+        });
+        row.bits += e.bits;
+        row.messages += 1;
+    }
+    groups.into_values().collect()
 }
 
 /// Strategy: arbitrary (bounded) communication statistics.
@@ -247,6 +269,77 @@ proptest! {
         prop_assert_eq!(absorbed.round(), reference.round());
         prop_assert_eq!(absorbed.events(), reference.events());
         prop_assert_eq!(absorbed.stats(), reference.stats());
+    }
+
+    #[test]
+    fn tally_rollups_match_a_fold_over_the_events(
+        k in 1usize..4,
+        ops_a in transcript_ops(12),
+        ops_b in transcript_ops(12),
+        ops_c in transcript_ops(12),
+    ) {
+        let mut t = build_transcript(k, &ops_a);
+        t.absorb(&build_transcript(k, &ops_b));
+        t.absorb(&build_transcript(k, &ops_c));
+        let (y, events) = (t.tally(), t.events());
+
+        // Phases and labels: descending bits, ties by ascending name.
+        let by_bits = |mut rows: Vec<Rollup>| {
+            rows.sort_by(|a, b| b.bits.cmp(&a.bits).then(a.key.cmp(&b.key)));
+            rows
+        };
+        let by_phase = fold_events(events, |e| (e.phase, e.phase.to_string()));
+        prop_assert_eq!(y.by_phase(), by_bits(by_phase));
+        let breakdown: Vec<Rollup> = y
+            .breakdown()
+            .into_iter()
+            .map(|row| Rollup {
+                key: row.label.to_string(),
+                bits: row.bits,
+                messages: row.messages,
+            })
+            .collect();
+        let by_label = fold_events(events, |e| (e.label, e.label.to_string()));
+        prop_assert_eq!(breakdown, by_bits(by_label));
+        let by_player = fold_events(events, |e| match e.player {
+            Some(j) => ((0, j), format!("player-{j}")),
+            None => ((1, 0), "broadcast".to_string()),
+        });
+        prop_assert_eq!(y.by_player(), by_player);
+        let by_round = fold_events(events, |e| (e.round, format!("round-{}", e.round)));
+        prop_assert_eq!(y.by_round(), by_round);
+        let by_direction =
+            fold_events(events, |e| (e.direction as u8, e.direction.as_str().to_string()));
+        prop_assert_eq!(y.by_direction(), by_direction);
+
+        for name in PHASES.iter().chain(&LABELS).chain(&["absent"]) {
+            let sum = |of: fn(&Event) -> &str| -> u64 {
+                events.iter().filter(|e| of(e) == *name).map(|e| e.bits).sum()
+            };
+            prop_assert_eq!(y.bits_for_phase(name), sum(|e| e.phase));
+            prop_assert_eq!(y.bits_for_label(name), sum(|e| e.label));
+        }
+
+        // Rounds: a script of r advances ends in round r, an empty script
+        // is pristine and absorbs as nothing, and a later script starts
+        // one round after the last one.
+        let last_round = [&ops_a, &ops_b, &ops_c]
+            .into_iter()
+            .filter(|ops| !ops.is_empty())
+            .map(|ops| ops.iter().filter(|op| op.4).count() as u64)
+            .fold(None, |last, r| Some(last.map_or(r, |last: u64| last + 1 + r)));
+        let mut sent = vec![0u64; k];
+        for e in events.iter().filter(|e| e.direction == Direction::ToCoordinator) {
+            sent[e.player.expect("a player sent it")] += e.bits;
+        }
+        prop_assert_eq!(y.per_player_sent(), &sent[..]);
+        let stats = CommStats {
+            total_bits: events.iter().map(|e| e.bits).sum(),
+            rounds: last_round.unwrap_or(0) + 1,
+            messages: events.len() as u64,
+            max_player_sent_bits: sent.iter().copied().max().unwrap_or(0),
+        };
+        prop_assert_eq!(y.stats(), stats);
     }
 
     #[test]

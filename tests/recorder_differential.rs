@@ -35,7 +35,7 @@ fn workload(n: usize, k: usize, graph_seed: u64) -> (Graph, Partition) {
 /// Asserts a tally-path run agrees with a transcript-path run on every
 /// comparable field.
 fn assert_equivalent(label: &str, reference: &ProtocolRun, fast: &TallyRun, threads: usize) {
-    let t: &Transcript = &reference.transcript;
+    let t: &Tally = reference.transcript.tally();
     let y: &Tally = &fast.transcript;
     assert_eq!(
         fast.outcome, reference.outcome,

@@ -58,6 +58,10 @@ pub struct SessionSaturation {
     /// Prepared-input cache hits of one batch run
     /// (`sessions - distinct_inputs`).
     pub cache_hits: usize,
+    /// Speculative repetitions discarded at each worker count
+    /// (`SessionResults::discarded`), aligned with
+    /// [`SESSION_WORKER_COUNTS`]; 0 at one worker.
+    pub discarded: [usize; 4],
 }
 
 impl SessionSaturation {
@@ -153,6 +157,7 @@ pub fn session_saturation(scale: Scale, sessions: usize) -> SessionSaturation {
 
     let mut qps = [0.0f64; 4];
     let mut effective_workers = [1usize; 4];
+    let mut discarded = [0usize; 4];
     let mut reference: Option<Vec<SessionDigest>> = None;
     let mut cache_hits = 0;
     for (i, &workers) in SESSION_WORKER_COUNTS.iter().enumerate() {
@@ -166,6 +171,7 @@ pub fn session_saturation(scale: Scale, sessions: usize) -> SessionSaturation {
         let secs = start.elapsed().as_secs_f64();
         qps[i] = sessions as f64 / secs.max(1e-9);
         cache_hits = results.cache_hits;
+        discarded[i] = results.discarded;
         assert_eq!(results.cache_misses, distinct, "one build per input");
         let d = digest(&results);
         match &reference {
@@ -185,6 +191,7 @@ pub fn session_saturation(scale: Scale, sessions: usize) -> SessionSaturation {
         effective_workers,
         total_bits: reference.iter().map(|d| d.2).sum(),
         cache_hits,
+        discarded,
     }
 }
 
@@ -198,6 +205,7 @@ mod tests {
         assert_eq!(s.sessions, 8);
         assert_eq!(s.distinct_inputs, 3);
         assert_eq!(s.cache_hits, 5);
+        assert_eq!(s.discarded[0], 0, "one worker never speculates");
         assert!(s.total_bits > 0);
         assert!(s.qps.iter().all(|&q| q > 0.0));
         let hw = std::thread::available_parallelism()

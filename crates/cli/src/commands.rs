@@ -632,9 +632,10 @@ pub fn report(args: &ArgMap) -> Result<String, CliError> {
 
 /// `triad bench --sessions N [--quick]` — the scheduler saturation
 /// microbench: drive one batch of `N` sessions over worker pools of
-/// 1, 2, 4 and 8 threads and print the measured queries/sec at each,
-/// asserting along the way that every worker count produced identical
-/// results (see `docs/RUNTIME.md`, "Sessions and scheduling").
+/// 1, 2, 4 and 8 threads and print the measured queries/sec and the
+/// discarded speculative repetitions at each, asserting along the way
+/// that every worker count produced identical results (see
+/// `docs/RUNTIME.md`, "Sessions and scheduling").
 pub fn bench(args: &ArgMap) -> Result<String, CliError> {
     if let Some(path) = args.optional("graph-file") {
         return bench_store(args, path);
@@ -672,6 +673,15 @@ pub fn bench(args: &ArgMap) -> Result<String, CliError> {
             "  {w} worker(s): {qps:>10.1} queries/sec{clamp}\n"
         ));
     }
+    let discarded: Vec<String> = triad_bench::sessions::SESSION_WORKER_COUNTS
+        .iter()
+        .zip(s.discarded)
+        .map(|(w, d)| format!("{w}w {d}"))
+        .collect();
+    out.push_str(&format!(
+        "discarded speculative reps: {}\n",
+        discarded.join(", ")
+    ));
     out.push_str(&format!(
         "cache: {} hits, {} builds; saturation speedup (8w/1w): {:.2}x\n",
         s.cache_hits,

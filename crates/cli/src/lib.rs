@@ -95,7 +95,8 @@ commands:
              reconnect window; removed on a clean farewell)
   bench      scheduler saturation microbench: run one batch of N
              sessions over 1/2/4/8-worker pools and print queries/sec
-             at each (results asserted identical across worker counts —
+             and discarded speculative repetitions at each (results
+             asserted identical across worker counts —
              docs/RUNTIME.md); worker counts beyond the machine's cores
              are clamped and flagged `[effective W]`
              --sessions N  [--quick]
@@ -689,6 +690,10 @@ mod tests {
         }
         assert!(out.contains("queries/sec"), "{out}");
         assert!(out.contains("saturation speedup"), "{out}");
+        assert!(
+            out.contains("discarded speculative reps: 1w 0, 2w "),
+            "{out}"
+        );
         for bad in [
             "bench --quick",
             "bench --sessions 0",

@@ -85,7 +85,7 @@ pub use runtime::{
     CostModel, LocalTransport, RunError, RunErrorKind, Runtime, SharedTransport, TcpTransport,
     Transport, TransportError, DEFAULT_NET_TIMEOUT, DEFAULT_RETRY_BUDGET,
 };
-pub use scheduler::{run_sessions, FnSession, SessionHandle, SessionJob};
+pub use scheduler::{run_sessions, FnSession, SessionHandle, SessionJob, SessionPrefixes};
 pub use simultaneous::{
     run_simultaneous, run_simultaneous_collected, run_simultaneous_prepared, SimMessage, SimRun,
     SimultaneousProtocol,

@@ -29,7 +29,8 @@
 //! flag), the `TRIAD_THREADS` environment variable, and
 //! [`std::thread::available_parallelism`]. A pool of one thread runs
 //! every combinator inline on the caller's thread — that *is* the serial
-//! path, with zero spawn overhead.
+//! path, with zero spawn overhead. A pool of `w > 1` threads spawns
+//! `w − 1` and works on the caller's thread too.
 //!
 //! # Example
 //!
@@ -79,8 +80,9 @@ pub fn configured_threads() -> usize {
 
 /// A scoped worker pool with deterministic, index-ordered reduction.
 ///
-/// The pool owns no threads between calls: each combinator spawns
-/// workers in a [`std::thread::scope`], collects their results over a
+/// The pool owns no threads between calls: each combinator runs one
+/// worker on the calling thread and spawns the others in a
+/// [`std::thread::scope`], collects their results over a
 /// [`std::sync::mpsc`] channel and joins them before returning, so
 /// borrowing inputs from the caller's stack is free and no shutdown
 /// protocol exists to get wrong.
@@ -148,8 +150,9 @@ impl Pool {
     /// and cost-sensitive folds over the returned prefix match the
     /// serial path bit for bit.
     ///
-    /// A worker panic propagates to the caller when the scope joins, as
-    /// it would in a serial loop.
+    /// Every spawned worker thread has exited when this returns. A panic
+    /// in any worker propagates to the caller with its original payload
+    /// once the spawned workers are done, as it would in a serial loop.
     pub fn ordered_map_until<T, F, S>(&self, n: usize, f: F, stop: S) -> Vec<T>
     where
         T: Send,
@@ -179,28 +182,46 @@ impl Pool {
         let (tx, rx) = mpsc::channel::<(usize, T)>();
         let workers = self.threads.min(n);
         let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let (next, cutoff, f, stop) = (&next, &cutoff, &f, &stop);
-                s.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= n || i > cutoff.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let r = f(i);
-                    if stop(&r) {
-                        cutoff.fetch_min(i, Ordering::SeqCst);
-                    }
-                    if tx.send((i, r)).is_err() {
-                        break;
-                    }
-                });
+        let work = |tx: mpsc::Sender<(usize, T)>| loop {
+            let i = next.fetch_add(1, Ordering::SeqCst);
+            if i >= n || i > cutoff.load(Ordering::SeqCst) {
+                break;
             }
-            drop(tx);
+            let r = f(i);
+            if stop(&r) {
+                cutoff.fetch_min(i, Ordering::SeqCst);
+            }
+            if tx.send((i, r)).is_err() {
+                break;
+            }
+        };
+        std::thread::scope(|s| {
+            // The caller is one of the workers: it claims items until
+            // none are left instead of sleeping on the channel, so no
+            // result wakes it and one thread fewer is spawned.
+            let handles: Vec<_> = (1..workers)
+                .map(|_| {
+                    let tx = tx.clone();
+                    s.spawn(move || work(tx))
+                })
+                .collect();
+            work(tx);
             slots.resize_with(n, || None);
             while let Ok((i, r)) = rx.recv() {
                 slots[i] = Some(r);
+            }
+            // The scope itself waits only for the closures. Joining
+            // waits for each thread to exit, so its thread-local
+            // destructors have run and its malloc arena is free for the
+            // next call's workers instead of a new arena being made.
+            let mut panic = None;
+            for handle in handles {
+                if let Err(payload) = handle.join() {
+                    panic.get_or_insert(payload);
+                }
+            }
+            if let Some(payload) = panic {
+                std::panic::resume_unwind(payload);
             }
         });
         let stop_at = cutoff.load(Ordering::SeqCst);
@@ -295,6 +316,49 @@ mod tests {
                 i
             })
         });
-        assert!(caught.is_err());
+        let payload = caught.expect_err("the worker panic reaches the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied());
+        assert_eq!(message, Some("boom"), "the original payload is resumed");
+    }
+
+    #[test]
+    fn workers_have_exited_when_a_map_returns() {
+        // A thread-local's destructor runs as its thread exits, after
+        // the closure has returned; it has run for every worker that
+        // touched it only if the pool joined the threads themselves.
+        static STARTED: AtomicUsize = AtomicUsize::new(0);
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+        struct Exit;
+        impl Drop for Exit {
+            fn drop(&mut self) {
+                EXITED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static MARK: Exit = {
+                STARTED.fetch_add(1, Ordering::SeqCst);
+                Exit
+            };
+        }
+        // Items 0..4 meet at the barrier, so each of the four workers
+        // holds one of them: every spawned thread touches the mark.
+        let barrier = std::sync::Barrier::new(4);
+        let caller = std::thread::current().id();
+        for round in 1..=20 {
+            Pool::new(4).ordered_map(64, |i| {
+                if i < 4 {
+                    barrier.wait();
+                }
+                if std::thread::current().id() != caller {
+                    MARK.with(|_| ());
+                }
+                i
+            });
+            assert_eq!(STARTED.load(Ordering::SeqCst), 3 * round);
+            assert_eq!(EXITED.load(Ordering::SeqCst), 3 * round);
+        }
     }
 }

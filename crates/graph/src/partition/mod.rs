@@ -11,7 +11,8 @@
 //! * [`adversarial_triangle_split`] — the edges of each packed triangle
 //!   scattered over three distinct players, so no player ever sees a local
 //!   triangle (defeats trivial local short-circuits),
-//! * [`by_vertex`] — locality partition (edges assigned by endpoint hash).
+//! * [`by_vertex`] — locality partition (edges assigned by a fixed
+//!   splitmix64 hash of their smaller endpoint).
 
 mod schemes;
 

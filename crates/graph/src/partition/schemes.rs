@@ -1,8 +1,7 @@
 use super::Partition;
+use crate::store::mix64;
 use crate::{triangles, AsCsr, Edge, Graph};
 use rand::Rng;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 
 /// Assigns each edge to exactly one uniformly random player.
 ///
@@ -82,7 +81,10 @@ pub fn adversarial_triangle_split<R: Rng + ?Sized>(g: &Graph, k: usize, rng: &mu
 }
 
 /// Locality partition: every edge goes to the player owning its smaller
-/// endpoint (by hash), so each vertex's edges concentrate on few players.
+/// endpoint, so each vertex's edges concentrate on few players. Vertex
+/// `u`'s owner is `mix64(u) % k`, the splitmix64 finalizer of the CSR
+/// checksum: a fixed function, so a partition never changes with the
+/// toolchain.
 ///
 /// # Panics
 ///
@@ -100,9 +102,7 @@ pub fn by_vertex<G: AsCsr + ?Sized>(g: &G, k: usize) -> Partition {
         let j = if len == 0 {
             0
         } else {
-            let mut h = DefaultHasher::new();
-            u.hash(&mut h);
-            (h.finish() % u64::from(k32)) as u32
+            (mix64(u64::from(u.0)) % u64::from(k32)) as u32
         };
         owners.push(j);
         sizes[j as usize] += len;
@@ -186,9 +186,7 @@ mod tests {
         let per_edge = |edges: &[crate::Edge], k: usize| {
             let mut shares = vec![Vec::new(); k];
             for e in edges {
-                let mut h = DefaultHasher::new();
-                e.u().hash(&mut h);
-                shares[(h.finish() % k as u64) as usize].push(*e);
+                shares[(mix64(u64::from(e.u().0)) % k as u64) as usize].push(*e);
             }
             Partition::new(shares)
         };
@@ -205,6 +203,21 @@ mod tests {
         }
         drop(store);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn by_vertex_owners_are_pinned() {
+        // Golden owners of `mix64(u) % k`: a change to the owner
+        // function moves every `--scheme vertex` partition.
+        let sources = [0u32, 1, 2, 3, 7, 42];
+        let g = Graph::from_edges(1001, sources.map(|u| (u, 1000)));
+        for (k, owners) in [(4, [0, 1, 2, 0, 0, 2]), (7, [0, 6, 1, 4, 2, 3])] {
+            let p = by_vertex(&g, k);
+            for (&u, &j) in sources.iter().zip(&owners) {
+                let e = Edge::new(crate::VertexId(u), crate::VertexId(1000));
+                assert!(p.shares()[j].contains(&e), "vertex {u}, k = {k}");
+            }
+        }
     }
 
     #[test]

@@ -62,7 +62,8 @@ pub const HEADER_BYTES: usize = 40;
 /// Byte offset of the checksum field within the header.
 pub(crate) const CHECKSUM_OFFSET: u64 = 32;
 
-/// splitmix64 finalizer — the checksum's mixing function. Kept local so
+/// splitmix64 finalizer — the checksum's mixing function and
+/// [`by_vertex`](crate::partition::by_vertex)'s owner hash. Kept local so
 /// `triad-graph` stays independent of `triad-comm` (which pins the same
 /// constants for seed derivation).
 pub(crate) fn mix64(mut x: u64) -> u64 {

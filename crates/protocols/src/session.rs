@@ -210,15 +210,24 @@ impl<'g> SessionBatch<'g> {
     ///
     /// Inputs are prepared once per distinct (graph, partition) content
     /// and shared; a session whose shares fail validation gets its
-    /// [`ProtocolError`] as a result without disturbing the others.
+    /// [`ProtocolError`] as a result without disturbing the others. The
+    /// content hash runs once per distinct borrowed (graph, partition)
+    /// pair, not once per session.
     pub fn run(&self, pool: &Pool) -> SessionResults {
         // Prepare each distinct input once (hit/miss counted per spec).
+        // Specs usually share a few borrowed inputs, so each borrow is
+        // hashed once, memoized by its address pair; the cache itself is
+        // keyed by content, so separately allocated equal inputs still
+        // share one preparation.
         let mut cache: HashMap<InputKey, Result<PreparedInput<'g>, ProtocolError>> = HashMap::new();
+        let mut hashed: HashMap<(*const Graph, *const Partition), InputKey> = HashMap::new();
         let mut keys = Vec::with_capacity(self.specs.len());
         let mut cache_hits = 0;
         let mut cache_misses = 0;
         for spec in &self.specs {
-            let key = input_key(spec.graph, spec.partition);
+            let key = *hashed
+                .entry((spec.graph, spec.partition))
+                .or_insert_with(|| input_key(spec.graph, spec.partition));
             match cache.entry(key) {
                 std::collections::hash_map::Entry::Occupied(_) => cache_hits += 1,
                 std::collections::hash_map::Entry::Vacant(slot) => {
@@ -250,8 +259,8 @@ impl<'g> SessionBatch<'g> {
             }
         }
 
-        let prefixes = run_sessions(pool, &jobs);
-        for ((job, prefix), &i) in jobs.iter().zip(prefixes).zip(&job_spec_index) {
+        let run = run_sessions(pool, &jobs);
+        for ((job, prefix), &i) in jobs.iter().zip(run.prefixes).zip(&job_spec_index) {
             results[i] = Some(reduce_prefix(job.input.k(), prefix));
         }
 
@@ -262,6 +271,7 @@ impl<'g> SessionBatch<'g> {
                 .collect(),
             cache_hits,
             cache_misses,
+            discarded: run.discarded,
         }
     }
 }
@@ -274,6 +284,12 @@ pub struct SessionResults {
     pub cache_hits: usize,
     /// Distinct inputs prepared (validated + player states built).
     pub cache_misses: usize,
+    /// Repetitions the scheduler computed past their session's stopping
+    /// point and threw away ([`SessionPrefixes::discarded`]); 0 at one
+    /// worker.
+    ///
+    /// [`SessionPrefixes::discarded`]: triad_comm::scheduler::SessionPrefixes::discarded
+    pub discarded: usize,
 }
 
 impl SessionResults {

@@ -8,7 +8,9 @@
 //!    [`run_amplified_prepared`], field by field (verdict, stats, and
 //!    every tally rollup), at 1, 2 and 4 threads, across mixed testers
 //!    and graphs sharing one batch. Interleaving work and sharing the
-//!    prepared-input cache must be observably free.
+//!    prepared-input cache must be observably free, and the cache is
+//!    keyed by content: equal inputs at different addresses share one
+//!    preparation.
 //! 2. **Absorb algebra** — [`Recorder::absorb`] on [`Tally`] is
 //!    associative in full (every rollup, including round structure),
 //!    and commutative on the order-insensitive rollups (total bits,
@@ -23,7 +25,7 @@ use triad::comm::{BitCost, Direction, Recorder, Tally};
 use triad::graph::generators::{far_graph, gnp_with_average_degree};
 use triad::graph::partition::{random_disjoint, Partition};
 use triad::graph::{Edge, Graph, VertexId};
-use triad::protocols::amplify::{run_amplified_prepared, PreparedInput};
+use triad::protocols::amplify::{rep_seed, run_amplified_prepared, PreparedInput, Repeatable};
 use triad::protocols::session::{SessionBatch, SessionSpec, SessionTester};
 use triad::protocols::{SimProtocolKind, SimultaneousTester, TallyRun, Tuning, UnrestrictedTester};
 
@@ -61,8 +63,22 @@ fn assert_identical(label: &str, reference: &TallyRun, batched: &TallyRun, threa
     assert_eq!(y.breakdown(), t.breakdown(), "{label}@{threads}: breakdown");
 }
 
+/// The repetition a standalone sweep of `spec` stops at (its first
+/// witness or error), or `None` when it runs every repetition.
+fn stopping_rep(spec: &SessionSpec<'_>) -> Option<u32> {
+    let input = PreparedInput::new(spec.graph, spec.partition).expect("valid input");
+    (0..spec.reps).find(|&r| {
+        spec.tester
+            .run_prepared(&input, rep_seed(spec.seed, r), None)
+            .map_or(true, |rep| rep.run.outcome.found_triangle())
+    })
+}
+
 /// The mixed workload: two graphs (one ε-far, one plain G(n,p)), three
-/// testers, sessions cycling over every (graph, tester) combination.
+/// testers, sessions cycling over every (graph, tester) combination,
+/// then every tester twice more on a triangle-free graph. Sessions stop
+/// at repetition 0, at a later repetition, or never, so the scheduler's
+/// waves are cut at every depth.
 #[test]
 fn batched_sessions_are_bit_identical_to_standalone_sweeps() {
     let mut rng = ChaCha8Rng::seed_from_u64(11);
@@ -71,6 +87,15 @@ fn batched_sessions_are_bit_identical_to_standalone_sweeps() {
     let gnp = gnp_with_average_degree(200, 5.0, &mut rng);
     let gnp_parts = random_disjoint(&gnp, 4, &mut rng);
     let inputs: [(&Graph, &Partition); 2] = [(&far, &far_parts), (&gnp, &gnp_parts)];
+    // Bipartite across the halves, so triangle-free.
+    let free = Graph::from_edges(
+        200,
+        gnp.edges()
+            .iter()
+            .filter(|e| (e.u().0 < 100) != (e.v().0 < 100))
+            .map(|e| (e.u().0, e.v().0)),
+    );
+    let free_parts = random_disjoint(&free, 3, &mut rng);
     let tuning = Tuning::practical(0.2);
     let testers = [
         SessionTester::Unrestricted(UnrestrictedTester::new(tuning)),
@@ -96,6 +121,25 @@ fn batched_sessions_are_bit_identical_to_standalone_sweeps() {
         batch.submit(spec.clone());
         specs.push(spec);
     }
+    // Six more on the triangle-free input: every tester twice.
+    for s in 12..18usize {
+        let spec = SessionSpec {
+            graph: &free,
+            partition: &free_parts,
+            tester: testers[s % 3].clone(),
+            seed: 40 + s as u64,
+            reps: 3,
+        };
+        batch.submit(spec.clone());
+        specs.push(spec);
+    }
+    let stops: Vec<_> = specs.iter().map(stopping_rep).collect();
+    assert!(stops.contains(&Some(0)), "{stops:?}: none stop at rep 0");
+    assert!(
+        stops.iter().any(|&s| s > Some(0)),
+        "{stops:?}: none stop at a later rep"
+    );
+    assert!(stops.contains(&None), "{stops:?}: every session stops");
 
     // Standalone references: one amplified sweep per session, serial.
     let serial = Pool::serial();
@@ -110,13 +154,56 @@ fn batched_sessions_are_bit_identical_to_standalone_sweeps() {
 
     for threads in [1, 2, 4] {
         let results = batch.run(&Pool::new(threads));
-        // 2 graphs x (3 vs 4)-player partitions -> exactly two distinct
-        // prepared inputs, built once each; the other ten are cache hits.
-        assert_eq!(results.cache_misses, 2, "@{threads}: cache misses");
-        assert_eq!(results.cache_hits, 10, "@{threads}: cache hits");
+        // Three distinct (graph, partition) inputs, built once each;
+        // the other fifteen sessions are cache hits.
+        assert_eq!(results.cache_misses, 3, "@{threads}: cache misses");
+        assert_eq!(results.cache_hits, 15, "@{threads}: cache hits");
         for (s, (got, reference)) in results.iter().zip(&references).enumerate() {
             let got = got.as_ref().expect("batched session");
             assert_identical(&format!("session {s}"), reference, got, threads);
+        }
+    }
+}
+
+/// The prepared-input cache is keyed by content, not by address: two
+/// separately allocated clones of one (graph, partition) share a single
+/// preparation, and each session still matches its standalone sweep.
+#[test]
+fn equal_inputs_at_different_addresses_share_one_preparation() {
+    let mut rng = ChaCha8Rng::seed_from_u64(8);
+    let g = far_graph(150, 6.0, 0.2, &mut rng).expect("far graph");
+    let parts = random_disjoint(&g, 3, &mut rng);
+    let (g2, parts2) = (g.clone(), parts.clone());
+    assert!(!std::ptr::eq(&g, &g2) && !std::ptr::eq(&parts, &parts2));
+    let tester = SessionTester::Simultaneous(SimultaneousTester::new(
+        Tuning::practical(0.2),
+        SimProtocolKind::Low { avg_degree: 6.0 },
+    ));
+    let mut batch = SessionBatch::new();
+    for s in 0..4u64 {
+        let (g, parts) = if s % 2 == 0 {
+            (&g, &parts)
+        } else {
+            (&g2, &parts2)
+        };
+        batch.submit(SessionSpec {
+            graph: g,
+            partition: parts,
+            tester: tester.clone(),
+            seed: s,
+            reps: 2,
+        });
+    }
+    let input = PreparedInput::new(&g, &parts).expect("valid input");
+    for threads in [1, 2] {
+        let results = batch.run(&Pool::new(threads));
+        assert_eq!(results.cache_misses, 1, "@{threads}: cache misses");
+        assert_eq!(results.cache_hits, 3, "@{threads}: cache hits");
+        for (s, got) in results.iter().enumerate() {
+            let got = got.as_ref().expect("batched session");
+            let reference =
+                run_amplified_prepared(&Pool::serial(), &tester, &input, 2, s as u64).unwrap();
+            assert_identical(&format!("clone session {s}"), &reference, got, threads);
         }
     }
 }

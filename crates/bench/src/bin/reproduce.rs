@@ -15,10 +15,9 @@
 //! `docs/OBSERVABILITY.md`), diffable across revisions, plus the
 //! naive-vs-kernel triangle timings as `DIR/BENCH_kernels.json`
 //! (wall-clock, machine-dependent — see `docs/KERNELS.md`), plus the
-//! amplified-sweep recorder/prepared-input timings as
-//! `DIR/BENCH_runtime.json` (see `docs/RUNTIME.md`), plus the
 //! deterministic fault-injection matrix as `DIR/BENCH_chaos.json`
-//! (byte-diffable — see `docs/FAULTS.md`).
+//! (byte-diffable — see `docs/FAULTS.md`). Scheduler and sweep timings
+//! live in the end-to-end benchmark under `perfbench/`.
 //!
 //! `--graph-file FILE.csr` (with `--json-dir`) appends an out-of-core
 //! row to `BENCH_kernels.json`: the forward and pool-parallel kernels
@@ -31,8 +30,6 @@ use triad_bench::chaos::{chaos_suite, reconnect_suite, write_chaos_json};
 use triad_bench::experiments::{all, Scale};
 use triad_bench::kernels::{kernel_suite, write_kernels_json};
 use triad_bench::report::{standard_suite, write_bench_json};
-use triad_bench::runtime::{runtime_suite, write_runtime_json};
-use triad_bench::sessions::session_saturation;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -117,15 +114,6 @@ fn main() {
             Ok(path) => eprintln!("wrote {}", path.display()),
             Err(e) => {
                 eprintln!("failed to write BENCH_kernels.json to {dir}: {e}");
-                std::process::exit(1);
-            }
-        }
-        let sweeps = runtime_suite(scale);
-        let sessions = session_saturation(scale, if quick { 8 } else { 64 });
-        match write_runtime_json(std::path::Path::new(&dir), &sweeps, Some(&sessions)) {
-            Ok(path) => eprintln!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("failed to write BENCH_runtime.json to {dir}: {e}");
                 std::process::exit(1);
             }
         }

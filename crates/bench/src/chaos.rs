@@ -4,10 +4,10 @@
 //! triangle-free workload and records, per cell, the quorum-gated
 //! verdict, per-error-kind failure counts, the faults actually injected,
 //! and the recovery traffic charged under
-//! [`triad_comm::RETRANSMIT_LABEL`]. Unlike the timing benches
-//! (`BENCH_runtime.json`, `BENCH_kernels.json`) every number here is
-//! deterministic — same seeds, same plan, same verdict at any thread
-//! count — so `BENCH_chaos.json` is byte-diffable across machines.
+//! [`triad_comm::RETRANSMIT_LABEL`]. Unlike the kernel timings
+//! (`BENCH_kernels.json`) every number here is deterministic — same
+//! seeds, same plan, same verdict at any thread count — so
+//! `BENCH_chaos.json` is byte-diffable across machines.
 //!
 //! The rate-0 rows are the control group: the fault-free chaos path is
 //! byte-identical to the plain amplified path (pinned by
@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::experiments::Scale;
-use crate::runtime::bipartite_workload;
+use crate::workloads::bipartite_workload;
 use triad_comm::pool::Pool;
 use triad_comm::{
     ConnectOptions, CostModel, FaultPlan, FaultRates, PlayerSession, PlayerState, Recorder,

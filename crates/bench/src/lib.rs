@@ -10,11 +10,6 @@
 //! * [`fit`] — log-log regression for scaling exponents,
 //! * [`kernels`] — naive-vs-kernel triangle timings (`BENCH_kernels.json`),
 //! * [`predict`] — the paper's bounds evaluated at concrete parameters,
-//! * [`runtime`] — amplified-sweep recorder/prepared-input timings
-//!   (`BENCH_runtime.json`),
-//! * [`sessions`] — scheduler-saturation sweep: queries/sec for batched
-//!   sessions at 1/2/4/8 workers (the `scheduler-sessions` row of
-//!   `BENCH_runtime.json`),
 //! * [`report`] — protocol runs rendered as exportable [`triad_comm::CostReport`]s,
 //! * [`table`] — plain-text / Markdown report rendering,
 //! * [`workloads`] — the standard input families at given `(n, d, k)`,
@@ -27,7 +22,5 @@ pub mod fit;
 pub mod kernels;
 pub mod predict;
 pub mod report;
-pub mod runtime;
-pub mod sessions;
 pub mod table;
 pub mod workloads;

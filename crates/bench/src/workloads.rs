@@ -1,10 +1,10 @@
 //! Standard workloads for the experiments.
 
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use triad_graph::generators::{dense_core, far_graph, DenseCore};
 use triad_graph::partition::{random_disjoint, Partition};
-use triad_graph::Graph;
+use triad_graph::{Edge, Graph, GraphBuilder, VertexId};
 
 /// A graph + partition instance with its parameters.
 #[derive(Debug, Clone)]
@@ -33,6 +33,25 @@ pub fn planted_far(n: usize, d: f64, epsilon: f64, k: usize, seed: u64) -> Workl
         graph,
         partition,
     }
+}
+
+/// A deterministic triangle-free (bipartite) workload: `n/2 · d/2`
+/// random cross edges, randomly partitioned across `k` players. The
+/// chaos matrix ([`crate::chaos`]) runs on it: a triangle-free input
+/// guarantees no early exit, so every scheduled repetition runs.
+pub fn bipartite_workload(n: usize, d: f64, k: usize, seed: u64) -> (Graph, Partition) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let half = (n / 2) as u32;
+    let target = (n as f64 * d / 2.0) as usize;
+    let mut b = GraphBuilder::new(n);
+    for _ in 0..target {
+        let u = rng.gen_range(0..half);
+        let v = rng.gen_range(half..n as u32);
+        b.add_edge(Edge::new(VertexId(u), VertexId(v)));
+    }
+    let g = b.build();
+    let partition = random_disjoint(&g, k, &mut rng);
+    (g, partition)
 }
 
 /// The §3.4.2 dense-core adversarial workload.

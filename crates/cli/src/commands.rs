@@ -630,72 +630,13 @@ pub fn report(args: &ArgMap) -> Result<String, CliError> {
     Ok(rendered)
 }
 
-/// `triad bench --sessions N [--quick]` — the scheduler saturation
-/// microbench: drive one batch of `N` sessions over worker pools of
-/// 1, 2, 4 and 8 threads and print the measured queries/sec and the
-/// discarded speculative repetitions at each, asserting along the way
-/// that every worker count produced identical results (see
-/// `docs/RUNTIME.md`, "Sessions and scheduling").
+/// `triad bench --graph-file FILE.csr [--reps R]` — open a binary CSR
+/// container and time the triangle kernels plus a prepared protocol run
+/// directly over its backing (mapped or buffered), reporting the memory
+/// evidence — file size, owned heap bytes, peak RSS — alongside the
+/// timings.
 pub fn bench(args: &ArgMap) -> Result<String, CliError> {
-    if let Some(path) = args.optional("graph-file") {
-        return bench_store(args, path);
-    }
-    let sessions: usize = args.required_parsed("sessions")?;
-    if sessions == 0 {
-        return Err(CliError::Usage(
-            "--sessions needs a positive integer".into(),
-        ));
-    }
-    let scale = if args.flag("quick") {
-        triad_bench::experiments::Scale::Quick
-    } else {
-        triad_bench::experiments::Scale::Full
-    };
-    let s = triad_bench::sessions::session_saturation(scale, sessions);
-    let mut out = format!(
-        "scheduler saturation: {} sessions x {} reps over {} distinct inputs \
-         (n={}, m={}, k={})\n",
-        s.sessions, s.reps, s.distinct_inputs, s.vertices, s.edges, s.players
-    );
-    for ((w, qps), eff) in triad_bench::sessions::SESSION_WORKER_COUNTS
-        .iter()
-        .zip(s.qps)
-        .zip(s.effective_workers)
-    {
-        // Requested counts beyond the machine's cores are clamped
-        // (Pool::clamped); flag the rows where that happened.
-        let clamp = if eff != *w {
-            format!(" [effective {eff}]")
-        } else {
-            String::new()
-        };
-        out.push_str(&format!(
-            "  {w} worker(s): {qps:>10.1} queries/sec{clamp}\n"
-        ));
-    }
-    let discarded: Vec<String> = triad_bench::sessions::SESSION_WORKER_COUNTS
-        .iter()
-        .zip(s.discarded)
-        .map(|(w, d)| format!("{w}w {d}"))
-        .collect();
-    out.push_str(&format!(
-        "discarded speculative reps: {}\n",
-        discarded.join(", ")
-    ));
-    out.push_str(&format!(
-        "cache: {} hits, {} builds; saturation speedup (8w/1w): {:.2}x\n",
-        s.cache_hits,
-        s.distinct_inputs,
-        s.saturation_speedup()
-    ));
-    Ok(out)
-}
-
-/// The `--graph-file` arm of `triad bench`: open a binary CSR container
-/// and time the triangle kernels plus a prepared protocol run directly
-/// over its backing (mapped or buffered), reporting the memory evidence
-/// — file size, owned heap bytes, peak RSS — alongside the timings.
-fn bench_store(args: &ArgMap, path: &str) -> Result<String, CliError> {
+    let path = args.required("graph-file")?;
     let reps: usize = args.parsed_or("reps", 3)?;
     if reps == 0 {
         return Err(CliError::Usage("--reps must be positive".into()));

@@ -93,16 +93,10 @@ commands:
              [--session-file FILE]   (persist the resume credential so a
              relaunched process reclaims its slot inside the daemon's
              reconnect window; removed on a clean farewell)
-  bench      scheduler saturation microbench: run one batch of N
-             sessions over 1/2/4/8-worker pools and print queries/sec
-             and discarded speculative repetitions at each (results
-             asserted identical across worker counts —
-             docs/RUNTIME.md); worker counts beyond the machine's cores
-             are clamped and flagged `[effective W]`
-             --sessions N  [--quick]
-             (or out-of-core: --graph-file FILE.csr [--reps R] — time the
-             triangle kernels and one prepared protocol run over the
-             mapped container, with peak-RSS / owned-bytes evidence)
+  bench      time the triangle kernels and one prepared protocol run
+             over an out-of-core binary CSR container, with peak-RSS /
+             owned-bytes evidence
+             --graph-file FILE.csr  [--reps R]
 
 global options:
   --threads N  size of the deterministic worker pool for amplified runs
@@ -392,10 +386,8 @@ mod tests {
                     }
                 }
                 "bench" => {
-                    if map.optional("graph-file").is_none() {
-                        map.required_parsed::<usize>("sessions")
-                            .unwrap_or_else(|e| panic!("`{line}`: {e}"));
-                    }
+                    map.required("graph-file")
+                        .unwrap_or_else(|e| panic!("`{line}`: {e}"));
                 }
                 "gen" | "partition" | "info" | "test" | "count" | "hfree" | "congest" => {}
                 other => panic!("`{line}`: unknown subcommand `{other}`"),
@@ -682,25 +674,11 @@ mod tests {
     }
 
     #[test]
-    fn bench_sessions_prints_throughput_table() {
-        let out = run(&argv("bench --sessions 2 --quick")).unwrap();
-        assert!(out.contains("scheduler saturation: 2 sessions"), "{out}");
-        for w in [1usize, 2, 4, 8] {
-            assert!(out.contains(&format!("{w} worker(s):")), "{out}");
-        }
-        assert!(out.contains("queries/sec"), "{out}");
-        assert!(out.contains("saturation speedup"), "{out}");
-        assert!(
-            out.contains("discarded speculative reps: 1w 0, 2w "),
-            "{out}"
-        );
-        for bad in [
-            "bench --quick",
-            "bench --sessions 0",
-            "bench --sessions many",
-        ] {
+    fn bench_without_a_graph_file_is_a_usage_error() {
+        for bad in ["bench", "bench --reps 2", "bench --sessions 2 --quick"] {
             let err = run(&argv(bad)).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "`{bad}`: {err}");
+            assert!(err.to_string().contains("--graph-file"), "`{bad}`: {err}");
         }
     }
 

@@ -24,7 +24,7 @@ use crate::rand::{mix64, SharedRandomness};
 use crate::recorder::Recorder;
 use crate::runtime::{RunError, Transport, TransportError};
 use crate::simultaneous::{SimMessage, SimRun, SimultaneousProtocol};
-use crate::transcript::Direction;
+use crate::transcript::{CommStats, Direction};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use triad_graph::{Edge, VertexId};
@@ -705,20 +705,22 @@ pub fn run_simultaneous_chaos<P: SimultaneousProtocol, R: Recorder>(
     }
     let output = Some(protocol.referee(n, &messages, &shared));
     let mut run: SimRun<Option<P::Output>, R> = crate::simultaneous::charge(n, &messages, output);
-    for j in duplicated {
-        let extra = run.per_player_bits[j];
+    if !duplicated.is_empty() {
         run.transcript.set_phase(RETRANSMIT_LABEL);
-        run.transcript.record(
-            Some(j),
-            Direction::ToCoordinator,
-            crate::bits::BitCost(extra),
-            RETRANSMIT_LABEL,
-        );
-        run.per_player_bits[j] += extra;
-        run.stats.total_bits += extra;
-        run.stats.messages += 1;
+        for &j in &duplicated {
+            run.transcript.record(
+                Some(j),
+                Direction::ToCoordinator,
+                messages[j].bit_len(n),
+                RETRANSMIT_LABEL,
+            );
+        }
+        // Each duplicate is one more message on top of the k sent.
+        run.stats = CommStats {
+            messages: run.stats.messages + duplicated.len() as u64,
+            ..run.transcript.stats()
+        };
     }
-    run.stats.max_player_sent_bits = run.per_player_bits.iter().copied().max().unwrap_or(0);
     SimChaos {
         run,
         fault,
@@ -917,5 +919,60 @@ mod tests {
             .unwrap();
         assert_eq!(frame.deliveries(), 2);
         assert!(frame.verify());
+    }
+
+    #[test]
+    fn a_duplicated_one_round_run_bills_every_message_twice() {
+        // Two payloads per player, so a count of payloads and a count of
+        // messages differ.
+        struct SendShare;
+        impl SimultaneousProtocol for SendShare {
+            type Output = usize;
+            fn message<'a>(
+                &self,
+                player: &'a PlayerState,
+                _shared: &SharedRandomness,
+            ) -> SimMessage<'a> {
+                let mut m =
+                    SimMessage::of_phased(Payload::Edges(player.share().into()), "send-everything");
+                m.push(Payload::Bit(true));
+                m
+            }
+            fn referee(&self, _n: usize, messages: &[SimMessage], _s: &SharedRandomness) -> usize {
+                messages.iter().map(|m| m.edges().count()).sum()
+            }
+        }
+        let shares = vec![vec![e(0, 1), e(1, 2), e(2, 3)], vec![e(3, 4)], vec![]];
+        let players = crate::player::players_from_shares(8, &shares);
+        let shared = SharedRandomness::new(11);
+        let run = |plan: &FaultPlan| -> SimChaos<usize, crate::Tally> {
+            run_simultaneous_chaos(&SendShare, 8, &players, shared, plan, 0)
+        };
+        let plain = run(&FaultPlan::fault_free(5));
+        let dup = run(&FaultPlan::new(
+            5,
+            FaultRates {
+                duplicate: 1.0,
+                ..FaultRates::default()
+            },
+        ));
+        assert!(dup.fault.is_none());
+        assert_eq!(dup.injected.duplicates, 3);
+        assert_eq!(dup.run.output, plain.run.output);
+        let (p, d) = (plain.run.stats, dup.run.stats);
+        assert_eq!(d.total_bits, 2 * p.total_bits);
+        assert_eq!((p.messages, d.messages), (3, 6));
+        assert_eq!(d.max_player_sent_bits, 2 * p.max_player_sent_bits);
+        assert_eq!(d.rounds, 1);
+        assert_eq!(dup.run.transcript.retransmit_bits(), p.total_bits);
+        let doubled: Vec<u64> = plain
+            .run
+            .transcript
+            .tally()
+            .per_player_sent()
+            .iter()
+            .map(|bits| 2 * bits)
+            .collect();
+        assert_eq!(dup.run.transcript.tally().per_player_sent(), &doubled[..]);
     }
 }

@@ -85,7 +85,9 @@ pub use runtime::{
     CostModel, LocalTransport, RunError, RunErrorKind, Runtime, SharedTransport, TcpTransport,
     Transport, TransportError, DEFAULT_NET_TIMEOUT, DEFAULT_RETRY_BUDGET,
 };
-pub use scheduler::{run_sessions, FnSession, SessionHandle, SessionJob, SessionPrefixes};
+pub use scheduler::{
+    run_session, run_sessions, FnSession, SessionHandle, SessionJob, SessionPrefixes,
+};
 pub use simultaneous::{
     run_simultaneous, run_simultaneous_collected, run_simultaneous_prepared, SimMessage, SimRun,
     SimultaneousProtocol,
@@ -94,8 +96,8 @@ pub use streaming::{
     run_stream, stream_as_one_way, EdgeReservoir, StreamAlgorithm, StreamOneWayRun, StreamRun,
 };
 pub use transcript::{
-    parse_events_csv, parse_events_json, CommStats, Direction, Event, LabelTotals, OwnedEvent,
-    ParseError, Rollup, Transcript, DEFAULT_PHASE,
+    parse_events_json, CommStats, Direction, Event, LabelTotals, OwnedEvent, ParseError, Rollup,
+    Transcript, DEFAULT_PHASE, PHASES,
 };
 pub use wire::{
     ErrorCode, ResumeClaim, Welcome, WireError, WireMessage, MAX_BITSET_VERTICES, MAX_FRAME_BYTES,

@@ -11,11 +11,12 @@
 //! * work items are identified by their index, never by completion time;
 //! * results are reduced **in index order**, so any order-sensitive fold
 //!   (transcript absorption, stats merging, JSON emission) sees the same
-//!   sequence a serial loop would;
-//! * early-exit folds ([`Pool::ordered_map_until`]) return precisely the
-//!   prefix a serial loop would have computed — items speculatively
-//!   executed past the stopping point are discarded, so cost accounting
-//!   charges only the work a serial run would have performed.
+//!   sequence a serial loop would.
+//!
+//! Early exit is not the pool's business: an amplified sweep that stops
+//! at its first witness is a one-session batch of the
+//! [`scheduler`](crate::scheduler), which returns exactly the prefix a
+//! serial loop would have computed.
 //!
 //! The determinism contract and sizing rules are documented in
 //! `docs/PARALLELISM.md`; the differential test suite
@@ -132,66 +133,26 @@ impl Pool {
     /// results in index order — byte-identical to the serial
     /// `(0..n).map(f).collect()` regardless of thread count or worker
     /// interleaving.
+    ///
+    /// Every spawned worker thread has exited when this returns. A panic
+    /// in any worker propagates to the caller with its original payload
+    /// once the spawned workers are done, as it would in a serial loop.
     pub fn ordered_map<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        self.ordered_map_until(n, f, |_| false)
-    }
-
-    /// Ordered map with serial early-exit semantics: returns the results
-    /// for indices `0..=s` where `s` is the smallest index whose result
-    /// satisfies `stop` (all `n` results when none does) — exactly the
-    /// prefix a serial loop with `break`-on-`stop` would have computed.
-    ///
-    /// Workers may speculatively execute items past the eventual stopping
-    /// point; those results are discarded, never reduced, so order-
-    /// and cost-sensitive folds over the returned prefix match the
-    /// serial path bit for bit.
-    ///
-    /// Every spawned worker thread has exited when this returns. A panic
-    /// in any worker propagates to the caller with its original payload
-    /// once the spawned workers are done, as it would in a serial loop.
-    pub fn ordered_map_until<T, F, S>(&self, n: usize, f: F, stop: S) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-        S: Fn(&T) -> bool + Sync,
-    {
         if self.threads == 1 || n <= 1 {
-            // The serial path: a plain loop with early exit.
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                let r = f(i);
-                let done = stop(&r);
-                out.push(r);
-                if done {
-                    break;
-                }
-            }
-            return out;
+            return (0..n).map(f).collect();
         }
-        // Claim indices from a shared counter; workers skip (and stop
-        // claiming) once a stopping index at or below their next claim is
-        // known. `cutoff` only ever decreases, and only to stopping
-        // indices, so every index ≤ the final cutoff is guaranteed to
-        // have been executed.
+        // Workers claim indices from a shared counter until none is left.
         let next = AtomicUsize::new(0);
-        let cutoff = AtomicUsize::new(n);
         let (tx, rx) = mpsc::channel::<(usize, T)>();
         let workers = self.threads.min(n);
         let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
         let work = |tx: mpsc::Sender<(usize, T)>| loop {
             let i = next.fetch_add(1, Ordering::SeqCst);
-            if i >= n || i > cutoff.load(Ordering::SeqCst) {
-                break;
-            }
-            let r = f(i);
-            if stop(&r) {
-                cutoff.fetch_min(i, Ordering::SeqCst);
-            }
-            if tx.send((i, r)).is_err() {
+            if i >= n || tx.send((i, f(i))).is_err() {
                 break;
             }
         };
@@ -224,12 +185,9 @@ impl Pool {
                 std::panic::resume_unwind(payload);
             }
         });
-        let stop_at = cutoff.load(Ordering::SeqCst);
-        let len = if stop_at < n { stop_at + 1 } else { n };
         slots
             .into_iter()
-            .take(len)
-            .map(|r| r.expect("every index up to the cutoff was executed"))
+            .map(|r| r.expect("every index was executed"))
             .collect()
     }
 }
@@ -271,23 +229,10 @@ mod tests {
     }
 
     #[test]
-    fn ordered_map_until_returns_the_serial_prefix() {
-        // Stops at index 5 (the smallest stopping index), not at 11.
-        let stops = |x: &usize| *x == 5 || *x == 11;
-        let expect: Vec<usize> = (0..=5).collect();
-        for threads in [1, 2, 4, 16] {
-            let got = Pool::new(threads).ordered_map_until(40, |i| i, stops);
-            assert_eq!(got, expect, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn no_stop_returns_everything_and_empty_is_empty() {
+    fn empty_and_single_item_maps() {
         let pool = Pool::new(4);
         assert_eq!(pool.ordered_map(0, |i| i), Vec::<usize>::new());
-        assert_eq!(pool.ordered_map_until(6, |i| i, |_| false).len(), 6);
-        // Stop at index 0: exactly one item, as a serial loop would do.
-        assert_eq!(pool.ordered_map_until(6, |i| i, |_| true), vec![0]);
+        assert_eq!(pool.ordered_map(1, |i| i + 7), vec![7]);
     }
 
     #[test]

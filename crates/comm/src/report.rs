@@ -9,7 +9,7 @@
 //! documented in `docs/OBSERVABILITY.md`.
 
 use crate::recorder::Tally;
-use crate::transcript::{rollup_array_json, CommStats, Rollup};
+use crate::transcript::{CommStats, Rollup};
 
 /// Version stamped into every exported report; bump on schema changes.
 pub const REPORT_SCHEMA_VERSION: u32 = 1;
@@ -251,6 +251,24 @@ pub fn write_reports_json<W: std::io::Write>(
         writeln!(w, "{}{}", r.json_indented("  "), sep)?;
     }
     writeln!(w, "]")
+}
+
+/// Renders a rollup slice as a JSON array (`indent` prefixes each
+/// element line).
+fn rollup_array_json(rows: &[Rollup], indent: &str) -> String {
+    if rows.is_empty() {
+        return "[]".to_string();
+    }
+    let body: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "{indent}  {{\"key\":\"{}\",\"bits\":{},\"messages\":{}}}",
+                r.key, r.bits, r.messages
+            )
+        })
+        .collect();
+    format!("[\n{}\n{indent}]", body.join(",\n"))
 }
 
 fn json_escape(s: &str) -> String {

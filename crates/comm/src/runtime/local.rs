@@ -50,14 +50,6 @@ impl LocalTransport {
         }
     }
 
-    /// Wraps pre-built player states.
-    pub fn from_players(players: Vec<PlayerState>, shared: SharedRandomness) -> Self {
-        LocalTransport {
-            players: Arc::new(players),
-            shared,
-        }
-    }
-
     /// Shares pre-built player states with other transports — the
     /// prepared-input fast path of amplified sweeps (`docs/RUNTIME.md`).
     pub fn from_shared(players: Arc<Vec<PlayerState>>, shared: SharedRandomness) -> Self {

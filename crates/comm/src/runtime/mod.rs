@@ -292,13 +292,12 @@ pub struct Runtime<R: Recorder = Transcript> {
     n: usize,
     cost_model: CostModel,
     tag_counter: u64,
-    retry_budget: u32,
     fault: Option<RunError>,
 }
 
-/// Default number of retries per delivery for retryable faults
-/// (timeouts, corrupted responses) before the runtime gives up on the
-/// exchange. Crashes are never retried.
+/// Number of retries per delivery for retryable faults (timeouts,
+/// corrupted responses) before a runtime gives up on the exchange.
+/// Crashes are never retried.
 pub const DEFAULT_RETRY_BUDGET: u32 = 2;
 
 impl<R: Recorder> std::fmt::Debug for Runtime<R> {
@@ -351,21 +350,8 @@ impl<R: Recorder> Runtime<R> {
             n,
             cost_model,
             tag_counter: 0,
-            retry_budget: DEFAULT_RETRY_BUDGET,
             fault: None,
         }
-    }
-
-    /// Sets the per-delivery retry budget for retryable faults
-    /// (builder-style). A budget of 0 fails on the first fault.
-    pub fn with_retry_budget(mut self, budget: u32) -> Self {
-        self.retry_budget = budget;
-        self
-    }
-
-    /// The per-delivery retry budget in force.
-    pub fn retry_budget(&self) -> u32 {
-        self.retry_budget
     }
 
     /// The first unrecovered delivery failure, if any. A faulted runtime
@@ -568,7 +554,7 @@ impl<R: Recorder> Runtime<R> {
                 }
                 Err(e) => e,
             };
-            if !err.is_retryable() || attempts >= self.retry_budget {
+            if !err.is_retryable() || attempts >= DEFAULT_RETRY_BUDGET {
                 // Terminal failure: pending retransmissions were never
                 // observed to arrive, so they are not charged.
                 return Err(err);
@@ -605,7 +591,7 @@ impl<R: Recorder> Runtime<R> {
 
     /// Sends `req` to one player, charging both directions; returns the
     /// response. Retryable delivery faults (timeouts, corruption) are
-    /// recovered within the [retry budget](Self::with_retry_budget),
+    /// recovered within the [retry budget](DEFAULT_RETRY_BUDGET),
     /// with the recovery traffic charged under
     /// [`crate::fault::RETRANSMIT_LABEL`].
     ///

@@ -2,26 +2,26 @@
 //!
 //! One [`Pool`] of workers, many independent query *sessions*: each
 //! session is a sequence of repetitions with serial early-exit
-//! semantics (stop at the first *final* item — a witness or an error),
-//! exactly what [`Pool::ordered_map_until`] provides for a single
-//! sweep. The scheduler flattens every session's repetitions into one
-//! shared claim queue, so workers **steal across sessions**: a worker
-//! that finishes session A's last repetition immediately picks up
-//! session B's next one, and a thousand one-repetition sessions
-//! saturate the pool just as well as one thousand-repetition sweep.
+//! semantics (stop at the first *final* item — a witness or an error).
+//! This is the workspace's one early-exit engine: a standalone amplified
+//! sweep is a one-session batch ([`run_session`]). The scheduler
+//! flattens every session's repetitions into one shared claim queue, so
+//! workers **steal across sessions**: a worker that finishes session A's
+//! last repetition immediately picks up session B's next one, and a
+//! thousand one-repetition sessions saturate the pool just as well as
+//! one thousand-repetition sweep.
 //!
 //! # Determinism contract
 //!
 //! For every session the scheduler returns exactly the *serial prefix*
-//! of items a standalone serial loop (or `ordered_map_until` on its
-//! own) would have produced: repetitions `0..=s` where `s` is the
-//! smallest repetition whose item is final, or all repetitions when
-//! none is. Speculative items computed past a session's stopping point
-//! are discarded before the caller ever sees them. Higher layers reduce
-//! each prefix in repetition order (`CommStats::merged`,
-//! `Tally::absorb`), so a batched session is **byte-identical** to the
-//! same sweep run alone, at any worker count — enforced by
-//! `tests/scheduler_differential.rs`.
+//! of items a standalone serial loop would have produced: repetitions
+//! `0..=s` where `s` is the smallest repetition whose item is final, or
+//! all repetitions when none is. Speculative items computed past a
+//! session's stopping point are discarded before the caller ever sees
+//! them. Higher layers reduce each prefix in repetition order
+//! (`CommStats::merged`, `Tally::absorb`), so a batched session is
+//! **byte-identical** to the same sweep run alone, at any worker count
+//! — enforced by `tests/scheduler_differential.rs`.
 //!
 //! # Claim order: waves
 //!
@@ -48,9 +48,8 @@
 //! the cutoff with `fetch_min(r)`. The cutoff only decreases, and the
 //! repetition that *set* it was fully computed before it was published,
 //! so every repetition in the final serial prefix (`r <= s`'s final
-//! cutoff) is guaranteed to have been computed, never skipped. This is
-//! the same serial-prefix argument [`Pool::ordered_map_until`] makes
-//! for a single sweep, replicated per session over one shared queue.
+//! cutoff) is guaranteed to have been computed, never skipped. A
+//! one-session batch is the single-sweep case of the same argument.
 //!
 //! # Discarded speculation
 //!
@@ -248,6 +247,13 @@ pub fn run_sessions<J: SessionJob>(pool: &Pool, jobs: &[J]) -> SessionPrefixes<J
         prefixes,
         discarded,
     }
+}
+
+/// Runs one session alone and returns its serial prefix: a standalone
+/// sweep is a one-session batch of [`run_sessions`].
+pub fn run_session<J: SessionJob>(pool: &Pool, job: &J) -> Vec<J::Item> {
+    let mut run = run_sessions(pool, std::slice::from_ref(job));
+    run.prefixes.pop().expect("one session has one prefix")
 }
 
 /// The claim queue as `(session, repetition)` pairs: wave `r` lists

@@ -117,12 +117,13 @@ pub trait SimultaneousProtocol {
 pub struct SimRun<O, R = Transcript> {
     /// The referee's output.
     pub output: O,
-    /// Communication statistics (1 round; total = Σ message bits).
+    /// Communication statistics (1 round; total = Σ message bits), read
+    /// from the recorder except `messages`, which counts the k player
+    /// messages rather than their payloads.
     pub stats: CommStats,
-    /// Bits sent by each player.
-    pub per_player_bits: Vec<u64>,
     /// The recorder: one `ToCoordinator` charge per payload sent, tagged
-    /// with the payload's phase.
+    /// with the payload's phase. Each player's bits are its
+    /// [`per_player_sent`](crate::Tally::per_player_sent) entry.
     pub transcript: R,
 }
 
@@ -182,15 +183,15 @@ pub(crate) fn finish<P: SimultaneousProtocol, R: Recorder>(
 }
 
 /// Charges a one-round exchange: one `ToCoordinator` record per payload
-/// at the payload's model bit cost, tagged with its phase. A faulted
-/// chaos run charges through here too — its messages were all sent
-/// before the fault hit — so its bill is the fault-free bill.
+/// at the payload's model bit cost, tagged with its phase, and reads the
+/// run's [`CommStats`] back from the recorder. A faulted chaos run
+/// charges through here too — its messages were all sent before the
+/// fault hit — so its bill is the fault-free bill.
 pub(crate) fn charge<O, R: Recorder>(
     n: usize,
     messages: &[SimMessage<'_>],
     output: O,
 ) -> SimRun<O, R> {
-    let per_player_bits: Vec<u64> = messages.iter().map(|m| m.bit_len(n).get()).collect();
     let mut transcript = R::with_players(messages.len());
     transcript.reserve_messages(messages.iter().map(|m| m.payloads().len()).sum());
     for (j, m) in messages.iter().enumerate() {
@@ -202,12 +203,9 @@ pub(crate) fn charge<O, R: Recorder>(
     SimRun {
         output,
         stats: CommStats {
-            total_bits: per_player_bits.iter().sum(),
-            rounds: 1,
             messages: messages.len() as u64,
-            max_player_sent_bits: per_player_bits.iter().copied().max().unwrap_or(0),
+            ..transcript.stats()
         },
-        per_player_bits,
         transcript,
     }
 }
@@ -254,7 +252,7 @@ mod tests {
         assert_eq!(run.stats.rounds, 1);
         assert_eq!(run.stats.messages, 2);
         // n=4: 2 bits/vertex, 4/edge; msg1 = prefix(2=2 bits)+8, msg2 = prefix(1 bit)+4
-        assert_eq!(run.per_player_bits, vec![2 + 8, 1 + 4]);
+        assert_eq!(run.transcript.tally().per_player_sent(), &[2 + 8, 1 + 4]);
         assert_eq!(run.stats.total_bits, 15);
         assert_eq!(run.stats.max_player_sent_bits, 10);
     }

@@ -9,15 +9,14 @@
 //!   [`by_direction`](Tally::by_direction) of its
 //!   [`tally`](Recorder::tally), each a partition of the event log whose
 //!   bit totals sum exactly to [`total_bits`](Recorder::total_bits),
-//! * structured export — JSONL ([`write_jsonl`](Transcript::write_jsonl)),
-//!   a JSON array ([`write_events_json`](Transcript::write_events_json)),
-//!   CSV ([`write_events_csv`](Transcript::write_events_csv)) and both
-//!   formats for the rollups,
-//! * parsing — [`parse_events_json`] / [`parse_events_csv`] read the
-//!   exported events back as [`OwnedEvent`]s, so external tooling (and
-//!   the round-trip tests) never have to guess the schema.
+//! * export — the event log as one JSON array
+//!   ([`write_events_json`](Transcript::write_events_json)), the format
+//!   of `triad report --transcript`,
+//! * parsing — [`parse_events_json`] reads the exported events back as
+//!   [`OwnedEvent`]s, so external tooling (and the round-trip tests)
+//!   never have to guess the schema.
 //!
-//! The JSON/CSV schema is documented in `docs/OBSERVABILITY.md`.
+//! The JSON schema is documented in `docs/OBSERVABILITY.md`.
 
 use crate::bits::BitCost;
 use crate::recorder::{Recorder, Tally};
@@ -25,6 +24,26 @@ use serde::Serialize;
 
 /// The phase events carry when no explicit phase scope is active.
 pub const DEFAULT_PHASE: &str = "unphased";
+
+/// The phase registry: every phase name a charge may carry, as the
+/// table in `docs/OBSERVABILITY.md` lists them. A decoded
+/// `SimResponse` maps each phase onto its entry here and is rejected
+/// for a name outside it.
+pub const PHASES: [&str; 13] = [
+    "estimate-degree",
+    "find-candidates",
+    "approx-degree",
+    "sample-edges",
+    "close-triangle",
+    "newman-conversion",
+    "induced-sample",
+    "r-cross-edges",
+    "oblivious-high-guess",
+    "oblivious-low-guess",
+    "send-everything",
+    DEFAULT_PHASE,
+    crate::fault::RETRANSMIT_LABEL,
+];
 
 /// Direction of a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -139,19 +158,6 @@ impl Transcript {
         )
     }
 
-    /// Serializes every event as one JSON object per line (JSONL) — the
-    /// interchange format for external transcript analysis.
-    ///
-    /// # Errors
-    ///
-    /// Propagates writer failures.
-    pub fn write_jsonl<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        for e in &self.events {
-            writeln!(w, "{}", Self::event_json(e))?;
-        }
-        Ok(())
-    }
-
     /// Serializes the event log as one JSON array. Readable back with
     /// [`parse_events_json`].
     ///
@@ -165,86 +171,6 @@ impl Transcript {
             writeln!(w, "  {}{}", Self::event_json(e), sep)?;
         }
         writeln!(w, "]")
-    }
-
-    /// Serializes the event log as CSV with header
-    /// `round,player,direction,bits,phase,label` (empty `player` for
-    /// broadcast events). Readable back with [`parse_events_csv`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates writer failures.
-    pub fn write_events_csv<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        writeln!(w, "round,player,direction,bits,phase,label")?;
-        for e in &self.events {
-            let player = match e.player {
-                Some(p) => p.to_string(),
-                None => String::new(),
-            };
-            writeln!(
-                w,
-                "{},{},{},{},{},{}",
-                e.round,
-                player,
-                e.direction.as_str(),
-                e.bits,
-                e.phase,
-                e.label
-            )?;
-        }
-        Ok(())
-    }
-
-    /// The four rollups of [`tally`](Recorder::tally), named as the
-    /// rollup exports name them.
-    fn rollup_groups(&self) -> [(&'static str, Vec<Rollup>); 4] {
-        let t = &self.tally;
-        [
-            ("by_phase", t.by_phase()),
-            ("by_player", t.by_player()),
-            ("by_round", t.by_round()),
-            ("by_direction", t.by_direction()),
-        ]
-    }
-
-    /// Serializes all four rollups plus the grand total as one JSON
-    /// object: `{"total_bits": …, "by_phase": […], "by_player": […],
-    /// "by_round": […], "by_direction": […]}`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates writer failures.
-    pub fn write_rollups_json<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        writeln!(w, "{{")?;
-        writeln!(w, "  \"total_bits\": {},", self.total_bits().get())?;
-        let groups = self.rollup_groups();
-        for (i, (name, rows)) in groups.iter().enumerate() {
-            let sep = if i + 1 < groups.len() { "," } else { "" };
-            writeln!(
-                w,
-                "  \"{}\": {}{}",
-                name,
-                rollup_array_json(rows, "  "),
-                sep
-            )?;
-        }
-        writeln!(w, "}}")
-    }
-
-    /// Serializes all four rollups as CSV with header
-    /// `grouping,key,bits,messages`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates writer failures.
-    pub fn write_rollups_csv<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        writeln!(w, "grouping,key,bits,messages")?;
-        for (name, rows) in &self.rollup_groups() {
-            for r in rows {
-                writeln!(w, "{},{},{},{}", name, r.key, r.bits, r.messages)?;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -300,24 +226,6 @@ impl Recorder for Transcript {
     fn tally(&self) -> &Tally {
         &self.tally
     }
-}
-
-/// Renders a rollup slice as a JSON array (used by the transcript and the
-/// report writers; `indent` prefixes each element line).
-pub(crate) fn rollup_array_json(rows: &[Rollup], indent: &str) -> String {
-    if rows.is_empty() {
-        return "[]".to_string();
-    }
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{indent}  {{\"key\":\"{}\",\"bits\":{},\"messages\":{}}}",
-                r.key, r.bits, r.messages
-            )
-        })
-        .collect();
-    format!("[\n{}\n{indent}]", body.join(",\n"))
 }
 
 /// One row of a transcript rollup: an aggregation key with its totals.
@@ -408,9 +316,9 @@ fn parse_err(message: impl Into<String>) -> ParseError {
 }
 
 /// Parses one flat JSON object (no nesting, no string escapes — the
-/// grammar the event writers emit) into key/value pairs; string values
-/// are returned unquoted.
-fn parse_flat_object(obj: &str) -> Result<Vec<(String, String)>, ParseError> {
+/// grammar the event writer emits) into key/value pairs borrowed from
+/// `obj`; string values are returned unquoted.
+fn parse_flat_object(obj: &str) -> Result<Vec<(&str, &str)>, ParseError> {
     let inner = obj
         .trim()
         .strip_prefix('{')
@@ -425,31 +333,30 @@ fn parse_flat_object(obj: &str) -> Result<Vec<(String, String)>, ParseError> {
         let (key, value) = field
             .split_once(':')
             .ok_or_else(|| parse_err(format!("expected `key:value`, got `{field}`")))?;
-        let key = key.trim().trim_matches('"').to_string();
         let value = value.trim();
         if value.contains('\\') {
             return Err(parse_err(format!(
                 "escape sequences unsupported in `{value}`"
             )));
         }
-        pairs.push((key, value.trim_matches('"').to_string()));
+        pairs.push((key.trim().trim_matches('"'), value.trim_matches('"')));
     }
     Ok(pairs)
 }
 
-fn event_from_pairs(pairs: &[(String, String)]) -> Result<OwnedEvent, ParseError> {
+fn event_from_pairs(pairs: &[(&str, &str)]) -> Result<OwnedEvent, ParseError> {
     let get = |key: &str| -> Result<&str, ParseError> {
         pairs
             .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| *v)
             .ok_or_else(|| parse_err(format!("missing field `{key}`")))
     };
     let round = get("round")?
         .parse()
         .map_err(|_| parse_err("round is not an integer"))?;
     let player = match get("player")? {
-        "" | "null" => None,
+        "null" => None,
         p => Some(p.parse().map_err(|_| parse_err("player is not an index"))?),
     };
     let direction_name = get("direction")?;
@@ -468,8 +375,8 @@ fn event_from_pairs(pairs: &[(String, String)]) -> Result<OwnedEvent, ParseError
     })
 }
 
-/// Parses the output of [`Transcript::write_events_json`] (also accepts
-/// the JSONL form of [`Transcript::write_jsonl`]).
+/// Parses the output of [`Transcript::write_events_json`], one event
+/// object per line.
 ///
 /// # Errors
 ///
@@ -486,44 +393,30 @@ pub fn parse_events_json(text: &str) -> Result<Vec<OwnedEvent>, ParseError> {
     Ok(out)
 }
 
-/// Parses the output of [`Transcript::write_events_csv`].
-///
-/// # Errors
-///
-/// Returns [`ParseError`] on a bad header, wrong column count, or
-/// malformed cells.
-pub fn parse_events_csv(text: &str) -> Result<Vec<OwnedEvent>, ParseError> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or_else(|| parse_err("empty input"))?;
-    let columns: Vec<&str> = header.trim().split(',').collect();
-    if columns != ["round", "player", "direction", "bits", "phase", "label"] {
-        return Err(parse_err(format!("unexpected header `{header}`")));
-    }
-    let mut out = Vec::new();
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let cells: Vec<&str> = line.split(',').collect();
-        if cells.len() != columns.len() {
-            return Err(parse_err(format!(
-                "expected {} cells in `{line}`",
-                columns.len()
-            )));
-        }
-        let pairs: Vec<(String, String)> = columns
-            .iter()
-            .zip(&cells)
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        out.push(event_from_pairs(&pairs)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_phase_registry_matches_the_observability_table() {
+        // The registry table of docs/OBSERVABILITY.md: the rows between
+        // its header and the first line that is not a table row.
+        let md = std::fs::read_to_string(
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/OBSERVABILITY.md"),
+        )
+        .expect("docs/OBSERVABILITY.md in the repository");
+        let documented: Vec<&str> = md
+            .lines()
+            .skip_while(|l| !l.starts_with("| phase | protocol | meaning |"))
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .map(|l| {
+                let cell = l.split('|').nth(1).expect("a table row has cells").trim();
+                cell.trim_matches('`')
+            })
+            .collect();
+        assert_eq!(documented, PHASES);
+    }
 
     #[test]
     fn records_totals_and_per_player() {
@@ -627,22 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_export_is_line_per_event() {
-        let mut t = Transcript::new(1);
-        t.record(Some(0), Direction::ToPlayer, BitCost(7), "x");
-        t.record(None, Direction::Broadcast, BitCost(3), "y");
-        let mut buf = Vec::new();
-        t.write_jsonl(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.trim().lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"bits\":7"));
-        assert!(lines[0].contains("\"direction\":\"to_player\""));
-        assert!(lines[0].contains("\"phase\":\"unphased\""));
-        assert!(lines[1].contains("\"player\":null"));
-    }
-
-    #[test]
     fn json_round_trip() {
         let t = phased_transcript();
         let mut buf = Vec::new();
@@ -660,53 +537,20 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trip_matches_json() {
-        let t = phased_transcript();
-        let mut json = Vec::new();
-        t.write_events_json(&mut json).unwrap();
-        let mut csv = Vec::new();
-        t.write_events_csv(&mut csv).unwrap();
-        let from_json = parse_events_json(std::str::from_utf8(&json).unwrap()).unwrap();
-        let from_csv = parse_events_csv(std::str::from_utf8(&csv).unwrap()).unwrap();
-        assert_eq!(from_json, from_csv);
-    }
-
-    #[test]
     fn parse_rejects_malformed() {
         assert!(parse_events_json("not json").is_err());
         assert!(
             parse_events_json("{\"round\":1}").is_err(),
             "missing fields"
         );
-        assert!(parse_events_csv("wrong,header\n").is_err());
-        assert!(parse_events_csv("round,player,direction,bits,phase,label\n1,2\n").is_err());
         assert!(
-            parse_events_csv("round,player,direction,bits,phase,label\n0,0,sideways,1,p,l\n")
-                .is_err()
+            parse_events_json(
+                "{\"round\":0,\"player\":0,\"direction\":\"sideways\",\"bits\":1,\
+                 \"phase\":\"p\",\"label\":\"l\"}"
+            )
+            .is_err(),
+            "unknown direction"
         );
-    }
-
-    #[test]
-    fn rollup_exports_include_all_groupings() {
-        let t = phased_transcript();
-        let mut json = Vec::new();
-        t.write_rollups_json(&mut json).unwrap();
-        let text = String::from_utf8(json).unwrap();
-        for needle in [
-            "total_bits",
-            "by_phase",
-            "by_player",
-            "by_round",
-            "by_direction",
-        ] {
-            assert!(text.contains(needle), "missing {needle} in {text}");
-        }
-        let mut csv = Vec::new();
-        t.write_rollups_csv(&mut csv).unwrap();
-        let text = String::from_utf8(csv).unwrap();
-        assert!(text.starts_with("grouping,key,bits,messages\n"));
-        assert!(text.contains("by_phase,verify,17,2"), "{text}");
-        assert!(text.contains("by_player,broadcast,11,1"), "{text}");
     }
 
     #[test]

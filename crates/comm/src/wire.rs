@@ -33,6 +33,7 @@ use crate::rand::mix64;
 use crate::request::PlayerRequest;
 use crate::runtime::CostModel;
 use crate::simultaneous::SimMessage;
+use crate::transcript::PHASES;
 use std::borrow::Cow;
 use std::io::{Read, Write};
 use triad_graph::kernels::{EdgeBitset, RowRef};
@@ -1066,31 +1067,16 @@ fn decode_edge_bitset(d: &mut Dec<'_>) -> Result<EdgeBitset, WireError> {
     Ok(set)
 }
 
-/// Interns a phase name into the `&'static str` world of
-/// [`SimMessage`]. Phase names form a small closed set per protocol, so
-/// the one-time leak per distinct name is bounded for any process
-/// lifetime; repeated names return the same pointer.
-pub fn intern_phase(name: &str) -> &'static str {
-    use std::collections::BTreeSet;
-    use std::sync::{Mutex, OnceLock};
-    static REGISTRY: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
-    let registry = REGISTRY.get_or_init(|| Mutex::new(BTreeSet::new()));
-    let mut set = registry
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(existing) = set.get(name) {
-        return existing;
-    }
-    let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-    set.insert(leaked);
-    leaked
-}
-
 fn decode_sim_message(d: &mut Dec<'_>) -> Result<SimMessage<'static>, WireError> {
     let len = d.u32()? as usize;
     let mut m = SimMessage::empty();
     for _ in 0..len {
-        let phase = d.str()?;
+        // Phases form a closed registry: a name outside it is corrupt,
+        // and a registered one decodes to its `'static` table entry.
+        let name = d.str()?;
+        let phase = PHASES.into_iter().find(|p| *p == name).ok_or_else(|| {
+            WireError::corrupt(format!("unregistered phase name of {} bytes", name.len()))
+        })?;
         // An honest message may carry one full-size bitset per entry
         // (one per guess of `oblivious`), so each entry gets the whole
         // budget. Until a bitset stops allocating a slot for every row,
@@ -1098,7 +1084,7 @@ fn decode_sim_message(d: &mut Dec<'_>) -> Result<SimMessage<'static>, WireError>
         // build one n-row table per entry.
         d.bitset_budget = MAX_BITSET_VERTICES;
         let payload = decode_payload(d)?;
-        m.push_phased(payload, intern_phase(&phase));
+        m.push_phased(payload, phase);
     }
     Ok(m)
 }
@@ -1588,7 +1574,7 @@ mod tests {
     }
 
     #[test]
-    fn sim_messages_roundtrip_with_interned_phases() {
+    fn sim_messages_roundtrip_with_registered_phases() {
         let mut m = SimMessage::empty();
         m.push_phased(Payload::Edges(vec![e(0, 1)].into()), "induced-sample");
         m.push_phased(Payload::Bit(true), DEFAULT_PHASE);
@@ -1601,15 +1587,21 @@ mod tests {
                 assert_eq!(id, 8);
                 assert_eq!(message.payloads(), m.payloads());
                 assert_eq!(message.phases(), m.phases());
-                // Interning must return pointer-identical names on repeat.
-                assert!(std::ptr::eq(
-                    message.phases()[0],
-                    intern_phase("induced-sample")
-                ));
             }
             other => panic!("expected SimResponse, got {other:?}"),
         }
         assert_eq!(m.bit_len(16), m.clone().into_owned().bit_len(16));
+    }
+
+    #[test]
+    fn an_unregistered_phase_is_corrupt() {
+        let mut m = SimMessage::empty();
+        m.push_phased(Payload::Bit(true), "induced-sample");
+        m.push_phased(Payload::Bit(false), "made-up-phase");
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &WireMessage::SimResponse { id: 1, message: m }).unwrap();
+        let err = read_frame(&mut Cursor::new(buf)).unwrap_err();
+        assert!(matches!(err, WireError::Corrupt(_)), "{err}");
     }
 
     #[test]

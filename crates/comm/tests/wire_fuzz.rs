@@ -2,12 +2,14 @@
 //! the allocation bounds it checks, measured by a counting global
 //! allocator in this test binary.
 //!
-//! Every case starts from one valid frame of some type, applies one to
-//! three mutations — bit flips, truncation, inflated length and count
-//! fields, duplicated chunks and splices of two frames — to the framed
-//! bytes (version, type and body), re-seals them with a fresh length
-//! prefix and checksum so the mutation reaches the body decoder, and
-//! decodes them with `read_frame`. Three invariants must hold:
+//! Every case starts from one seed frame (a valid frame of some type,
+//! or a `SimResponse` with an unregistered phase that must be
+//! rejected), applies one to three mutations — bit flips, truncation,
+//! inflated length and count fields, duplicated chunks and splices of
+//! two frames — to the framed bytes (version, type and body), re-seals
+//! them with a fresh length prefix and checksum so the mutation reaches
+//! the body decoder, and decodes them with `read_frame`. Three
+//! invariants must hold:
 //!
 //! 1. the decoder never panics;
 //! 2. its peak allocation stays within [`bound`]: a fixed multiple of
@@ -121,8 +123,7 @@ fn peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
 /// per byte of input (a one-byte request or payload tag becomes one
 /// enum slot), with room for vector growth.
 const PER_BYTE: usize = 64;
-/// Fixed allowance for small bookkeeping (error strings, the phase
-/// registry's nodes).
+/// Fixed allowance for small bookkeeping (error strings).
 const SLACK: usize = 64 << 10;
 
 /// The bytes of one `MAX_BITSET_VERTICES`-row table, measured.
@@ -233,7 +234,7 @@ fn corpus() -> Vec<WireMessage> {
     sim.push_phased(Payload::Edges(vec![e(0, 1)].into()), "induced-sample");
     sim.push_phased(
         Payload::EdgeBits(Cow::Owned(EdgeBitset::from_edges(40, [e(1, 39)]))),
-        "bitset-guess",
+        "oblivious-high-guess",
     );
     vec![
         WireMessage::Hello {
@@ -285,6 +286,23 @@ fn corpus() -> Vec<WireMessage> {
         },
         WireMessage::BatchResponse { id: 5, payloads },
     ]
+}
+
+/// Well-formed frames the decoder must reject: a `SimResponse` whose
+/// phase is outside the registry.
+fn rejected() -> Vec<WireMessage> {
+    let mut sim = SimMessage::empty();
+    sim.push_phased(Payload::Bit(true), "induced-sample");
+    sim.push_phased(Payload::Bit(false), "bitset-guess");
+    vec![WireMessage::SimResponse {
+        id: 6,
+        message: sim,
+    }]
+}
+
+/// The framed bytes of every seed the mutations start from.
+fn seeds() -> Vec<Vec<u8>> {
+    corpus().iter().chain(&rejected()).map(framed).collect()
 }
 
 /// The framed bytes of `msg`: version, type and body, without the
@@ -421,8 +439,7 @@ fn check(seed: u64, frame: &[u8], table: usize) -> bool {
 /// Replays one fuzz case by its seed.
 #[allow(dead_code)]
 fn check_case(seed: u64) {
-    let corpus: Vec<Vec<u8>> = corpus().iter().map(framed).collect();
-    check(seed, &case(seed, &corpus), row_table());
+    check(seed, &case(seed, &seeds()), row_table());
 }
 
 /// Cases per `cargo test` run: a fixed budget, the same cases each run.
@@ -431,13 +448,21 @@ const ITERATIONS: u64 = 20_000;
 #[test]
 fn mutated_frames_never_panic_overallocate_or_reencode_differently() {
     let messages = corpus();
-    let corpus: Vec<Vec<u8>> = messages.iter().map(framed).collect();
+    let corpus = seeds();
     let table = row_table();
-    // Every corpus frame decodes back to itself, unmutated.
+    // Every corpus frame decodes back to itself, unmutated, and every
+    // rejected seed is refused.
     for (msg, bytes) in messages.iter().zip(&corpus) {
         assert!(
             check(0, &seal(bytes), table),
             "{} does not decode",
+            msg.kind()
+        );
+    }
+    for (msg, bytes) in rejected().iter().zip(&corpus[messages.len()..]) {
+        assert!(
+            !check(0, &seal(bytes), table),
+            "{} with an unregistered phase decodes",
             msg.kind()
         );
     }

@@ -68,11 +68,6 @@ pub(crate) fn emit_shifted(n: usize, shifts: usize, emit: &mut dyn FnMut(Edge)) 
     }
 }
 
-/// Number of planted triangles produced by [`shifted_triangles`].
-pub fn shifted_triangle_count(n: usize, shifts: usize) -> usize {
-    shifts * (n / 3)
-}
-
 /// Closed-form membership test for [`shifted_triangles`]`(n, shifts)`:
 /// returns whether `e` is an edge of that graph **without building it**.
 ///

@@ -57,11 +57,6 @@ impl Partition {
         &self.shares
     }
 
-    /// Consumes the partition, yielding the share vectors.
-    pub fn into_shares(self) -> Vec<Vec<Edge>> {
-        self.shares
-    }
-
     /// Total number of edge copies across players (≥ `|E|` with duplication).
     pub fn total_copies(&self) -> usize {
         self.shares.iter().map(Vec::len).sum()

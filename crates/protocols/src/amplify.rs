@@ -12,6 +12,7 @@ use std::sync::Arc;
 use crate::outcome::{ProtocolError, Rep, TallyRun, TestOutcome};
 use triad_comm::player::players_from_shares;
 use triad_comm::pool::Pool;
+use triad_comm::scheduler::{run_session, SessionJob};
 use triad_comm::{FaultPlan, PlayerState, Recorder, Tally};
 use triad_graph::partition::Partition;
 use triad_graph::Graph;
@@ -165,23 +166,36 @@ impl<T: Repeatable + ?Sized> Repeatable for &T {
     }
 }
 
-/// Repetition `r` of a fault-free sweep from `base_seed`.
-pub(crate) fn plain_rep<T: Repeatable + ?Sized>(
-    tester: &T,
-    input: &PreparedInput<'_>,
-    base_seed: u64,
-    r: usize,
-) -> Result<TallyRun, ProtocolError> {
-    tester
-        .run_prepared(input, rep_seed(base_seed, r as u32), None)
-        .map(|rep| rep.run)
+/// One fault-free amplified sweep as a scheduler job: repetition `r`
+/// runs `tester` with public seed [`rep_seed`]`(seed, r)`, and the sweep
+/// ends at the first witness or the first error. A standalone sweep
+/// ([`run_amplified_prepared`]) is a one-session batch of this job, and
+/// a [`SessionBatch`](crate::session::SessionBatch) runs one per
+/// session.
+pub(crate) struct PreparedSession<'a, 'g, T> {
+    pub(crate) tester: &'a T,
+    pub(crate) input: &'a PreparedInput<'g>,
+    pub(crate) seed: u64,
+    pub(crate) reps: usize,
 }
 
-/// Whether a fault-free sweep stops at this repetition: at the first
-/// witness or the first error.
-pub(crate) fn ends_sweep(run: &Result<TallyRun, ProtocolError>) -> bool {
-    run.as_ref()
-        .map_or(true, |run| run.outcome.found_triangle())
+impl<T: Repeatable + Sync> SessionJob for PreparedSession<'_, '_, T> {
+    type Item = Result<TallyRun, ProtocolError>;
+
+    fn reps(&self) -> usize {
+        self.reps
+    }
+
+    fn run_rep(&self, rep: usize) -> Self::Item {
+        self.tester
+            .run_prepared(self.input, rep_seed(self.seed, rep as u32), None)
+            .map(|rep| rep.run)
+    }
+
+    fn is_final(&self, item: &Self::Item) -> bool {
+        item.as_ref()
+            .map_or(true, |run| run.outcome.found_triangle())
+    }
 }
 
 /// Runs `tester` up to `repetitions` times over a prepared input with
@@ -189,8 +203,10 @@ pub(crate) fn ends_sweep(run: &Result<TallyRun, ProtocolError>) -> bool {
 /// at the first witness. Miss probability `δ^repetitions`; cost is the
 /// sum of the repetitions performed.
 ///
-/// Repetitions are sharded across the pool's workers and reduced **in
-/// repetition order**, with serial early-exit semantics: the reduction
+/// The sweep is a one-session batch of the
+/// [`scheduler`](triad_comm::scheduler): repetitions are sharded across
+/// the pool's workers and reduced **in repetition order**, with serial
+/// early-exit semantics: the reduction
 /// covers exactly the prefix of repetitions a serial loop would have
 /// performed (up to and including the first witness or error), so the
 /// merged [`CommStats`](triad_comm::CommStats) and tally are
@@ -236,20 +252,21 @@ pub fn run_amplified_prepared<T: Repeatable + Sync>(
     repetitions: u32,
     base_seed: u64,
 ) -> Result<TallyRun, ProtocolError> {
-    let runs = pool.ordered_map_until(
-        repetitions.max(1) as usize,
-        |r| plain_rep(tester, input, base_seed, r),
-        ends_sweep,
-    );
-    reduce_prefix(input.k(), runs)
+    let job = PreparedSession {
+        tester,
+        input,
+        seed: base_seed,
+        reps: repetitions.max(1) as usize,
+    };
+    reduce_prefix(input.k(), run_session(pool, &job))
 }
 
 /// Reduces a serial prefix of repetition results **in repetition
 /// order**: merged stats, absorbed tallies, early return on the first
 /// witness, first error propagated. This is the one fold shared by
-/// [`run_amplified_prepared`] and the session scheduler
-/// (`crate::session`), which is how batched sessions stay byte-identical
-/// to standalone sweeps.
+/// [`run_amplified_prepared`] and
+/// [`SessionBatch`](crate::session::SessionBatch), which is how batched
+/// sessions stay byte-identical to standalone sweeps.
 pub(crate) fn reduce_prefix(
     k: usize,
     runs: impl IntoIterator<Item = Result<TallyRun, ProtocolError>>,

@@ -28,6 +28,7 @@
 
 use crate::amplify::{rep_seed, PreparedInput, Repeatable};
 use triad_comm::pool::Pool;
+use triad_comm::scheduler::{run_session, FnSession};
 use triad_comm::{CommStats, FaultPlan, FaultStats, Recorder, RunError, RunErrorKind, Tally};
 use triad_graph::Triangle;
 
@@ -179,7 +180,7 @@ pub fn run_chaos_amplified<T: Repeatable + Sync>(
     quorum: f64,
 ) -> ChaosRun {
     let reps = repetitions.max(1) as usize;
-    let runs = pool.ordered_map_until(
+    let sweep = FnSession::new(
         reps,
         |r| {
             let rep = r as u32;
@@ -187,6 +188,7 @@ pub fn run_chaos_amplified<T: Repeatable + Sync>(
         },
         |rep| matches!(rep, Ok(rep) if rep.run.outcome.found_triangle()),
     );
+    let runs = run_session(pool, &sweep);
     let needed = ((quorum.clamp(0.0, 1.0) * reps as f64).ceil() as u32).max(1);
     let mut stats = CommStats::default();
     let mut tally = Tally::with_players(input.k());
@@ -253,17 +255,6 @@ pub fn single_run_verdict(outcome: crate::TestOutcome, fault: Option<&RunError>)
         (crate::TestOutcome::TriangleFound(t), _) => ChaosOutcome::TriangleFound(t),
         (crate::TestOutcome::NoTriangleFound, Some(_)) => ChaosOutcome::Inconclusive,
         (crate::TestOutcome::NoTriangleFound, None) => ChaosOutcome::NoTriangleFound,
-    }
-}
-
-/// Down-converts a chaos verdict for callers that only understand the
-/// two-way [`crate::TestOutcome`] — `Inconclusive` maps to `None`, never
-/// to an accept.
-pub fn to_test_outcome(outcome: ChaosOutcome) -> Option<crate::TestOutcome> {
-    match outcome {
-        ChaosOutcome::TriangleFound(t) => Some(crate::TestOutcome::TriangleFound(t)),
-        ChaosOutcome::NoTriangleFound => Some(crate::TestOutcome::NoTriangleFound),
-        ChaosOutcome::Inconclusive => None,
     }
 }
 
@@ -468,10 +459,5 @@ mod tests {
         assert_eq!(ChaosOutcome::TriangleFound(t).as_str(), "triangle-found");
         assert_eq!(ChaosOutcome::NoTriangleFound.as_str(), "accepted");
         assert_eq!(ChaosOutcome::Inconclusive.as_str(), "inconclusive");
-        assert!(to_test_outcome(ChaosOutcome::Inconclusive).is_none());
-        assert_eq!(
-            to_test_outcome(ChaosOutcome::NoTriangleFound),
-            Some(crate::TestOutcome::NoTriangleFound)
-        );
     }
 }

@@ -66,7 +66,7 @@ pub use chaos::{
 };
 pub use config::{Preset, Tuning};
 pub use outcome::{ProtocolError, ProtocolRun, Rep, TallyRun, TestOutcome};
-pub use session::{run_session_batch, SessionBatch, SessionResults, SessionSpec, SessionTester};
+pub use session::{SessionBatch, SessionResults, SessionSpec, SessionTester};
 pub use simultaneous::{SimProtocolKind, SimultaneousTester};
 pub use triad_comm::scheduler::SessionHandle;
 pub use unrestricted::UnrestrictedTester;

@@ -9,10 +9,11 @@
 //! * **Byte-identical results.** Each session's verdict, stats and
 //!   [`Tally`](triad_comm::Tally) are exactly what
 //!   [`run_amplified_prepared`](crate::amplify::run_amplified_prepared)
-//!   would return for that session alone, at any worker count. The
-//!   scheduler hands back each session's serial repetition prefix and
-//!   both paths reduce through the same fold
-//!   (`amplify::reduce_prefix`); enforced by
+//!   would return for that session alone, at any worker count. A
+//!   standalone sweep is a one-session batch of the same job
+//!   (`amplify::PreparedSession`), the scheduler hands back each
+//!   session's serial repetition prefix, and both paths reduce through
+//!   the same fold (`amplify::reduce_prefix`); enforced by
 //!   `tests/scheduler_differential.rs`.
 //! * **Shared preparation.** Sessions on the same (graph, partition)
 //!   content share one [`PreparedInput`] — shares validated once,
@@ -22,11 +23,11 @@
 
 use std::collections::HashMap;
 
-use crate::amplify::{ends_sweep, plain_rep, reduce_prefix, PreparedInput, Repeatable};
+use crate::amplify::{reduce_prefix, PreparedInput, PreparedSession, Repeatable};
 use crate::baseline::SendEverything;
 use crate::outcome::{ProtocolError, Rep, TallyRun};
 use crate::{SimultaneousTester, UnrestrictedTester};
-use triad_comm::scheduler::{run_sessions, SessionHandle, SessionJob};
+use triad_comm::scheduler::{run_sessions, SessionHandle};
 use triad_comm::{mix64, FaultPlan, Pool};
 use triad_graph::partition::Partition;
 use triad_graph::Graph;
@@ -107,32 +108,6 @@ fn input_key(g: &Graph, partition: &Partition) -> InputKey {
         vertices: g.vertex_count(),
         edges: g.edge_count(),
         players: partition.players(),
-    }
-}
-
-/// One session's repetitions as a scheduler job: the per-repetition
-/// closure and early-exit predicate are exactly those of
-/// [`run_amplified_prepared`](crate::amplify::run_amplified_prepared).
-struct PreparedSession<'a, 'g> {
-    tester: &'a SessionTester,
-    input: &'a PreparedInput<'g>,
-    seed: u64,
-    reps: usize,
-}
-
-impl SessionJob for PreparedSession<'_, '_> {
-    type Item = Result<TallyRun, ProtocolError>;
-
-    fn reps(&self) -> usize {
-        self.reps
-    }
-
-    fn run_rep(&self, rep: usize) -> Self::Item {
-        plain_rep(self.tester, self.input, self.seed, rep)
-    }
-
-    fn is_final(&self, item: &Self::Item) -> bool {
-        ends_sweep(item)
     }
 }
 
@@ -317,24 +292,6 @@ impl SessionResults {
     pub fn iter(&self) -> impl Iterator<Item = &Result<TallyRun, ProtocolError>> {
         self.results.iter()
     }
-
-    /// Consumes into the submission-order result vector.
-    pub fn into_results(self) -> Vec<Result<TallyRun, ProtocolError>> {
-        self.results
-    }
-}
-
-/// One-call convenience: submit `specs` in order and run them on
-/// `pool`, returning submission-order results.
-pub fn run_session_batch<'g>(
-    pool: &Pool,
-    specs: impl IntoIterator<Item = SessionSpec<'g>>,
-) -> SessionResults {
-    let mut batch = SessionBatch::new();
-    for spec in specs {
-        batch.submit(spec);
-    }
-    batch.run(pool)
 }
 
 #[cfg(test)]

@@ -486,4 +486,43 @@ mod tests {
         p.local_degree(VertexId(0));
         assert!(built(p));
     }
+
+    #[test]
+    fn every_one_round_phase_is_registered() {
+        use crate::baseline::SendEverything;
+        use triad_comm::{PayloadRepr, PHASES};
+        let mut rng = ChaCha8Rng::seed_from_u64(15);
+        let g = far_graph(240, 8.0, 0.2, &mut rng).unwrap();
+        let parts = random_disjoint(&g, 3, &mut rng);
+        let input = PreparedInput::new(&g, &parts).unwrap();
+        let d = g.average_degree();
+        let mut seen = std::collections::BTreeSet::new();
+        for repr in [PayloadRepr::Edges, PayloadRepr::Bits] {
+            let tuning = Tuning::practical(0.2).with_repr(repr);
+            let sim = |kind| SimultaneousTester::new(tuning, kind);
+            let testers: [Box<dyn Repeatable>; 4] = [
+                Box::new(sim(SimProtocolKind::Low { avg_degree: d })),
+                Box::new(sim(SimProtocolKind::High { avg_degree: d })),
+                Box::new(sim(SimProtocolKind::Oblivious)),
+                Box::new(SendEverything::with_repr(repr)),
+            ];
+            for tester in &testers {
+                for seed in 0..3 {
+                    let rep = tester.run_prepared(&input, seed, None).unwrap();
+                    for row in rep.run.transcript.by_phase() {
+                        assert!(PHASES.contains(&row.key.as_str()), "{repr:?}: {}", row.key);
+                        seen.insert(row.key);
+                    }
+                }
+            }
+        }
+        let expected = [
+            "induced-sample",
+            "oblivious-high-guess",
+            "oblivious-low-guess",
+            "r-cross-edges",
+            "send-everything",
+        ];
+        assert_eq!(seen.into_iter().collect::<Vec<_>>(), expected);
+    }
 }

@@ -14,7 +14,7 @@
 //! it *is* edges the players actually hold.
 
 use crate::config::Tuning;
-use crate::outcome::{ProtocolError, ProtocolRun};
+use crate::outcome::ProtocolError;
 use triad_comm::{
     run_simultaneous, CommStats, Payload, PlayerState, SharedRandomness, SimMessage,
     SimultaneousProtocol,
@@ -148,24 +148,6 @@ pub fn run_h_freeness(
         stats: run.stats,
         transcript: run.transcript,
     })
-}
-
-/// Convenience: expose a [`ProtocolRun`]-shaped verdict for triangle
-/// patterns, for drop-in comparison against the dedicated testers.
-pub fn as_protocol_run(run: &HFreenessRun) -> ProtocolRun {
-    use crate::outcome::TestOutcome;
-    let outcome = match &run.witness {
-        Some(hosts) if hosts.len() == 3 => {
-            TestOutcome::TriangleFound(triad_graph::Triangle::new(hosts[0], hosts[1], hosts[2]))
-        }
-        Some(_) => TestOutcome::NoTriangleFound,
-        None => TestOutcome::NoTriangleFound,
-    };
-    ProtocolRun {
-        outcome,
-        stats: run.stats,
-        transcript: run.transcript.clone(),
-    }
 }
 
 #[cfg(test)]

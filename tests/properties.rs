@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, HashSet};
 use triad::comm::pool::Pool;
 use triad::comm::{
-    bits, mix64, BitCost, CommStats, Direction, Event, Payload, Recorder, Rollup, SharedRandomness,
-    Transcript, DEFAULT_PHASE,
+    bits, mix64, run_sessions, BitCost, CommStats, Direction, Event, FnSession, Payload, Recorder,
+    Rollup, SharedRandomness, Transcript, DEFAULT_PHASE,
 };
 use triad::graph::{buckets, distance, triangles, Edge, Graph, GraphBuilder, VertexId};
 
@@ -407,12 +407,12 @@ proptest! {
     }
 
     #[test]
-    fn pool_ordered_map_until_returns_the_serial_prefix(
+    fn one_session_schedule_returns_the_serial_prefix(
         n in 0usize..40,
         salt in any::<u64>(),
         modulus in 1u64..9,
     ) {
-        // Whatever the interleaving, the early-exit map must return
+        // Whatever the interleaving, a one-session schedule must return
         // exactly what a serial loop stopping at the first hit returns.
         let f = |i: usize| mix64(salt ^ i as u64);
         let stop = |v: &u64| v.is_multiple_of(modulus);
@@ -425,10 +425,11 @@ proptest! {
                 break;
             }
         }
+        let job = [FnSession::new(n, f, stop)];
         for threads in [1usize, 2, 3, 8] {
             prop_assert_eq!(
-                Pool::new(threads).ordered_map_until(n, f, stop),
-                expected.clone(),
+                run_sessions(&Pool::new(threads), &job).prefixes,
+                vec![expected.clone()],
                 "threads = {}",
                 threads
             );

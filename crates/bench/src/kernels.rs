@@ -267,9 +267,10 @@ pub fn time_workload(
 
 /// Times the forward and pool-parallel kernels over an out-of-core
 /// [`CsrStore`], never an in-memory [`Graph`]: edges come from the
-/// store's forward rows (the mapping, or the owned fallback), full
-/// neighbor rows from the transpose the store builds on first use,
-/// which is timed first and on its own. Also runs one prepared
+/// store's forward rows (the mapping, or the owned fallback) and degrees
+/// from the degree table the store counts on first use. The transpose
+/// behind full neighbor rows, which the kernels do not read, is timed
+/// first and on its own. Also runs one prepared
 /// simultaneous-protocol test whose shares are partitioned straight
 /// off the store, and records the allocation evidence: peak RSS, the
 /// store's owned bytes, the file size, and whether the backing is
@@ -279,7 +280,8 @@ pub fn time_workload(
 ///
 /// Panics if the serial and parallel counts disagree.
 pub fn time_store_workload(name: &str, store: &CsrStore, reps: usize, pool: &Pool) -> KernelTiming {
-    // The kernels read full rows; the store builds them once, here.
+    // The kernels read only degrees and forward rows, so they never need
+    // the full rows; the transpose is built here to time it.
     let start = Instant::now();
     store.full_rows();
     let transpose_ms = start.elapsed().as_secs_f64() * 1e3;

@@ -75,7 +75,7 @@ pub use message::{Payload, PayloadEdges, PayloadRepr};
 pub use oneway::{run_one_way, OneWayProtocol, OneWayRun};
 pub use player::PlayerState;
 pub use pool::Pool;
-pub use rand::{mix64, SharedRandomness};
+pub use rand::{mix64, SharedRandomness, VertexSet};
 pub use recorder::{Recorder, Tally};
 pub use report::{
     write_reports_json, CostReport, PredictedBound, ReportParams, REPORT_SCHEMA_VERSION,
@@ -96,8 +96,8 @@ pub use streaming::{
     run_stream, stream_as_one_way, EdgeReservoir, StreamAlgorithm, StreamOneWayRun, StreamRun,
 };
 pub use transcript::{
-    parse_events_json, CommStats, Direction, Event, LabelTotals, OwnedEvent, ParseError, Rollup,
-    Transcript, DEFAULT_PHASE, PHASES,
+    encode_events_json, parse_events_json, CommStats, Direction, Event, LabelTotals, OwnedEvent,
+    ParseError, Rollup, Transcript, DEFAULT_PHASE, PHASES,
 };
 pub use wire::{
     ErrorCode, ResumeClaim, Welcome, WireError, WireMessage, MAX_BITSET_VERTICES, MAX_FRAME_BYTES,

@@ -3,8 +3,9 @@
 use crate::message::Payload;
 use crate::rand::SharedRandomness;
 use crate::request::PlayerRequest;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use triad_graph::kernels::EdgeBitset;
+use triad_graph::partition::Partition;
 use triad_graph::{CsrAdjacency, Edge, Triangle, VertexId};
 
 /// One player's private input `E_j`: the deduplicated share in sorted
@@ -21,10 +22,13 @@ use triad_graph::{CsrAdjacency, Edge, Triangle, VertexId};
 pub struct PlayerState {
     id: usize,
     n: usize,
-    /// The share over the global vertex-id space `0..n`, sorted and
-    /// deduplicated: the stable slice the simultaneous baselines borrow
-    /// into a [`Payload::Edges`] without cloning (see `docs/RUNTIME.md`).
-    edges: Vec<Edge>,
+    /// `shares[index]` is the share over the global vertex-id space
+    /// `0..n`, sorted and deduplicated: the stable slice the simultaneous
+    /// baselines borrow into a [`Payload::Edges`] without cloning (see
+    /// `docs/RUNTIME.md`). Players built from a [`Partition`] hold its
+    /// lists; [`PlayerState::new`] holds a one-list copy.
+    shares: Arc<[Vec<Edge>]>,
+    index: usize,
     /// The share's local adjacency, built by the first call that reads a
     /// neighbourhood, a degree or edge membership.
     local: OnceLock<Local>,
@@ -44,28 +48,30 @@ struct Local {
 }
 
 impl PlayerState {
-    /// Builds player `id`'s state over a graph on `n` vertices from its
-    /// edge share (duplicates within the share are collapsed).
+    /// Builds player `id`'s state over a graph on `n` vertices from a
+    /// sorted copy of its edge share (duplicates within the share are
+    /// collapsed).
     ///
     /// # Panics
     ///
     /// Panics if an edge endpoint is `>= n`.
     pub fn new(id: usize, n: usize, share: &[Edge]) -> Self {
-        // Canonical edges have `u < v`, so `v` bounds both endpoints.
-        assert!(
-            share.iter().all(|e| e.v().index() < n),
-            "edge endpoint out of range"
-        );
-        let mut edges = share.to_vec();
-        // A `by_vertex` share off a CSR store arrives sorted and distinct.
-        if !edges.is_sorted_by(|a, b| a < b) {
-            edges.sort_unstable();
-            edges.dedup();
-        }
+        let edges = if is_sorted_in_range(share, n) {
+            share.to_vec()
+        } else {
+            sorted_copy(share)
+        };
+        Self::holding(id, n, Arc::new([edges]), 0)
+    }
+
+    /// Player `id` over `shares[index]`, which must be sorted and
+    /// distinct with endpoints below `n`.
+    fn holding(id: usize, n: usize, shares: Arc<[Vec<Edge>]>, index: usize) -> Self {
         PlayerState {
             id,
             n,
-            edges,
+            shares,
+            index,
             local: OnceLock::new(),
             share_bits: OnceLock::new(),
         }
@@ -74,7 +80,7 @@ impl PlayerState {
     /// The local adjacency, built on first use.
     fn local(&self) -> &Local {
         self.local.get_or_init(|| {
-            let adjacency = CsrAdjacency::from_sorted_edges(self.n, &self.edges);
+            let adjacency = CsrAdjacency::from_sorted_edges(self.n, self.share());
             let occupied = (0..self.n)
                 .map(VertexId::from_index)
                 .filter(|v| adjacency.degree(*v) > 0)
@@ -95,7 +101,7 @@ impl PlayerState {
     /// The player's distinct edges, sorted — the borrowable counterpart of
     /// [`edges`](Self::edges) for zero-copy message construction.
     pub fn share(&self) -> &[Edge] {
-        &self.edges
+        &self.shares[self.index]
     }
 
     /// The share as a packed [`EdgeBitset`], built once per player and
@@ -104,7 +110,7 @@ impl PlayerState {
     /// [`share`](Self::share).
     pub fn share_bitset(&self) -> &EdgeBitset {
         self.share_bits
-            .get_or_init(|| EdgeBitset::from_edges(self.n, self.edges.iter().copied()))
+            .get_or_init(|| EdgeBitset::from_edges(self.n, self.share().iter().copied()))
     }
 
     /// The player's index `j ∈ 0..k`.
@@ -119,7 +125,7 @@ impl PlayerState {
 
     /// Number of distinct edges this player holds.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.share().len()
     }
 
     /// The player's local degree `d_j(v)`.
@@ -146,7 +152,7 @@ impl PlayerState {
     /// Iterates the player's distinct edges in sorted order, so a capped
     /// scan posts the same prefix in every process.
     pub fn edges(&self) -> impl Iterator<Item = &Edge> {
-        self.edges.iter()
+        self.share().iter()
     }
 
     /// Handles one coordinator request. Pure with respect to the player's
@@ -329,12 +335,57 @@ impl PlayerState {
     }
 }
 
-/// Builds the `k` player states from a partition's shares.
+/// Whether `share` is strictly increasing with every endpoint below `n`.
+///
+/// # Panics
+///
+/// Panics if an endpoint is `>= n`.
+fn is_sorted_in_range(share: &[Edge], n: usize) -> bool {
+    // Canonical edges have `u < v`, so `v` bounds both endpoints.
+    assert!(
+        share.iter().all(|e| e.v().index() < n),
+        "edge endpoint out of range"
+    );
+    share.is_sorted_by(|a, b| a < b)
+}
+
+/// `share` sorted, without duplicates.
+fn sorted_copy(share: &[Edge]) -> Vec<Edge> {
+    let mut edges = share.to_vec();
+    edges.sort_unstable();
+    edges.dedup();
+    edges
+}
+
+/// Builds the `k` player states from copies of `shares`.
 pub fn players_from_shares(n: usize, shares: &[Vec<Edge>]) -> Vec<PlayerState> {
     shares
         .iter()
         .enumerate()
         .map(|(j, s)| PlayerState::new(j, n, s))
+        .collect()
+}
+
+/// Builds the `k` player states over `partition`'s own lists. A share
+/// that is not sorted and distinct gets a sorted copy; a scheme-built
+/// partition ([`Partition::canonical_below`]) is not scanned at all.
+///
+/// # Panics
+///
+/// Panics if an edge endpoint is `>= n`.
+pub fn players_from_partition(n: usize, partition: &Partition) -> Vec<PlayerState> {
+    let trusted = partition.canonical_below(n);
+    let shares = partition.shares_arc();
+    shares
+        .iter()
+        .enumerate()
+        .map(|(j, s)| {
+            if trusted || is_sorted_in_range(s, n) {
+                PlayerState::holding(j, n, Arc::clone(shares), j)
+            } else {
+                PlayerState::holding(j, n, Arc::new([sorted_copy(s)]), 0)
+            }
+        })
         .collect()
 }
 

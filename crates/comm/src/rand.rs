@@ -35,6 +35,27 @@ pub fn mix64(mut z: u64) -> u64 {
 
 use mix64 as mix;
 
+/// 2⁵³: [`SharedRandomness::unit`] draws multiples of its inverse.
+const UNIT_SCALE: f64 = (1u64 << 53) as f64;
+
+/// A public vertex set hoisted out of a loop; see
+/// [`SharedRandomness::vertex_set`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VertexSet {
+    /// The PRF key of the set's tag.
+    key: u64,
+    /// ⌈p·2⁵³⌉: a vertex is in the set when its 53-bit draw is below it.
+    bound: u64,
+}
+
+impl VertexSet {
+    /// Whether `v` is in the set.
+    #[inline]
+    pub fn contains(&self, v: VertexId) -> bool {
+        (mix(self.key ^ u64::from(v.0)) >> 11) < self.bound
+    }
+}
+
 impl SharedRandomness {
     /// Shared randomness derived from a public seed.
     pub fn new(seed: u64) -> Self {
@@ -56,7 +77,7 @@ impl SharedRandomness {
     #[inline]
     pub fn unit(&self, tag: u64, item: u64) -> f64 {
         // 53 top bits → uniform double in [0,1).
-        (self.value(tag, item) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        (self.value(tag, item) >> 11) as f64 * (1.0 / UNIT_SCALE)
     }
 
     /// Bernoulli(`p`) coin for `(tag, item)` — the idiom for "sample each
@@ -71,6 +92,22 @@ impl SharedRandomness {
     #[inline]
     pub fn vertex_sampled(&self, tag: u64, v: VertexId, p: f64) -> bool {
         self.coin(tag, u64::from(v.0), p)
+    }
+
+    /// The public set drawn under `tag` with per-vertex probability `p`,
+    /// with its key and threshold computed once, for testing many
+    /// vertices against one set:
+    /// `vertex_set(tag, p).contains(v) == vertex_sampled(tag, v, p)` for
+    /// every `v`.
+    pub fn vertex_set(&self, tag: u64, p: f64) -> VertexSet {
+        // `unit` is x·2⁻⁵³ for a 53-bit integer x, and scaling by a power
+        // of two is exact, so x·2⁻⁵³ < p exactly when x < ⌈p·2⁵³⌉. The
+        // cast saturates: NaN and p ≤ 0 give 0 (no vertex), p ≥ 1 a bound
+        // above every x (all vertices).
+        VertexSet {
+            key: mix(self.seed ^ mix(tag)),
+            bound: (p * UNIT_SCALE).ceil() as u64,
+        }
     }
 
     /// The rank of a vertex under the public random permutation `tag`.
@@ -183,6 +220,65 @@ mod tests {
         assert_eq!(r1.next_u64(), r2.next_u64());
         let mut r3 = s.stream(5);
         assert_ne!(s.stream(4).next_u64(), r3.next_u64());
+    }
+
+    /// The probabilities the hoisted set must agree on: both ends, the
+    /// smallest draw, protocol-sized values, exact binary fractions, and
+    /// values outside `[0, 1]`.
+    const SET_PS: [f64; 9] = [
+        0.0,
+        1.0 / (1u64 << 60) as f64,
+        0.003,
+        0.375,
+        0.5,
+        1.0,
+        1.5,
+        -1.0,
+        f64::NAN,
+    ];
+
+    proptest::proptest! {
+        #[test]
+        fn vertex_set_agrees_with_vertex_sampled(
+            seed in proptest::arbitrary::any::<u64>(),
+            tag in proptest::arbitrary::any::<u64>(),
+            first in proptest::arbitrary::any::<u32>(),
+            which in 0..SET_PS.len() + 1,
+            steps in 0u64..(1 << 53) + 1,
+        ) {
+            // `which == SET_PS.len()` draws a p with p·2⁵³ an integer.
+            let p = SET_PS.get(which).copied().unwrap_or(steps as f64 / UNIT_SCALE);
+            let s = SharedRandomness::new(seed);
+            let set = s.vertex_set(tag, p);
+            for v in (0..256).map(|i| VertexId(first.wrapping_add(i))) {
+                proptest::prop_assert_eq!(set.contains(v), s.vertex_sampled(tag, v, p), "p = {}", p);
+            }
+        }
+    }
+
+    #[test]
+    fn the_set_bound_is_the_float_threshold() {
+        // The draw just below ⌈p·2⁵³⌉ is in the set and the draw at it is
+        // not, by the float comparison `coin` makes, wherever those draws
+        // are 53-bit values.
+        let in_set = |x: u64, p: f64| x as f64 * (1.0 / UNIT_SCALE) < p;
+        let integral = [1.0, 3.0, 1234.0, UNIT_SCALE - 1.0].map(|x| x / UNIT_SCALE);
+        for p in SET_PS.into_iter().chain(integral) {
+            let bound = SharedRandomness::new(1).vertex_set(2, p).bound;
+            if (1..=1 << 53).contains(&bound) {
+                assert!(
+                    in_set(bound - 1, p),
+                    "p = {p}: draw {} must be in",
+                    bound - 1
+                );
+            }
+            if bound < 1 << 53 {
+                assert!(!in_set(bound, p), "p = {p}: draw {bound} must be out");
+            }
+        }
+        // No vertex below p = 0 or NaN; every 53-bit draw at p ≥ 1.
+        assert_eq!(SharedRandomness::new(1).vertex_set(2, f64::NAN).bound, 0);
+        assert!(SharedRandomness::new(1).vertex_set(2, 1.0).bound >= 1 << 53);
     }
 
     #[test]

@@ -106,9 +106,9 @@ pub struct Event {
 /// use triad_comm::{BitCost, Direction, Recorder, Transcript};
 ///
 /// let mut t = Transcript::new(2);
-/// t.set_phase("sample");
+/// t.set_phase("sample-edges");
 /// t.record(Some(0), Direction::ToCoordinator, BitCost(10), "edges");
-/// t.set_phase("verify");
+/// t.set_phase("close-triangle");
 /// t.record(Some(1), Direction::ToCoordinator, BitCost(5), "bit");
 ///
 /// let phases = t.tally().by_phase();
@@ -119,7 +119,7 @@ pub struct Event {
 /// t.write_events_json(&mut json).unwrap();
 /// let parsed = triad_comm::parse_events_json(std::str::from_utf8(&json).unwrap()).unwrap();
 /// assert_eq!(parsed.len(), 2);
-/// assert_eq!(parsed[0].phase, "sample");
+/// assert_eq!(parsed[0].phase, "sample-edges");
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Transcript {
@@ -141,37 +141,68 @@ impl Transcript {
         &self.events
     }
 
-    fn event_json(e: &Event) -> String {
-        let player = match e.player {
-            Some(p) => p.to_string(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"round\":{},\"player\":{},\"direction\":\"{}\",\"bits\":{},\
-             \"phase\":\"{}\",\"label\":\"{}\"}}",
-            e.round,
-            player,
-            e.direction.as_str(),
-            e.bits,
-            e.phase,
-            e.label
-        )
-    }
-
     /// Serializes the event log as one JSON array. Readable back with
     /// [`parse_events_json`].
     ///
     /// # Errors
     ///
     /// Propagates writer failures.
-    pub fn write_events_json<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        writeln!(w, "[")?;
-        for (i, e) in self.events.iter().enumerate() {
-            let sep = if i + 1 < self.events.len() { "," } else { "" };
-            writeln!(w, "  {}{}", Self::event_json(e), sep)?;
-        }
-        writeln!(w, "]")
+    pub fn write_events_json<W: std::io::Write>(&self, w: W) -> std::io::Result<()> {
+        write_event_lines(
+            w,
+            self.events
+                .iter()
+                .map(|e| event_line(e.round, e.player, e.direction, e.bits, e.phase, e.label)),
+        )
     }
+}
+
+/// One event's export object.
+fn event_line(
+    round: u64,
+    player: Option<usize>,
+    direction: Direction,
+    bits: u64,
+    phase: &str,
+    label: &str,
+) -> String {
+    let player = match player {
+        Some(p) => p.to_string(),
+        None => "null".to_string(),
+    };
+    format!(
+        "{{\"round\":{round},\"player\":{player},\"direction\":\"{}\",\"bits\":{bits},\
+         \"phase\":\"{phase}\",\"label\":\"{label}\"}}",
+        direction.as_str(),
+    )
+}
+
+/// The export array: one event object per line.
+fn write_event_lines<W: std::io::Write>(
+    mut w: W,
+    lines: impl ExactSizeIterator<Item = String>,
+) -> std::io::Result<()> {
+    writeln!(w, "[")?;
+    let count = lines.len();
+    for (i, line) in lines.enumerate() {
+        let sep = if i + 1 < count { "," } else { "" };
+        writeln!(w, "  {line}{sep}")?;
+    }
+    writeln!(w, "]")
+}
+
+/// The text [`Transcript::write_events_json`] writes for `events`: the
+/// inverse of [`parse_events_json`].
+pub fn encode_events_json(events: &[OwnedEvent]) -> String {
+    let mut out = Vec::new();
+    write_event_lines(
+        &mut out,
+        events
+            .iter()
+            .map(|e| event_line(e.round, e.player, e.direction, e.bits, &e.phase, &e.label)),
+    )
+    .expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("the export of UTF-8 fields is UTF-8")
 }
 
 impl Recorder for Transcript {
@@ -365,22 +396,30 @@ fn event_from_pairs(pairs: &[(&str, &str)]) -> Result<OwnedEvent, ParseError> {
     let bits = get("bits")?
         .parse()
         .map_err(|_| parse_err("bits is not an integer"))?;
+    let phase = get("phase")?;
+    if !PHASES.contains(&phase) {
+        return Err(parse_err(format!("unregistered phase `{phase}`")));
+    }
     Ok(OwnedEvent {
         round,
         player,
         direction,
         bits,
-        phase: get("phase")?.to_string(),
+        phase: phase.to_string(),
         label: get("label")?.to_string(),
     })
 }
 
 /// Parses the output of [`Transcript::write_events_json`], one event
-/// object per line.
+/// object per line, and accepts nothing else: the text must be byte for
+/// byte what [`encode_events_json`] writes for the events read from it.
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on malformed input or missing fields.
+/// Returns [`ParseError`] on malformed input, a missing field or a phase
+/// outside [`PHASES`], and on any text the writer would not write: a
+/// quoted number, an unknown or repeated key, other spacing, field order
+/// or number spelling.
 pub fn parse_events_json(text: &str) -> Result<Vec<OwnedEvent>, ParseError> {
     let mut out = Vec::new();
     for line in text.lines() {
@@ -389,6 +428,12 @@ pub fn parse_events_json(text: &str) -> Result<Vec<OwnedEvent>, ParseError> {
             continue;
         }
         out.push(event_from_pairs(&parse_flat_object(line)?)?);
+    }
+    if encode_events_json(&out) != text {
+        return Err(parse_err(
+            "not the export of the events it holds (a quoted number, an unknown or repeated \
+             key, or other spacing, field order or number spelling)",
+        ));
     }
     Ok(out)
 }
@@ -468,11 +513,11 @@ mod tests {
 
     fn phased_transcript() -> Transcript {
         let mut t = Transcript::new(3);
-        t.set_phase("sample");
+        t.set_phase("sample-edges");
         t.record(Some(0), Direction::ToPlayer, BitCost(4), "req");
         t.record(Some(0), Direction::ToCoordinator, BitCost(9), "resp");
         t.next_round();
-        t.set_phase("verify");
+        t.set_phase("close-triangle");
         t.record(Some(2), Direction::ToCoordinator, BitCost(6), "resp");
         t.record(None, Direction::Broadcast, BitCost(11), "post");
         t
@@ -508,15 +553,19 @@ mod tests {
         let transcript = phased_transcript();
         let t = transcript.tally();
         let phases: Vec<String> = t.by_phase().into_iter().map(|r| r.key).collect();
-        assert_eq!(phases, ["verify", "sample"], "descending bits");
+        assert_eq!(
+            phases,
+            ["close-triangle", "sample-edges"],
+            "descending bits"
+        );
         let players: Vec<String> = t.by_player().into_iter().map(|r| r.key).collect();
         assert_eq!(players, ["player-0", "player-2", "broadcast"]);
         let rounds: Vec<String> = t.by_round().into_iter().map(|r| r.key).collect();
         assert_eq!(rounds, ["round-0", "round-1"]);
         let dirs: Vec<String> = t.by_direction().into_iter().map(|r| r.key).collect();
         assert_eq!(dirs, ["to_player", "to_coordinator", "broadcast"]);
-        assert_eq!(t.bits_for_phase("sample"), 13);
-        assert_eq!(t.bits_for_phase("verify"), 17);
+        assert_eq!(t.bits_for_phase("sample-edges"), 13);
+        assert_eq!(t.bits_for_phase("close-triangle"), 17);
     }
 
     #[test]
@@ -551,6 +600,55 @@ mod tests {
             .is_err(),
             "unknown direction"
         );
+    }
+
+    #[test]
+    fn parse_accepts_only_what_the_writer_writes() {
+        let mut buf = Vec::new();
+        phased_transcript().write_events_json(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let events = parse_events_json(&text).unwrap();
+        assert_eq!(encode_events_json(&events), text);
+        let line = "{\"round\":0,\"player\":0,\"direction\":\"to_player\",\"bits\":4,\
+                    \"phase\":\"sample-edges\",\"label\":\"req\"}";
+        let alone = |line: &str| format!("[\n  {line}\n]\n");
+        assert!(parse_events_json(&alone(line)).is_ok());
+        for (bad, why) in [
+            (
+                line.replace("\"bits\":4", "\"bits\":\"4\""),
+                "quoted number",
+            ),
+            (
+                line.replace("\"round\":0", "\"round\":\"0\""),
+                "quoted round",
+            ),
+            (
+                line.replace("\"player\":0", "\"player\":\"0\""),
+                "quoted player",
+            ),
+            (line.replace("{", "{\"extra\":1,"), "unknown key"),
+            (line.replace("{", "{\"bits\":4,"), "repeated key"),
+            (
+                line.replace("sample-edges", "made up"),
+                "unregistered phase",
+            ),
+            (line.replace("\"bits\":4", "\"bits\":04"), "leading zero"),
+            (line.replace("\"bits\":4", "\"bits\":+4"), "plus sign"),
+            (line.replace(",\"bits\"", ", \"bits\""), "extra space"),
+            (line.replace("to_player", "\"to_player\""), "doubled quotes"),
+        ] {
+            let err = parse_events_json(&alone(&bad)).expect_err(why);
+            assert!(!err.message.is_empty(), "{why}");
+        }
+        for framing in [
+            format!("[\n  {line},\n]\n"),
+            format!("[\n{line}\n]\n"),
+            format!("[\n  {line}\n]"),
+            format!("  {line}\n"),
+            format!("[\n\n  {line}\n]\n"),
+        ] {
+            assert!(parse_events_json(&framing).is_err(), "{framing:?}");
+        }
     }
 
     #[test]

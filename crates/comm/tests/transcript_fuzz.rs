@@ -8,112 +8,34 @@
 //! format's structural characters, truncation, deleted and duplicated
 //! ranges, lines spliced in from another transcript, numbers replaced
 //! by out-of-range values, runs of empty fields, removed fields and
-//! multi-byte characters. Three invariants must hold:
+//! multi-byte characters. Four invariants must hold:
 //!
 //! 1. parsing never panics;
 //! 2. its peak allocation stays within [`bound`], a fixed multiple of
 //!    the input length;
-//! 3. every unmutated transcript parses back to exactly its events.
+//! 3. every unmutated transcript parses back to exactly its events;
+//! 4. every accepted text re-encodes to itself byte for byte, so the
+//!    parser accepts only what `write_events_json` writes.
 //!
 //! A failure names the case's seed; `check_case(seed)` replays it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use triad_comm::{
-    mix64, parse_events_json, BitCost, Direction, OwnedEvent, Recorder, Transcript, PHASES,
+    encode_events_json, mix64, parse_events_json, BitCost, Direction, OwnedEvent, Recorder,
+    Transcript, PHASES,
 };
 
-/// Counts the bytes each thread has live, and its peak.
-struct Counting;
-
-thread_local! {
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-    static PEAK: Cell<isize> = const { Cell::new(0) };
-}
-
-/// Per-thread ceiling: a parser regression that tries to allocate past
-/// it aborts this binary instead of exhausting the machine's memory.
-const CEILING: isize = 1 << 30;
-
-/// Charges `delta` bytes to this thread; refuses growth past the
-/// ceiling.
-fn charge(delta: isize) -> bool {
-    LIVE.try_with(|live| {
-        let now = live.get() + delta;
-        if delta > 0 && now > CEILING {
-            return false;
-        }
-        live.set(now);
-        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
-        true
-    })
-    .unwrap_or(true)
-}
-
-// SAFETY: every method forwards to `System` with the caller's own
-// arguments, so `System`'s guarantees are this allocator's; the counters
-// are thread-local `Cell`s whose const initialisers never allocate, and
-// returning null (past the ceiling) is the allocation-failure signal the
-// `GlobalAlloc` contract allows.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if !charge(layout.size() as isize) {
-            return std::ptr::null_mut();
-        }
-        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if !charge(layout.size() as isize) {
-            return std::ptr::null_mut();
-        }
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, hence from `System`,
-        // with this `layout`.
-        unsafe { System.dealloc(ptr, layout) };
-        charge(-(layout.size() as isize));
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let delta = new_size as isize - layout.size() as isize;
-        if !charge(delta) {
-            return std::ptr::null_mut();
-        }
-        // SAFETY: `ptr` came from `System` with `layout`, and the caller
-        // upholds `realloc`'s contract for `new_size`.
-        let out = unsafe { System.realloc(ptr, layout, new_size) };
-        if out.is_null() {
-            charge(-delta);
-        }
-        out
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Runs `f` and returns its result with the peak number of bytes this
-/// thread had allocated on top of what was live when `f` started.
-fn peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let base = LIVE.with(Cell::get);
-    PEAK.with(|p| p.set(base));
-    let out = f();
-    let peak = PEAK.with(Cell::get) - base;
-    (out, peak.max(0) as usize)
-}
+#[path = "../../../tests/support/fuzz.rs"]
+mod fuzz;
+use fuzz::{peak_of, Rng};
 
 /// What parsing may allocate per input byte. A line's fields are
 /// borrowed `(key, value)` pairs of 32 bytes, and a field takes at least
 /// two bytes (`:` and `,`), so with vector growth a line may hold 32
 /// bytes of pairs per byte; the events already parsed add their own
-/// strings and slots.
+/// strings and slots, and the form check re-encodes them into a text
+/// about as long as the input.
 const PER_BYTE: usize = 40;
 /// Fixed allowance: the first slots of the event and pair vectors, and
 /// error strings.
@@ -122,20 +44,6 @@ const SLACK: usize = 4 << 10;
 /// The allocation bound for parsing `len` bytes.
 fn bound(len: usize) -> usize {
     PER_BYTE * len + SLACK
-}
-
-/// splitmix64.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        mix64(self.0)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
 }
 
 const LABELS: [&str; 5] = [
@@ -295,8 +203,8 @@ fn case(seed: u64, corpus: &[Vec<u8>]) -> String {
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
-/// Parses one case and checks invariants 1 and 2, naming `seed` in any
-/// failure. Returns the parsed events of an accepted text.
+/// Parses one case and checks invariants 1, 2 and 4, naming `seed` in
+/// any failure. Returns the parsed events of an accepted text.
 fn check(seed: u64, text: &str) -> Option<Vec<OwnedEvent>> {
     let replay = format!("replay with check_case({seed:#018x})");
     let limit = bound(text.len());
@@ -310,7 +218,13 @@ fn check(seed: u64, text: &str) -> Option<Vec<OwnedEvent>> {
          {limit}; {replay}",
         text.len()
     );
-    parsed.ok()
+    let parsed = parsed.ok()?;
+    assert!(
+        encode_events_json(&parsed) == text,
+        "transcript fuzz case {seed:#018x}: an accepted text does not re-encode to itself; \
+         {replay}"
+    );
+    Some(parsed)
 }
 
 /// Replays one fuzz case by its seed.

@@ -21,9 +21,7 @@
 //!
 //! A failure names the case's seed; `check_case(seed)` replays it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::borrow::Cow;
-use std::cell::Cell;
 use std::io::Cursor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -35,89 +33,9 @@ use triad_comm::{mix64, CostModel, Payload, PlayerRequest, SimMessage};
 use triad_graph::kernels::EdgeBitset;
 use triad_graph::{Edge, Triangle, VertexId};
 
-/// Counts the bytes each thread has live, and its peak.
-struct Counting;
-
-thread_local! {
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-    static PEAK: Cell<isize> = const { Cell::new(0) };
-}
-
-/// Per-thread ceiling: a decoder regression that tries to allocate past
-/// it aborts this binary instead of exhausting the machine's memory.
-const CEILING: isize = 1 << 30;
-
-/// Charges `delta` bytes to this thread; refuses growth past the
-/// ceiling.
-fn charge(delta: isize) -> bool {
-    LIVE.try_with(|live| {
-        let now = live.get() + delta;
-        if delta > 0 && now > CEILING {
-            return false;
-        }
-        live.set(now);
-        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
-        true
-    })
-    .unwrap_or(true)
-}
-
-// SAFETY: every method forwards to `System` with the caller's own
-// arguments, so `System`'s guarantees are this allocator's; the counters
-// are thread-local `Cell`s whose const initialisers never allocate, and
-// returning null (past the ceiling) is the allocation-failure signal the
-// `GlobalAlloc` contract allows.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if !charge(layout.size() as isize) {
-            return std::ptr::null_mut();
-        }
-        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if !charge(layout.size() as isize) {
-            return std::ptr::null_mut();
-        }
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, hence from `System`,
-        // with this `layout`.
-        unsafe { System.dealloc(ptr, layout) };
-        charge(-(layout.size() as isize));
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let delta = new_size as isize - layout.size() as isize;
-        if !charge(delta) {
-            return std::ptr::null_mut();
-        }
-        // SAFETY: `ptr` came from `System` with `layout`, and the caller
-        // upholds `realloc`'s contract for `new_size`.
-        let out = unsafe { System.realloc(ptr, layout, new_size) };
-        if out.is_null() {
-            charge(-delta);
-        }
-        out
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Runs `f` and returns its result with the peak number of bytes this
-/// thread had allocated on top of what was live when `f` started.
-fn peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let base = LIVE.with(Cell::get);
-    PEAK.with(|p| p.set(base));
-    let out = f();
-    let peak = PEAK.with(Cell::get) - base;
-    (out, peak.max(0) as usize)
-}
+#[path = "../../../tests/support/fuzz.rs"]
+mod fuzz;
+use fuzz::{peak_of, Rng};
 
 /// What decoding may allocate per frame byte: the largest decoded item
 /// per byte of input (a one-byte request or payload tag becomes one
@@ -320,20 +238,6 @@ fn seal(framed: &[u8]) -> Vec<u8> {
     out.extend_from_slice(framed);
     out.extend_from_slice(&checksum_bytes(framed).to_be_bytes());
     out
-}
-
-/// splitmix64.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        mix64(self.0)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
 }
 
 /// Overwrites the big-endian `u32` at `at` with a value a length or

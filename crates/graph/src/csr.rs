@@ -249,6 +249,10 @@ impl<G: AsCsr + ?Sized> AsCsr for &G {
         (**self).for_each_edge_in(range, f)
     }
 
+    fn degree(&self, v: VertexId) -> usize {
+        (**self).degree(v)
+    }
+
     fn has_edge(&self, e: Edge) -> bool {
         (**self).has_edge(e)
     }

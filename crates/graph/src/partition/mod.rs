@@ -20,22 +20,68 @@ pub use schemes::{adversarial_triangle_split, by_vertex, random_disjoint, with_d
 
 use crate::{Edge, Graph};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// The edges held by each of `k` players.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The shares sit behind one [`Arc`], so player states built from a
+/// partition share its lists instead of copying them. Equality compares
+/// the shares only.
+#[derive(Debug, Clone)]
 pub struct Partition {
-    shares: Vec<Vec<Edge>>,
+    shares: Arc<[Vec<Edge>]>,
+    /// `Some(n)` when a scheme built the shares by walking a graph on `n`
+    /// vertices in canonical order: every share is then strictly
+    /// increasing with endpoints below `n`, by construction.
+    canonical_n: Option<usize>,
 }
 
+impl PartialEq for Partition {
+    fn eq(&self, other: &Self) -> bool {
+        self.shares == other.shares
+    }
+}
+
+impl Eq for Partition {}
+
 impl Partition {
-    /// Wraps explicit per-player edge lists.
+    /// Wraps explicit per-player edge lists, in any order and with any
+    /// duplicates; consumers check and normalize them.
     ///
     /// # Panics
     ///
     /// Panics if `shares` is empty.
     pub fn new(shares: Vec<Vec<Edge>>) -> Self {
         assert!(!shares.is_empty(), "need at least one player");
-        Partition { shares }
+        Partition {
+            shares: shares.into(),
+            canonical_n: None,
+        }
+    }
+
+    /// Wraps shares a scheme cut from the canonical edge order of a graph
+    /// on `n` vertices.
+    fn canonical(shares: Vec<Vec<Edge>>, n: usize) -> Self {
+        Partition {
+            canonical_n: Some(n),
+            ..Partition::new(shares)
+        }
+    }
+
+    /// Whether every share is known, without a scan, to be strictly
+    /// increasing with every endpoint below `n`: `true` for the shares of
+    /// the partition schemes over a graph on at most `n` vertices, `false`
+    /// for [`Partition::new`]'s. Callers that would scan for these facts
+    /// may skip the scan; debug builds re-check them here, on every call.
+    pub fn canonical_below(&self, n: usize) -> bool {
+        let canonical = self.canonical_n.is_some_and(|c| c <= n);
+        debug_assert!(!canonical || self.shares.iter().all(|s| is_canonical_below(s, n)));
+        canonical
+    }
+
+    /// A handle to the shares, for player states that hold them.
+    pub fn shares_arc(&self) -> &Arc<[Vec<Edge>]> {
+        &self.shares
     }
 
     /// Number of players `k`.
@@ -65,7 +111,7 @@ impl Partition {
     /// Returns `true` if the union of shares is exactly the edge set of `g`.
     pub fn covers(&self, g: &Graph) -> bool {
         let mut union: HashSet<Edge> = HashSet::new();
-        for s in &self.shares {
+        for s in self.shares.iter() {
             union.extend(s.iter().copied());
         }
         union.len() == g.edge_count() && g.edges().iter().all(|e| union.contains(e))
@@ -74,7 +120,7 @@ impl Partition {
     /// Returns `true` if no edge appears in more than one share.
     pub fn is_disjoint(&self) -> bool {
         let mut seen: HashSet<Edge> = HashSet::new();
-        for s in &self.shares {
+        for s in self.shares.iter() {
             for e in s {
                 if !seen.insert(*e) {
                     return false;
@@ -135,6 +181,12 @@ impl Partition {
             crate::triangles::contains_triangle(&local)
         })
     }
+}
+
+/// Whether `share` is strictly increasing with every endpoint below `n`
+/// (canonical edges have `u < v`, so `v` bounds both).
+fn is_canonical_below(share: &[Edge], n: usize) -> bool {
+    share.is_sorted_by(|a, b| a < b) && share.iter().all(|e| e.v().index() < n)
 }
 
 #[cfg(test)]

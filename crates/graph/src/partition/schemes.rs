@@ -18,7 +18,7 @@ pub fn random_disjoint<G: AsCsr + ?Sized, R: Rng + ?Sized>(
     g.for_each_edge(&mut |_, e| {
         shares[rng.gen_range(0..k)].push(e);
     });
-    Partition::new(shares)
+    Partition::canonical(shares, g.vertex_count())
 }
 
 /// Assigns each edge to one uniformly random owner, then additionally to
@@ -45,7 +45,7 @@ pub fn with_duplication<G: AsCsr + ?Sized, R: Rng + ?Sized>(
             }
         }
     });
-    Partition::new(shares)
+    Partition::canonical(shares, g.vertex_count())
 }
 
 /// Splits the three edges of each packed triangle across three distinct
@@ -77,7 +77,7 @@ pub fn adversarial_triangle_split<R: Rng + ?Sized>(g: &Graph, k: usize, rng: &mu
             .unwrap_or_else(|| rng.gen_range(0..k));
         shares[j].push(*e);
     }
-    Partition::new(shares)
+    Partition::canonical(shares, g.vertex_count())
 }
 
 /// Locality partition: every edge goes to the player owning its smaller
@@ -111,7 +111,7 @@ pub fn by_vertex<G: AsCsr + ?Sized>(g: &G, k: usize) -> Partition {
     for (u, &j) in g.vertices().zip(&owners) {
         shares[j as usize].extend(g.forward_neighbors(u).iter().map(|&v| Edge::new(u, v)));
     }
-    Partition::new(shares)
+    Partition::canonical(shares, g.vertex_count())
 }
 
 #[cfg(test)]

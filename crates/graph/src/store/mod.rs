@@ -26,10 +26,11 @@
 //! file size are checked before any mapping or allocation, and the full
 //! structural battery (monotone offsets, rows strictly increasing above
 //! their vertex, checksum) runs before a store is handed to callers.
-//! Full neighbor rows, which only some kernels read, are the transpose
-//! the store builds on first use. Setting the `TRIAD_NO_MMAP`
-//! environment variable forces the owned fallback — CI uses it to
-//! exercise that path on hosts where mmap works fine.
+//! Full neighbor rows, which no kernel's triangle search reads, are the
+//! transpose the store builds on first use; degrees come from a table
+//! built on first use by one pass over the forward rows. Setting the
+//! `TRIAD_NO_MMAP` environment variable forces the owned fallback — CI
+//! uses it to exercise that path on hosts where mmap works fine.
 
 use std::fs::File;
 use std::io::Read;
@@ -330,8 +331,8 @@ enum Mode {
 /// and partition scheme runs over it directly. The canonical edge order
 /// is the file's adjacency section, so edge lookups are offset
 /// arithmetic and a mapped store owns no heap until a caller asks for
-/// full neighbor rows ([`AsCsr::neighbors`], [`CsrStore::full_rows`]);
-/// those are built once, on first use.
+/// full neighbor rows ([`AsCsr::neighbors`], [`CsrStore::full_rows`]) or
+/// degrees ([`AsCsr::degree`]); each is built once, on first use.
 pub struct CsrStore {
     n: usize,
     m: usize,
@@ -340,6 +341,8 @@ pub struct CsrStore {
     backing: Backing,
     /// Full sorted neighbor rows: the forward rows plus their transpose.
     rows: OnceLock<CsrAdjacency>,
+    /// Every vertex's degree, counted from the forward rows on first use.
+    degrees: OnceLock<Vec<u32>>,
 }
 
 impl std::fmt::Debug for CsrStore {
@@ -447,6 +450,7 @@ impl CsrStore {
             file_bytes: expected,
             backing,
             rows: OnceLock::new(),
+            degrees: OnceLock::new(),
         })
     }
 
@@ -485,11 +489,14 @@ impl CsrStore {
     }
 
     /// Heap bytes this store owns: the decoded sections for the owned
-    /// backing, plus the full rows once something has asked for them.
-    /// A mapped store owns nothing until then — the allocation-side
-    /// evidence that a caller ran over the mapping, not a copy.
+    /// backing, plus the full rows and the degree table once something
+    /// has asked for them. A mapped store owns nothing until then — the
+    /// allocation-side evidence that a caller ran over the mapping, not a
+    /// copy.
     pub fn owned_bytes(&self) -> usize {
-        self.backing.owned_bytes() + self.rows.get().map_or(0, CsrAdjacency::heap_bytes)
+        self.backing.owned_bytes()
+            + self.rows.get().map_or(0, CsrAdjacency::heap_bytes)
+            + self.degrees.get().map_or(0, |d| d.len() * 4)
     }
 
     /// Full sorted neighbor rows, built from the forward rows on the
@@ -502,6 +509,19 @@ impl CsrStore {
                 self.forward_row(u).iter().map(move |&v| (u_id, v))
             });
             CsrAdjacency::from_canonical_edges(self.n, edges)
+        })
+    }
+
+    /// Every vertex's degree, counted on the first call by one pass over
+    /// the forward rows (`4n` bytes) and kept for the store's lifetime.
+    fn degrees(&self) -> &[u32] {
+        self.degrees.get_or_init(|| {
+            let (offsets, adj) = (self.backing.offsets(), self.backing.adj());
+            let mut degrees: Vec<u32> = offsets.windows(2).map(|w| (w[1] - w[0]) as u32).collect();
+            for &v in adj {
+                degrees[v as usize] += 1;
+            }
+            degrees
         })
     }
 
@@ -550,6 +570,16 @@ impl AsCsr for CsrStore {
     fn adj_start(&self, v: VertexId) -> usize {
         assert!(v.index() < self.n, "vertex {v} out of range");
         self.full_rows().start(v)
+    }
+
+    /// From the full rows when they exist, else from the degree table,
+    /// so kernels that read only degrees and edges build no transpose.
+    fn degree(&self, v: VertexId) -> usize {
+        assert!(v.index() < self.n, "vertex {v} out of range");
+        match self.rows.get() {
+            Some(rows) => rows.degree(v),
+            None => self.degrees()[v.index()] as usize,
+        }
     }
 
     fn edge_at(&self, i: usize) -> Edge {
@@ -651,8 +681,12 @@ fn validate(n: usize, m: usize, backing: &Backing, declared: u64) -> Result<(), 
             offsets[u + 1]
         )));
     }
-    for u in 0..n {
-        check_row(u, &adj[offsets[u] as usize..offsets[u + 1] as usize], n)?;
+    // A well-formed file passes the one-pass test; only a file that fails
+    // it walks the per-entry ladder, which names its first defect.
+    if !rows_are_canonical(n, offsets, adj) {
+        for u in 0..n {
+            check_row(u, &adj[offsets[u] as usize..offsets[u + 1] as usize], n)?;
+        }
     }
     let mut checksum = Checksum::new();
     checksum.absorb(n as u64);
@@ -666,6 +700,26 @@ fn validate(n: usize, m: usize, backing: &Backing, declared: u64) -> Result<(), 
         )));
     }
     Ok(())
+}
+
+/// The row checks in one branch-light pass over monotone `offsets`:
+/// every nonempty row's first entry is above its vertex and its last is
+/// below `n`, and every descent of the adjacency section (an entry not
+/// above its predecessor) falls at the start of a row. The last holds
+/// exactly when every row is strictly increasing, so this is `true`
+/// exactly when every row passes [`check_row`].
+fn rows_are_canonical(n: usize, offsets: &[u64], adj: &[u32]) -> bool {
+    let descents = adj.windows(2).filter(|w| w[1] <= w[0]).count();
+    let mut ends_ok = true;
+    let mut descents_at_starts = 0;
+    for u in 0..n {
+        let (lo, hi) = (offsets[u] as usize, offsets[u + 1] as usize);
+        if lo < hi {
+            ends_ok &= adj[lo] as usize > u && (adj[hi - 1] as usize) < n;
+            descents_at_starts += usize::from(lo > 0 && adj[lo] <= adj[lo - 1]);
+        }
+    }
+    ends_ok && descents == descents_at_starts
 }
 
 /// The per-entry checks of row `u`, in order: entry `< n`, no
@@ -693,6 +747,74 @@ fn check_row(u: usize, row: &[u32], n: usize) -> Result<(), StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The offsets and adjacency sections of `rows`.
+    fn sections(rows: &[Vec<u32>]) -> (Vec<u64>, Vec<u32>) {
+        let mut offsets = vec![0u64];
+        for row in rows {
+            offsets.push(offsets.last().unwrap() + row.len() as u64);
+        }
+        (offsets, rows.concat())
+    }
+
+    /// Both row verdicts on `rows`: the one-pass test's and the ladder's.
+    fn verdicts(rows: &[Vec<u32>]) -> (bool, bool) {
+        let n = rows.len();
+        let (offsets, adj) = sections(rows);
+        let ladder = (0..n)
+            .all(|u| check_row(u, &adj[offsets[u] as usize..offsets[u + 1] as usize], n).is_ok());
+        (rows_are_canonical(n, &offsets, &adj), ladder)
+    }
+
+    #[test]
+    fn the_one_pass_row_test_agrees_with_the_ladder() {
+        // Empty rows between nonempty ones, and legal descents at the
+        // starts of rows 3 (5 → 4), 5 (7 → 6) and 6 (7 → 7).
+        let good: Vec<Vec<u32>> = vec![
+            vec![1, 3, 5],
+            vec![],
+            vec![],
+            vec![4, 6, 7],
+            vec![],
+            vec![6, 7],
+            vec![7],
+            vec![],
+        ];
+        let n = good.len() as u32;
+        assert_eq!(verdicts(&good), (true, true));
+        // Every defect at a row's first, middle and last entry: out of
+        // range, a self-loop, below the row's vertex, equal to or below
+        // its predecessor, and equal to or above its successor.
+        let mut rejected = 0;
+        for u in [0usize, 3] {
+            for at in 0..3usize {
+                let row = &good[u];
+                let mut values = vec![n, n + 9, u32::MAX, u as u32, u.saturating_sub(1) as u32];
+                values.extend(at.checked_sub(1).map(|i| row[i]));
+                values.extend(row.get(at + 1).copied());
+                values.extend([0, 1, 2]);
+                for value in values {
+                    let mut rows = good.clone();
+                    rows[u][at] = value;
+                    let (fast, ladder) = verdicts(&rows);
+                    assert_eq!(fast, ladder, "row {u} entry {at} = {value}");
+                    rejected += usize::from(!ladder);
+                }
+            }
+        }
+        assert!(rejected >= 40, "only {rejected} crafted defects");
+        // A descent one slot inside a row, and one at its end.
+        for row in [vec![4, 7, 6], vec![6, 4, 7], vec![4, 6, 6]] {
+            let mut rows = good.clone();
+            rows[3] = row;
+            assert_eq!(verdicts(&rows), (false, false));
+        }
+        // A row-start descent after empty rows stays legal.
+        let mut rows = good.clone();
+        rows[3] = vec![];
+        rows[4] = vec![5];
+        assert_eq!(verdicts(&rows), (true, true));
+    }
 
     #[test]
     fn checksum_is_order_sensitive() {

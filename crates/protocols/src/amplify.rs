@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use crate::outcome::{ProtocolError, Rep, TallyRun, TestOutcome};
-use triad_comm::player::players_from_shares;
+use triad_comm::player::players_from_partition;
 use triad_comm::pool::Pool;
 use triad_comm::scheduler::{run_session, SessionJob};
 use triad_comm::{FaultPlan, PlayerState, Recorder, Tally};
@@ -39,10 +39,10 @@ pub fn rep_seed(base_seed: u64, r: u32) -> u64 {
 
 /// A partitioned input with everything seed-independent hoisted out of
 /// the repetition loop: shares validated once, per-player states built
-/// once (the sorted shares; the adjacency and degree tables — the §3.2
-/// bucket inputs — on first use) and handed to every repetition behind an
-/// [`Arc`]. Repetitions then re-roll only the shared randomness (see
-/// `docs/RUNTIME.md`).
+/// once (over the partition's own sorted lists; the adjacency and degree
+/// tables — the §3.2 bucket inputs — on first use) and handed to every
+/// repetition behind an [`Arc`]. Repetitions then re-roll only the shared
+/// randomness (see `docs/RUNTIME.md`).
 #[derive(Debug, Clone)]
 pub struct PreparedInput<'g> {
     /// `None` when the input was prepared from shares alone
@@ -71,7 +71,7 @@ impl<'g> PreparedInput<'g> {
             g: Some(g),
             partition,
             n,
-            players: Arc::new(players_from_shares(n, partition.shares())),
+            players: Arc::new(players_from_partition(n, partition)),
         })
     }
 
@@ -92,7 +92,7 @@ impl<'g> PreparedInput<'g> {
             g: None,
             partition,
             n,
-            players: Arc::new(players_from_shares(n, partition.shares())),
+            players: Arc::new(players_from_partition(n, partition)),
         })
     }
 

@@ -125,11 +125,16 @@ pub(crate) fn validate_shares(
 }
 
 /// [`validate_shares`] against a bare vertex count — what graph-free
-/// prepared inputs (shares partitioned off an out-of-core store) use.
+/// prepared inputs (shares partitioned off an out-of-core store) use. A
+/// scheme-built partition is in range by construction and is not
+/// scanned.
 pub(crate) fn validate_shares_n(
     n: usize,
     partition: &triad_graph::partition::Partition,
 ) -> Result<(), ProtocolError> {
+    if partition.canonical_below(n) {
+        return Ok(());
+    }
     for share in partition.shares() {
         for e in share {
             if e.v().index() >= n {

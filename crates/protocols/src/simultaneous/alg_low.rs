@@ -3,7 +3,7 @@
 use super::referee_find_triangle;
 use crate::config::Tuning;
 use triad_comm::{Payload, PlayerState, SharedRandomness, SimMessage, SimultaneousProtocol};
-use triad_graph::{Triangle, VertexId};
+use triad_graph::Triangle;
 
 /// Shared-randomness tag naming the large set `S` (`p₁ = c/d`).
 const S_TAG: u64 = 0x414C_4C53; // "ALLS"
@@ -38,14 +38,6 @@ impl AlgLow {
     pub fn cap(&self, n: usize) -> usize {
         self.tuning.low_cap(n, self.avg_degree)
     }
-
-    fn in_r(&self, shared: &SharedRandomness, v: VertexId, p2: f64) -> bool {
-        shared.vertex_sampled(R_TAG, v, p2)
-    }
-
-    fn in_s(&self, shared: &SharedRandomness, v: VertexId, p1: f64) -> bool {
-        shared.vertex_sampled(S_TAG, v, p1)
-    }
 }
 
 impl SimultaneousProtocol for AlgLow {
@@ -55,13 +47,15 @@ impl SimultaneousProtocol for AlgLow {
         let n = player.n();
         let (p1, p2) = self.probabilities(n);
         let cap = self.cap(n);
+        // Public coins: R and S cost nothing to agree on, and their keys
+        // and thresholds are the same for every edge.
+        let (r, s) = (shared.vertex_set(R_TAG, p2), shared.vertex_set(S_TAG, p1));
         let mut out = Vec::new();
         for e in player.edges() {
             let (u, v) = e.endpoints();
-            let ru = self.in_r(shared, u, p2);
-            let rv = self.in_r(shared, v, p2);
-            let qualifies = (ru && (rv || self.in_s(shared, v, p1)))
-                || (rv && (ru || self.in_s(shared, u, p1)));
+            let ru = r.contains(u);
+            let rv = r.contains(v);
+            let qualifies = (ru && (rv || s.contains(v))) || (rv && (ru || s.contains(u)));
             if qualifies {
                 out.push(*e);
                 if out.len() >= cap {
@@ -89,7 +83,7 @@ impl SimultaneousProtocol for AlgLow {
 mod tests {
     use super::*;
     use triad_comm::run_simultaneous;
-    use triad_graph::Edge;
+    use triad_graph::{Edge, VertexId};
 
     #[test]
     fn messages_only_contain_r_touching_edges() {
@@ -179,18 +173,20 @@ mod tests {
         let alg = AlgLow::new(Tuning::practical(0.2).with_scale(0.1), 1.0);
         let (p1, p2) = alg.probabilities(2001);
         let cap = alg.cap(2001);
+        let in_r = |s: &SharedRandomness, v| s.vertex_sampled(R_TAG, v, p2);
+        let in_s = |s: &SharedRandomness, v| s.vertex_sampled(S_TAG, v, p1);
         // A seed that puts the hub in R, so every edge qualifies.
         let shared = (0..)
             .map(SharedRandomness::new)
-            .find(|s| alg.in_r(s, VertexId(0), p2))
+            .find(|s| in_r(s, VertexId(0)))
             .unwrap();
         let qualifying: Vec<Edge> = edges
             .iter()
             .copied()
             .filter(|e| {
                 let (u, v) = e.endpoints();
-                let (ru, rv) = (alg.in_r(&shared, u, p2), alg.in_r(&shared, v, p2));
-                (ru && (rv || alg.in_s(&shared, v, p1))) || (rv && (ru || alg.in_s(&shared, u, p1)))
+                let (ru, rv) = (in_r(&shared, u), in_r(&shared, v));
+                (ru && (rv || in_s(&shared, v))) || (rv && (ru || in_s(&shared, u)))
             })
             .collect();
         assert!(qualifying.len() > cap, "the cap must bind");

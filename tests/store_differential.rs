@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use triad::comm::pool::Pool;
-use triad::graph::kernels::{self, Forward};
+use triad::graph::kernels::{self, BitsetAdjacency, Forward};
 use triad::graph::partition::{by_vertex, random_disjoint, Partition};
 use triad::graph::store::{
     write_csr, FarStream, GnpStream, StoreError, HEADER_BYTES, MAGIC, VERSION,
@@ -219,16 +219,133 @@ fn kernels_agree_across_backings_and_thread_counts() {
         "witness presence must match the count"
     );
 
-    // The forward kernel read full rows, so both stores now hold the
-    // transpose: `n + 1` offsets and `2m` neighbor slots.
-    let rows = (n + 1) * std::mem::size_of::<usize>() + 2 * m * 4;
+    // The kernels read degrees and forward rows only, so both stores
+    // now hold their degree table (`4n` bytes) and no transpose.
+    let table = 4 * n;
     if store.mapped() {
-        assert_eq!(store.owned_bytes(), rows);
+        assert_eq!(store.owned_bytes(), table);
     }
-    assert_eq!(owned.owned_bytes(), (n + 1) * 8 + m * 4 + rows);
+    assert_eq!(owned.owned_bytes(), (n + 1) * 8 + m * 4 + table);
     for v in g.vertices() {
         assert_eq!(store.neighbors(v), g.neighbors(v));
         assert_eq!(owned.neighbors(v), g.neighbors(v));
+    }
+    // The first full-row read built the transpose: `n + 1` offsets and
+    // `2m` neighbor slots.
+    let rows = (n + 1) * std::mem::size_of::<usize>() + 2 * m * 4;
+    if store.mapped() {
+        assert_eq!(store.owned_bytes(), table + rows);
+    }
+    assert_eq!(owned.owned_bytes(), (n + 1) * 8 + m * 4 + table + rows);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn kernels_over_a_mapped_store_grow_it_by_the_degree_table_only() {
+    let dir = tempdir("degree-table");
+    let path = dir.join("g.csr");
+    write_csr(
+        &path,
+        &GnpStream::with_average_degree(500, 14.0, 43).unwrap(),
+    )
+    .unwrap();
+    let store = CsrStore::open(&path).unwrap();
+    let g = store.to_graph();
+    let owned_before = store.owned_bytes();
+    if store.mapped() {
+        assert_eq!(owned_before, 0);
+    }
+    let reference = Forward::build(&g).count_range(&g, 0..g.edge_count());
+    assert!(reference > 0, "the input must have triangles");
+    assert_eq!(
+        Forward::build(&store).count_range(&store, 0..store.edge_count()),
+        reference
+    );
+    assert_eq!(
+        kernels::count_triangles_par(&store, &Pool::new(2)),
+        reference
+    );
+    assert_eq!(
+        BitsetAdjacency::build(&store).count_all(&store),
+        reference,
+        "the bitset kernel over the store"
+    );
+    // A borrowed store forwards `degree` rather than reading full rows.
+    assert_eq!(
+        kernels::count_triangles_par(&&store, &Pool::serial()),
+        reference
+    );
+    for v in g.vertices() {
+        assert_eq!(store.degree(v), g.degree(v));
+    }
+    assert_eq!(
+        store.owned_bytes(),
+        owned_before + 4 * store.vertex_count(),
+        "the kernels built more than the degree table"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn prepared_players_share_the_partition_lists() {
+    let dir = tempdir("shared-shares");
+    let path = dir.join("g.csr");
+    write_csr(
+        &path,
+        &GnpStream::with_average_degree(300, 8.0, 47).unwrap(),
+    )
+    .unwrap();
+    let store = CsrStore::open(&path).unwrap();
+    let parts = by_vertex(&store, 4);
+    let input = PreparedInput::from_partition(store.vertex_count(), &parts).unwrap();
+    for (j, player) in input.players().iter().enumerate() {
+        assert!(
+            std::ptr::eq(player.share(), parts.share(j)),
+            "player {j} copied its share"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn explicit_unsorted_shares_give_sorted_players_and_the_same_bits() {
+    let dir = tempdir("explicit-shares");
+    let path = dir.join("g.csr");
+    write_csr(
+        &path,
+        &GnpStream::with_average_degree(240, 9.0, 53).unwrap(),
+    )
+    .unwrap();
+    let store = CsrStore::open(&path).unwrap();
+    let n = store.vertex_count();
+    let canonical = random_disjoint(&store, 4, &mut ChaCha8Rng::seed_from_u64(8));
+    // The same lists reversed, with every third edge repeated.
+    let mut rng = ChaCha8Rng::seed_from_u64(9);
+    let messy = Partition::new(
+        canonical
+            .shares()
+            .iter()
+            .map(|share| {
+                let mut s: Vec<_> = share.iter().rev().copied().collect();
+                s.extend(share.iter().step_by(3).copied());
+                if s.len() > 1 {
+                    let at = rng.gen_range(0..s.len());
+                    s.swap(0, at);
+                }
+                s
+            })
+            .collect(),
+    );
+    let twin = PreparedInput::from_partition(n, &canonical).unwrap();
+    let input = PreparedInput::from_partition(n, &messy).unwrap();
+    for (a, b) in twin.players().iter().zip(input.players()) {
+        assert!(b.share().is_sorted_by(|x, y| x < y), "sorted and distinct");
+        assert_eq!(a.share(), b.share());
+    }
+    for (name, tester) in &testers(store.average_degree()) {
+        let a = run_amplified_prepared(&Pool::serial(), &&**tester, &twin, REPS, 4).unwrap();
+        let b = run_amplified_prepared(&Pool::serial(), &&**tester, &input, REPS, 4).unwrap();
+        assert_runs_identical(name, &a, &b);
     }
     std::fs::remove_dir_all(&dir).ok();
 }

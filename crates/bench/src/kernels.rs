@@ -268,23 +268,17 @@ pub fn time_workload(
 /// Times the forward and pool-parallel kernels over an out-of-core
 /// [`CsrStore`], never an in-memory [`Graph`]: edges come from the
 /// store's forward rows (the mapping, or the owned fallback) and degrees
-/// from the degree table the store counts on first use. The transpose
-/// behind full neighbor rows, which the kernels do not read, is timed
-/// first and on its own. Also runs one prepared
-/// simultaneous-protocol test whose shares are partitioned straight
-/// off the store, and records the allocation evidence: peak RSS, the
-/// store's owned bytes, the file size, and whether the backing is
-/// mapped.
+/// from the degree table the store counts on first use. Also runs one
+/// prepared simultaneous-protocol test whose shares are partitioned
+/// straight off the store, and records the allocation evidence of that
+/// work: peak RSS, the store's owned bytes, the file size, and whether
+/// the backing is mapped. The transpose behind full neighbor rows, which
+/// none of it reads, is timed last, after the evidence is read.
 ///
 /// # Panics
 ///
 /// Panics if the serial and parallel counts disagree.
 pub fn time_store_workload(name: &str, store: &CsrStore, reps: usize, pool: &Pool) -> KernelTiming {
-    // The kernels read only degrees and forward rows, so they never need
-    // the full rows; the transpose is built here to time it.
-    let start = Instant::now();
-    store.full_rows();
-    let transpose_ms = start.elapsed().as_secs_f64() * 1e3;
     let (kernel_count_ms, kernel_count) = time_best(reps, || {
         let fwd = Forward::build(store);
         fwd.count_range(store, 0..store.edge_count())
@@ -309,6 +303,14 @@ pub fn time_store_workload(name: &str, store: &CsrStore, reps: usize, pool: &Poo
             .outcome
             .found_triangle()
     });
+    // The kernels read only degrees and forward rows, so the heap and
+    // peak RSS they report are read before the full-row transpose, which
+    // is built last only to time it.
+    let store_owned_bytes = store.owned_bytes();
+    let peak_rss_mb = peak_rss_mb();
+    let start = Instant::now();
+    store.full_rows();
+    let transpose_ms = start.elapsed().as_secs_f64() * 1e3;
     KernelTiming {
         workload: name.to_string(),
         vertices: store.vertex_count(),
@@ -322,9 +324,9 @@ pub fn time_store_workload(name: &str, store: &CsrStore, reps: usize, pool: &Poo
         naive_greedy_ms: None,
         view_greedy_ms: None,
         greedy_removed: None,
-        peak_rss_mb: peak_rss_mb(),
+        peak_rss_mb,
         transpose_ms: Some(transpose_ms),
-        store_owned_bytes: Some(store.owned_bytes()),
+        store_owned_bytes: Some(store_owned_bytes),
         file_bytes: Some(store.file_bytes()),
         mapped: Some(store.mapped()),
         sim_test_ms: Some(sim_test_ms),
@@ -431,8 +433,16 @@ mod tests {
         let path = dir.join("w.csr");
         triad_graph::store::write_csr(&path, &w.graph).unwrap();
         let store = CsrStore::open(&path).unwrap();
+        let backing = store.owned_bytes();
         let t = time_store_workload("store-test", &store, 1, &Pool::serial());
         assert_eq!(t.edges, w.graph.edge_count());
+        // The kernels' heap is the degree table's 4n bytes; the transpose
+        // timed after them is not counted.
+        assert_eq!(
+            t.store_owned_bytes,
+            Some(backing + 4 * store.vertex_count())
+        );
+        assert!(store.owned_bytes() > backing + 4 * store.vertex_count());
         assert_eq!(
             t.triangles,
             naive::count_triangles(&w.graph),

@@ -83,7 +83,7 @@ pub use report::{
 pub use request::PlayerRequest;
 pub use runtime::{
     CostModel, LocalTransport, RunError, RunErrorKind, Runtime, SharedTransport, TcpTransport,
-    Transport, TransportError, DEFAULT_NET_TIMEOUT, DEFAULT_RETRY_BUDGET,
+    Transport, TransportError, DEFAULT_NET_TIMEOUT, DEFAULT_RETRY_BUDGET, MAX_FRAME_REQUESTS,
 };
 pub use scheduler::{
     run_session, run_sessions, FnSession, SessionHandle, SessionJob, SessionPrefixes,

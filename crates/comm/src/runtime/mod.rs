@@ -300,6 +300,11 @@ pub struct Runtime<R: Recorder = Transcript> {
 /// Crashes are never retried.
 pub const DEFAULT_RETRY_BUDGET: u32 = 2;
 
+/// The most requests a round hands the transport at once. A larger
+/// round travels as several frames, each built when the previous one
+/// has been answered, so a round's memory does not grow with its size.
+pub const MAX_FRAME_REQUESTS: usize = 128;
+
 impl<R: Recorder> std::fmt::Debug for Runtime<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
@@ -440,8 +445,17 @@ impl<R: Recorder> Runtime<R> {
     /// deterministic counter, so both runtimes and every party agree on
     /// them for free.
     pub fn fresh_tag(&mut self) -> u64 {
-        self.tag_counter += 1;
-        self.tag_counter
+        self.fresh_tags(1)
+    }
+
+    /// Reserves `count` consecutive fresh tags and returns the first, so
+    /// a caller can key a block of draws by purpose (tag `first + i` for
+    /// draw `i`) instead of by the order they are made in. The next
+    /// fresh tag follows the block.
+    pub fn fresh_tags(&mut self, count: u64) -> u64 {
+        let first = self.tag_counter + 1;
+        self.tag_counter += count;
+        first
     }
 
     /// Advances the round counter (bookkeeping only).
@@ -688,7 +702,10 @@ impl<R: Recorder> Runtime<R> {
     /// before the failure stay charged (the bits were spent).
     pub fn try_broadcast(&mut self, req: PlayerRequest) -> Result<Vec<Payload<'static>>, RunError> {
         let mut out = Vec::new();
-        match self.round(std::slice::from_ref(&req), |row| out = row) {
+        match self.round(
+            &mut std::iter::once(req),
+            &mut Rows::new(self.n, |row| out = row),
+        ) {
             None => Ok(out),
             Some(err) => Err(err),
         }
@@ -714,9 +731,10 @@ impl<R: Recorder> Runtime<R> {
     /// [`try_broadcast`](Self::try_broadcast) calls charge, request by
     /// request and players in order, under every [`CostModel`]: how the
     /// requests travel is the transport's business
-    /// ([`Transport::try_deliver_round`]), what they cost is not. A
-    /// transport that delivers the round at once supplies each
-    /// exchange's first attempt; retries go one request at a time.
+    /// ([`Transport::try_deliver_round`], in frames of at most
+    /// [`MAX_FRAME_REQUESTS`]), what they cost is not. A transport that
+    /// delivers a frame at once supplies each exchange's first attempt;
+    /// retries go one request at a time.
     ///
     /// # Errors
     ///
@@ -727,7 +745,11 @@ impl<R: Recorder> Runtime<R> {
         reqs: &[PlayerRequest],
     ) -> Result<Vec<Vec<Payload<'static>>>, RunError> {
         let mut rows = Vec::with_capacity(reqs.len());
-        match self.round(reqs, |row| rows.push(row)) {
+        let fault = self.round(
+            &mut reqs.iter().cloned(),
+            &mut Rows::new(self.n, |row| rows.push(row)),
+        );
+        match fault {
             None => Ok(rows),
             Some(err) => Err(err),
         }
@@ -739,131 +761,221 @@ impl<R: Recorder> Runtime<R> {
     /// each, as separate [`broadcast`](Self::broadcast) calls would.
     pub fn broadcast_all(&mut self, reqs: &[PlayerRequest]) -> Vec<Vec<Payload<'static>>> {
         let mut rows = Vec::with_capacity(reqs.len());
-        if let Some(err) = self.round(reqs, |row| rows.push(row)) {
-            self.poison(err);
-            rows.resize(reqs.len(), vec![Payload::Empty; self.k()]);
-        }
+        self.broadcast_each(reqs.iter().cloned(), |row| rows.push(row));
         rows
     }
 
-    /// The one broadcast path: charges and exchanges `reqs` request by
-    /// request, players in order, hands each complete row of `k`
-    /// responses to `row_done`, and returns the first unrecovered fault,
-    /// if any.
+    /// [`broadcast_all`](Self::broadcast_all) without collecting: hands
+    /// each request's row of `k` responses to `row_done` as soon as it
+    /// is complete, in request order, and builds each frame's requests
+    /// only when the frame is sent. A round of any size therefore holds
+    /// at most one frame of requests and one row at a time. After an
+    /// unrecovered fault the runtime is poisoned and every row not yet
+    /// handed over is `k` empty payloads.
+    pub fn broadcast_each<I>(&mut self, reqs: I, mut row_done: impl FnMut(Vec<Payload<'static>>))
+    where
+        I: IntoIterator<Item = PlayerRequest>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let mut reqs = reqs.into_iter();
+        let total = reqs.len();
+        let mut handed = 0;
+        let fault = self.round(
+            &mut reqs,
+            &mut Rows::new(self.n, |row| {
+                handed += 1;
+                row_done(row);
+            }),
+        );
+        if let Some(err) = fault {
+            self.poison(err);
+            for _ in handed..total {
+                row_done(vec![Payload::Empty; self.k()]);
+            }
+        }
+    }
+
+    /// The one round path: takes the requests a frame of at most
+    /// [`MAX_FRAME_REQUESTS`] at a time, offers each frame to the
+    /// transport, then charges and exchanges its requests one by one,
+    /// players in order, handing every answer to `sink`. Returns the
+    /// first unrecovered fault, if any; nothing after it is sent.
     fn round(
         &mut self,
-        reqs: &[PlayerRequest],
-        mut row_done: impl FnMut(Vec<Payload<'static>>),
+        reqs: &mut impl Iterator<Item = PlayerRequest>,
+        sink: &mut impl RowSink,
     ) -> Option<RunError> {
         if let Some(f) = &self.fault {
             return Some(f.clone());
         }
-        if reqs.is_empty() {
-            return None;
-        }
         let k = self.k();
         let ovh = self.routing_overhead();
-        // Each player's answers, consumed in request order below.
-        let mut delivered: Option<Vec<_>> = self.transport.try_deliver_round(reqs).map(|round| {
-            let mut round = round.into_iter();
-            (0..k)
-                .map(|j| match round.next() {
-                    Some(Ok(framed)) if framed.len() == reqs.len() => Ok(framed.into_iter()),
-                    Some(Err(e)) => Err(e),
-                    _ => Err(RunError::Aborted {
-                        reason: format!("player {j}'s round answered the wrong number of requests"),
-                    }),
-                })
-                .collect()
-        });
-        for req in reqs {
-            let label = req.label();
-            self.charge_to_every_player(req.bit_len(self.n) + ovh, label);
-            let mut row = Vec::with_capacity(k);
-            for j in 0..k {
-                let first = delivered.as_mut().map(|answers| match &mut answers[j] {
-                    Ok(framed) => Ok(framed.next().expect("one answer per request")),
-                    Err(e) => Err(e.clone()),
+        let mut frame = Vec::new();
+        loop {
+            frame.clear();
+            frame.extend(reqs.by_ref().take(MAX_FRAME_REQUESTS));
+            if frame.is_empty() {
+                return None;
+            }
+            let len = frame.len();
+            // Each player's answers, consumed in request order below.
+            let mut delivered: Option<Vec<_>> =
+                self.transport.try_deliver_round(&frame).map(|answers| {
+                    let mut answers = answers.into_iter();
+                    (0..k)
+                        .map(|j| match answers.next() {
+                            Some(Ok(framed)) if framed.len() == len => Ok(framed.into_iter()),
+                            Some(Err(e)) => Err(e),
+                            _ => Err(RunError::Aborted {
+                                reason: format!(
+                                    "player {j}'s round answered the wrong number of requests"
+                                ),
+                            }),
+                        })
+                        .collect()
                 });
-                match self.exchange(j, req, ovh, first) {
-                    Ok(resp) => {
-                        self.recorder.record(
-                            Some(j),
-                            Direction::ToCoordinator,
-                            resp.bit_len(self.n) + ovh,
-                            label,
-                        );
-                        row.push(resp);
+            for req in &frame {
+                let label = req.label();
+                self.charge_to_every_player(req.bit_len(self.n) + ovh, label);
+                for j in 0..k {
+                    let first = delivered.as_mut().map(|answers| match &mut answers[j] {
+                        Ok(framed) => Ok(framed.next().expect("one answer per request")),
+                        Err(e) => Err(e.clone()),
+                    });
+                    match self.exchange(j, req, ovh, first) {
+                        Ok(resp) => {
+                            let bits = sink.answer(resp) + ovh;
+                            self.recorder
+                                .record(Some(j), Direction::ToCoordinator, bits, label);
+                        }
+                        Err(e) => return Some(e),
                     }
-                    Err(e) => return Some(e),
                 }
+                sink.row_done();
             }
-            row_done(row);
         }
-        None
     }
 
-    /// Broadcasts an edge-producing request and returns the deduplicated
-    /// union of all players' edges.
+    /// One round of edge-producing requests: for each request, the
+    /// deduplicated union of all players' edges.
     ///
-    /// Under [`CostModel::Blackboard`] each player is charged only for
-    /// edges not already on the board (players see prior postings), which
-    /// realizes the `k`-factor saving of Theorem 3.23; under
-    /// [`CostModel::Coordinator`] every copy is paid for.
+    /// Each request is charged as on its own. Under
+    /// [`CostModel::Blackboard`] a player pays only for the request's
+    /// edges not already on the board (players see prior postings),
+    /// which realizes the `k`-factor saving of Theorem 3.23; under
+    /// [`CostModel::Coordinator`] every copy is paid for. The charge is
+    /// computed in closed form from the charged edge *count* —
+    /// `bits_for_count(c) + c·bits_per_edge(n)`, exactly `Payload::Edges`
+    /// of that length — without materializing the charged subset.
     ///
-    /// The charge is computed in closed form from the charged edge
-    /// *count* — `bits_for_count(c) + c·bits_per_edge(n)`, exactly
-    /// `Payload::Edges` of that length — without materializing the
-    /// charged subset, so the per-player hop allocates nothing beyond
-    /// the union itself.
+    /// An unrecovered fault poisons the runtime: the unions gathered
+    /// before it keep their edges and the rest are empty, as separate
+    /// [`gather_edges`](Self::gather_edges) calls would return.
+    pub fn gather_edges_all<I>(&mut self, reqs: I) -> Vec<Vec<Edge>>
+    where
+        I: IntoIterator<Item = PlayerRequest>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let mut reqs = reqs.into_iter();
+        let total = reqs.len();
+        let mut sink = Unions {
+            n: self.n,
+            board: self.cost_model == CostModel::Blackboard,
+            seen: HashSet::new(),
+            union: Vec::new(),
+            done: Vec::with_capacity(total),
+        };
+        if let Some(err) = self.round(&mut reqs, &mut sink) {
+            self.poison(err);
+        }
+        let mut unions = sink.done;
+        unions.resize(total, Vec::new());
+        unions
+    }
+
+    /// Broadcasts one edge-producing request and returns the
+    /// deduplicated union of all players' edges: the round of one of
+    /// [`gather_edges_all`](Self::gather_edges_all).
     pub fn gather_edges(&mut self, req: PlayerRequest) -> Vec<Edge> {
-        match self.try_gather_edges(req) {
-            Ok(union) => union,
-            Err(e) => {
-                self.poison(e);
-                Vec::new()
-            }
-        }
-    }
-
-    /// Fallible [`gather_edges`](Self::gather_edges): retryable faults
-    /// are recovered per player within the retry budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first unrecovered [`RunError`]; edges gathered before
-    /// the failure stay charged.
-    pub fn try_gather_edges(&mut self, req: PlayerRequest) -> Result<Vec<Edge>, RunError> {
-        if let Some(f) = &self.fault {
-            return Err(f.clone());
-        }
-        let label = req.label();
-        let ovh = self.routing_overhead();
-        self.charge_to_every_player(req.bit_len(self.n) + ovh, label);
-        let mut seen: HashSet<Edge> = HashSet::new();
-        let mut union = Vec::new();
-        for j in 0..self.k() {
-            let resp = self.exchange(j, &req, ovh, None)?;
-            let edges = resp.as_edges();
-            let charged = match self.cost_model {
-                CostModel::Blackboard => edges.iter().filter(|e| !seen.contains(*e)).count() as u64,
-                _ => edges.len() as u64,
-            };
-            let content = BitCost(bits_for_count(charged) + bits_per_edge(self.n) * charged);
-            self.recorder
-                .record(Some(j), Direction::ToCoordinator, content + ovh, label);
-            for e in edges {
-                if seen.insert(*e) {
-                    union.push(*e);
-                }
-            }
-        }
-        Ok(union)
+        self.gather_edges_all([req]).pop().unwrap_or_default()
     }
 
     /// Aggregated statistics so far.
     pub fn stats(&self) -> CommStats {
         self.recorder.stats()
+    }
+}
+
+/// Where a round's answers go: each player's answer to a request in
+/// player order, then the end of that request's row.
+trait RowSink {
+    /// Keeps one answer and returns the content bits it is charged,
+    /// routing overhead excluded.
+    fn answer(&mut self, resp: Payload<'static>) -> BitCost;
+    /// Every player has answered the current request.
+    fn row_done(&mut self);
+}
+
+/// Rows of payloads, each answer charged at its own length and each
+/// complete row handed to `done`.
+struct Rows<F> {
+    n: usize,
+    row: Vec<Payload<'static>>,
+    done: F,
+}
+
+impl<F: FnMut(Vec<Payload<'static>>)> Rows<F> {
+    fn new(n: usize, done: F) -> Self {
+        Rows {
+            n,
+            row: Vec::new(),
+            done,
+        }
+    }
+}
+
+impl<F: FnMut(Vec<Payload<'static>>)> RowSink for Rows<F> {
+    fn answer(&mut self, resp: Payload<'static>) -> BitCost {
+        let bits = resp.bit_len(self.n);
+        self.row.push(resp);
+        bits
+    }
+
+    fn row_done(&mut self) {
+        (self.done)(std::mem::take(&mut self.row));
+    }
+}
+
+/// Each request's union of edges, charged in closed form from the count
+/// each answer pays for: on the blackboard, only the edges this request
+/// has not yet posted.
+struct Unions {
+    n: usize,
+    board: bool,
+    seen: HashSet<Edge>,
+    union: Vec<Edge>,
+    done: Vec<Vec<Edge>>,
+}
+
+impl RowSink for Unions {
+    fn answer(&mut self, resp: Payload<'static>) -> BitCost {
+        let edges = resp.as_edges();
+        let charged = if self.board {
+            edges.iter().filter(|e| !self.seen.contains(*e)).count() as u64
+        } else {
+            edges.len() as u64
+        };
+        for e in edges {
+            if self.seen.insert(*e) {
+                self.union.push(*e);
+            }
+        }
+        BitCost(bits_for_count(charged) + bits_per_edge(self.n) * charged)
+    }
+
+    fn row_done(&mut self) {
+        self.seen.clear();
+        self.done.push(std::mem::take(&mut self.union));
     }
 }
 

@@ -6,9 +6,10 @@
 //! player, ordered by player index — [`crate::daemon::TcpCoordinator`]
 //! produces it from the accept loop. A single delivery is one
 //! [`Request`](crate::wire::WireMessage::Request) frame tagged with a
-//! fresh correlation id; a round of independent requests is one
-//! [`Batch`](crate::wire::WireMessage::Batch) frame per player, written
-//! to every player before any answer is read. Answers with stale ids
+//! fresh correlation id; each frame of a round of independent requests
+//! (at most [`MAX_FRAME_REQUESTS`](super::MAX_FRAME_REQUESTS) of them) is
+//! one [`Batch`](crate::wire::WireMessage::Batch) frame per player,
+//! written to every player before any answer is read. Answers with stale ids
 //! (to a delivery the coordinator already timed out) are discarded
 //! instead of desynchronizing the stream, which is what makes the
 //! runtime's bounded-retry loop sound over TCP.
@@ -466,11 +467,7 @@ fn send_batch(
     id: u64,
     reqs: &[PlayerRequest],
 ) -> Result<(), RunError> {
-    let msg = WireMessage::Batch {
-        id,
-        reqs: reqs.to_vec(),
-    };
-    send(stream, player, &msg)
+    wire::write_batch(stream, id, reqs).map_err(|_| RunError::Transport(TransportError { player }))
 }
 
 /// Waits for the `BatchResponse` with correlation id `id`, which must
@@ -522,9 +519,10 @@ impl Transport for TcpTransport {
         })
     }
 
-    /// One [`Batch`](WireMessage::Batch) frame per player: every live
-    /// player is sent the whole round before any answer is read, so the
-    /// players work on it at once; then each `BatchResponse` is read in
+    /// One [`Batch`](WireMessage::Batch) frame per player, encoded from
+    /// the borrowed requests: every live player is sent the whole frame
+    /// before any answer is read, so the players work on it at once;
+    /// then each `BatchResponse` is read in
     /// player order. A player whose connection fails goes through the
     /// same detach-and-rejoin loop as [`try_deliver`](Self::try_deliver),
     /// replaying the whole batch with a fresh id. A parked fault defers

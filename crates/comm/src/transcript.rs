@@ -142,12 +142,26 @@ impl Transcript {
     }
 
     /// Serializes the event log as one JSON array. Readable back with
-    /// [`parse_events_json`].
+    /// [`parse_events_json`], which accepts only registered phases, so
+    /// the writer refuses what the reader would.
     ///
     /// # Errors
     ///
-    /// Propagates writer failures.
+    /// [`std::io::ErrorKind::InvalidData`], before anything is written,
+    /// naming the first event recorded under a phase outside [`PHASES`];
+    /// otherwise propagates writer failures.
     pub fn write_events_json<W: std::io::Write>(&self, w: W) -> std::io::Result<()> {
+        if let Some((i, e)) = self
+            .events
+            .iter()
+            .enumerate()
+            .find(|(_, e)| !PHASES.contains(&e.phase))
+        {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("event {i} has phase {:?}, which is not registered", e.phase),
+            ));
+        }
         write_event_lines(
             w,
             self.events
@@ -583,6 +597,36 @@ mod tests {
             assert_eq!(p.phase, e.phase);
             assert_eq!(p.label, e.label);
         }
+    }
+
+    #[test]
+    fn the_writer_refuses_an_unregistered_phase_and_every_registered_one_round_trips() {
+        let mut t = Transcript::new(2);
+        for (i, phase) in PHASES.iter().enumerate() {
+            t.set_phase(phase);
+            t.record(Some(i % 2), Direction::ToPlayer, BitCost(i as u64), "req");
+            t.next_round();
+        }
+        let mut buf = Vec::new();
+        t.write_events_json(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let parsed = parse_events_json(&text).unwrap();
+        let phases: Vec<&str> = parsed.iter().map(|e| e.phase.as_str()).collect();
+        assert_eq!(phases, PHASES);
+
+        t.set_phase("made up");
+        t.record(None, Direction::Broadcast, BitCost(1), "req");
+        let mut out = Vec::new();
+        let err = t.write_events_json(&mut out).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "event {} has phase \"made up\", which is not registered",
+                PHASES.len()
+            )
+        );
+        assert!(out.is_empty(), "nothing is written");
     }
 
     #[test]

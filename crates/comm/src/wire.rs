@@ -688,13 +688,7 @@ fn encode_body(enc: &mut Enc, msg: &WireMessage) {
             enc.str(reason);
         }
         WireMessage::Goodbye { summary } => enc.str(summary),
-        WireMessage::Batch { id, reqs } => {
-            enc.u64(*id);
-            enc.u32(reqs.len() as u32);
-            for req in reqs {
-                encode_request(enc, req);
-            }
-        }
+        WireMessage::Batch { id, reqs } => encode_batch(enc, *id, reqs),
         WireMessage::BatchResponse { id, payloads } => {
             enc.u64(*id);
             enc.u32(payloads.len() as u32);
@@ -705,6 +699,14 @@ fn encode_body(enc: &mut Enc, msg: &WireMessage) {
     }
 }
 
+fn encode_batch(enc: &mut Enc, id: u64, reqs: &[PlayerRequest]) {
+    enc.u64(id);
+    enc.u32(reqs.len() as u32);
+    for req in reqs {
+        encode_request(enc, req);
+    }
+}
+
 /// Encodes `msg` as one complete frame (length prefix, version, type,
 /// body, checksum) and writes it to `w`, flushing afterwards.
 ///
@@ -712,16 +714,37 @@ fn encode_body(enc: &mut Enc, msg: &WireMessage) {
 ///
 /// Propagates any I/O failure from the writer.
 pub fn write_frame<W: Write>(w: &mut W, msg: &WireMessage) -> std::io::Result<()> {
+    write_framed(w, msg.type_byte(), |enc| encode_body(enc, msg))
+}
+
+/// Writes a [`WireMessage::Batch`] frame of `reqs` under correlation id
+/// `id`, encoded from the borrowed requests: the same bytes as
+/// `write_frame(w, &WireMessage::Batch { id, reqs: reqs.to_vec() })`.
+///
+/// # Errors
+///
+/// Propagates any I/O failure from the writer.
+pub fn write_batch<W: Write>(w: &mut W, id: u64, reqs: &[PlayerRequest]) -> std::io::Result<()> {
+    write_framed(w, 0x0B, |enc| encode_batch(enc, id, reqs))
+}
+
+/// Builds a frame in one buffer: a length placeholder, version, type,
+/// the body `body` encodes, then the length and checksum filled in.
+fn write_framed<W: Write>(
+    w: &mut W,
+    type_byte: u8,
+    body: impl FnOnce(&mut Enc),
+) -> std::io::Result<()> {
     let mut enc = Enc::new();
+    enc.u32(0); // the length, filled in below
     enc.u8(WIRE_VERSION);
-    enc.u8(msg.type_byte());
-    encode_body(&mut enc, msg);
-    let framed = enc.buf;
-    let mut out = Vec::with_capacity(framed.len() + 12);
-    out.extend_from_slice(&(framed.len() as u32).to_be_bytes());
-    out.extend_from_slice(&framed);
-    out.extend_from_slice(&checksum_bytes(&framed).to_be_bytes());
-    w.write_all(&out)?;
+    enc.u8(type_byte);
+    body(&mut enc);
+    let len = (enc.buf.len() - 4) as u32;
+    enc.buf[..4].copy_from_slice(&len.to_be_bytes());
+    let sum = checksum_bytes(&enc.buf[4..]);
+    enc.u64(sum);
+    w.write_all(&enc.buf)?;
     w.flush()
 }
 
@@ -1358,6 +1381,30 @@ mod tests {
                 payloads: Vec::new(),
             },
         ] {
+            assert_eq!(roundtrip(&msg), msg);
+        }
+    }
+
+    #[test]
+    fn write_batch_writes_the_bytes_write_frame_writes_for_every_request_kind() {
+        let reqs = every_request();
+        let batches = reqs
+            .iter()
+            .map(std::slice::from_ref)
+            .chain([&reqs[..], &[]]);
+        for (id, batch) in batches.enumerate() {
+            let id = id as u64;
+            let (mut borrowed, mut owned) = (Vec::new(), Vec::new());
+            write_batch(&mut borrowed, id, batch).unwrap();
+            let msg = WireMessage::Batch {
+                id,
+                reqs: batch.to_vec(),
+            };
+            write_frame(&mut owned, &msg).unwrap();
+            assert_eq!(borrowed, owned, "{batch:?}");
+            // The one-buffer writer frames exactly as a separate
+            // length prefix and checksum would.
+            assert_eq!(owned, sealed(0x0B, |enc| encode_body(enc, &msg)));
             assert_eq!(roundtrip(&msg), msg);
         }
     }

@@ -45,119 +45,169 @@ const THETA: f64 = 0.7;
 /// `α = 3` on the high side and `√α` low-side slack) of the true degree,
 /// with probability `≥ 1 − δ` at the tuning's experiment counts.
 /// Cost: `O(k·log log d)` for phase 1 plus
-/// `O(k · log k · experiments)` bits for phase 2.
+/// `O(k · log k · experiments)` bits for phase 2. The wave of one of
+/// [`approx_degrees`].
 pub fn approx_degree<R: Recorder>(
     rt: &mut Runtime<R>,
     v: VertexId,
     tuning: &Tuning,
 ) -> DegreeEstimate {
+    approx_degrees(rt, &[v], tuning)[0]
+}
+
+/// Theorem 3.1 for a wave of vertices at once, in lockstep: one MSB
+/// round for the wave, then one round per guess-shrinking step, each
+/// carrying the experiments of every vertex whose guess is still live.
+///
+/// The estimates are independent, and so are their coins: vertex `i`
+/// owns a block of `steps_i · m` tags, reserved in wave order, where
+/// `steps_i` counts its guesses `d′, d′/√α, …` above its floor
+/// `max(d′/(2k√α), 2)`, and experiment `e` of step `s` uses tag
+/// `first_i + s·m + e`. So a wave draws, sends and charges exactly what
+/// one [`approx_degree`] call per vertex would, in another order, and
+/// leaves the tag counter where they would.
+pub fn approx_degrees<R: Recorder>(
+    rt: &mut Runtime<R>,
+    vs: &[VertexId],
+    tuning: &Tuning,
+) -> Vec<DegreeEstimate> {
     // Phase 1: MSB round. d' = Σ_j 2^{len_j} satisfies d ≤ d' ≤ 2k·d.
-    let responses = rt.broadcast(PlayerRequest::DegreeMsb { v });
-    let mut d_prime: f64 = 0.0;
-    for p in responses {
-        if let Payload::Count(len) = p {
-            if len > 0 {
-                d_prime += 2f64.powi(len as i32);
-            }
-        }
-    }
-    if d_prime <= 2.0 {
-        // Degree at most 2: the upper bound itself is a fine answer.
-        return DegreeEstimate {
-            value: d_prime,
+    let mut guess = Vec::with_capacity(vs.len());
+    rt.broadcast_each(vs.iter().map(|&v| PlayerRequest::DegreeMsb { v }), |row| {
+        guess.push(msb_sum(row));
+    });
+    // Degree at most 2: the upper bound itself is a fine answer.
+    let mut out: Vec<DegreeEstimate> = guess
+        .iter()
+        .map(|&d| DegreeEstimate {
+            value: d,
             rounds: 0,
-        };
-    }
+        })
+        .collect();
 
     // Phase 2: shrink guesses by √α until the experiments say stop.
-    let alpha = 3.0f64;
-    let step = alpha.sqrt();
+    let shrink = ALPHA.sqrt();
     let m = tuning.degree_experiments(rt.k());
-    let floor_guess = (d_prime / (2.0 * rt.k() as f64 * step)).max(2.0);
-    let mut guess = d_prime;
-    let mut rounds = 0;
-    while guess > floor_guess {
-        rounds += 1;
-        let successes = run_experiments(rt, v, guess, m);
-        let threshold = THETA * f_of(guess) * m as f64;
-        if successes as f64 >= threshold {
-            return DegreeEstimate {
-                value: guess,
-                rounds,
-            };
-        }
-        guess /= step;
-    }
-    DegreeEstimate {
-        value: guess.max(2.0),
-        rounds,
-    }
-}
-
-fn run_experiments<R: Recorder>(rt: &mut Runtime<R>, v: VertexId, guess: f64, m: usize) -> usize {
-    let p = (1.0 / guess).min(1.0);
-    count_hits(rt, m, |tag| PlayerRequest::SampleHit { v, tag, p })
-}
-
-/// Runs one guess's `m` experiments — independent draws over public
-/// randomness, so one round — and counts those some player reported a
-/// hit in. Tags are drawn in experiment order.
-fn count_hits<R: Recorder>(
-    rt: &mut Runtime<R>,
-    m: usize,
-    mut experiment: impl FnMut(u64) -> PlayerRequest,
-) -> usize {
-    let round: Vec<PlayerRequest> = (0..m).map(|_| experiment(rt.fresh_tag())).collect();
-    rt.broadcast_all(&round)
+    let steps: Vec<usize> = guess
         .iter()
-        .filter(|row| row.contains(&Payload::Bit(true)))
-        .count()
+        .map(|&d| shrink_steps(d, rt.k(), shrink))
+        .collect();
+    let mut next = rt.fresh_tags((steps.iter().sum::<usize>() * m) as u64);
+    let first: Vec<u64> = steps
+        .iter()
+        .map(|&s| {
+            let tag = next;
+            next += (s * m) as u64;
+            tag
+        })
+        .collect();
+    let mut live: Vec<usize> = (0..vs.len()).filter(|&i| steps[i] > 0).collect();
+    let mut step = 0;
+    while !live.is_empty() {
+        let mut hits = vec![0usize; live.len()];
+        let mut row = 0;
+        let experiments = (0..live.len() * m).map(|r| {
+            let i = live[r / m];
+            PlayerRequest::SampleHit {
+                v: vs[i],
+                tag: first[i] + (step * m + r % m) as u64,
+                p: (1.0 / guess[i]).min(1.0),
+            }
+        });
+        rt.broadcast_each(experiments, |answers| {
+            hits[row / m] += usize::from(answers.contains(&Payload::Bit(true)));
+            row += 1;
+        });
+        step += 1;
+        let mut still = Vec::with_capacity(live.len());
+        for (&i, &successes) in live.iter().zip(&hits) {
+            if successes as f64 >= THETA * f_of(guess[i]) * m as f64 {
+                out[i] = DegreeEstimate {
+                    value: guess[i],
+                    rounds: step,
+                };
+                continue;
+            }
+            guess[i] /= shrink;
+            if step == steps[i] {
+                out[i] = DegreeEstimate {
+                    value: guess[i].max(2.0),
+                    rounds: step,
+                };
+            } else {
+                still.push(i);
+            }
+        }
+        live = still;
+    }
+    out
+}
+
+/// The approximation factor the guesses shrink by (`√α` per step).
+const ALPHA: f64 = 3.0;
+
+/// Phase 1's upper bound from one MSB row: `Σ_j 2^{len_j}` over the
+/// players that hold an edge.
+fn msb_sum(row: Vec<Payload<'_>>) -> f64 {
+    row.into_iter().fold(0.0, |sum, p| match p {
+        Payload::Count(len) if len > 0 => sum + 2f64.powi(len as i32),
+        _ => sum,
+    })
+}
+
+/// How many guesses `d′, d′/shrink, …` lie above the floor
+/// `max(d′/(2k·shrink), 2)`: the most shrink steps an estimate from `d′`
+/// can take. None when `d′ ≤ 2`.
+fn shrink_steps(d_prime: f64, k: usize, shrink: f64) -> usize {
+    if d_prime <= 2.0 {
+        return 0;
+    }
+    let floor_guess = (d_prime / (2.0 * k as f64 * shrink)).max(2.0);
+    let mut guess = d_prime;
+    let mut steps = 0;
+    while guess > floor_guess {
+        steps += 1;
+        guess /= shrink;
+    }
+    steps
 }
 
 /// The distinct-elements generalization of Theorem 3.1 (the paper's
 /// closing remark in §3.1): α-approximates the number of **distinct
 /// edges** `m = |E|` under arbitrary duplication, by the same
 /// MSB-then-shrink scheme with experiments over a public random *pair*
-/// set ("does the sampled pair set intersect your input?").
+/// set ("does the sampled pair set intersect your input?"). Each guess's
+/// `m` experiments are one round, their tags drawn in experiment order.
 ///
 /// Cost: `O(k·log log m + k·log k·experiments)` bits.
 pub fn approx_edge_count<R: Recorder>(rt: &mut Runtime<R>, tuning: &Tuning) -> DegreeEstimate {
-    let responses = rt.broadcast(PlayerRequest::EdgeCountMsb);
-    let mut m_prime: f64 = 0.0;
-    for p in responses {
-        if let Payload::Count(len) = p {
-            if len > 0 {
-                m_prime += 2f64.powi(len as i32);
-            }
-        }
-    }
-    if m_prime <= 2.0 {
-        return DegreeEstimate {
-            value: m_prime,
-            rounds: 0,
-        };
-    }
-    let alpha = 3.0f64;
-    let step = alpha.sqrt();
+    let m_prime = msb_sum(rt.broadcast(PlayerRequest::EdgeCountMsb));
+    let shrink = ALPHA.sqrt();
     let m = tuning.degree_experiments(rt.k());
-    let floor_guess = (m_prime / (2.0 * rt.k() as f64 * step)).max(2.0);
     let mut guess = m_prime;
     let mut rounds = 0;
-    while guess > floor_guess {
+    for _ in 0..shrink_steps(m_prime, rt.k(), shrink) {
         rounds += 1;
         let p = (1.0 / guess).min(1.0);
-        let successes = count_hits(rt, m, |tag| PlayerRequest::GlobalSampleHit { tag, p });
-        let threshold = THETA * f_of(guess) * m as f64;
-        if successes as f64 >= threshold {
+        let first = rt.fresh_tags(m as u64);
+        let mut successes = 0;
+        let experiments = (0..m).map(|e| PlayerRequest::GlobalSampleHit {
+            tag: first + e as u64,
+            p,
+        });
+        rt.broadcast_each(experiments, |row| {
+            successes += usize::from(row.contains(&Payload::Bit(true)));
+        });
+        if successes as f64 >= THETA * f_of(guess) * m as f64 {
             return DegreeEstimate {
                 value: guess,
                 rounds,
             };
         }
-        guess /= step;
+        guess /= shrink;
     }
     DegreeEstimate {
-        value: guess.max(2.0),
+        value: if rounds == 0 { m_prime } else { guess.max(2.0) },
         rounds,
     }
 }

@@ -7,7 +7,8 @@
 //! * [`edge_exists`] — edge queries in `O(k)` bits,
 //! * [`random_edge`] / [`random_incident_edge`] / [`random_walk`] —
 //!   permutation-based unbiased sampling (duplication-safe),
-//! * [`approx_degree`] — Theorem 3.1's α-approximation under duplication,
+//! * [`approx_degree`] / [`approx_degrees`] — Theorem 3.1's
+//!   α-approximation under duplication, for one vertex or a lockstep wave,
 //! * [`approx_degree_no_duplication`] — Lemma 3.2's cheaper no-duplication
 //!   variant (also a distinct-elements estimator),
 //! * [`induced_subgraph_edges`] / [`collect_incident_edges`] / [`bfs`] —
@@ -18,8 +19,8 @@ mod induced;
 mod random_edge;
 
 pub use degree::{
-    approx_degree, approx_degree_no_duplication, approx_edge_count, total_edge_count_bound,
-    DegreeEstimate,
+    approx_degree, approx_degree_no_duplication, approx_degrees, approx_edge_count,
+    total_edge_count_bound, DegreeEstimate,
 };
 pub use induced::{bfs, collect_incident_edges, induced_subgraph_edges};
 pub use random_edge::{random_edge, random_incident_edge, random_walk};

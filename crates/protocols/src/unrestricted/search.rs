@@ -2,7 +2,7 @@
 //! from `B̃_i`), 3 (GetFullCandidates), 4 (SampleEdges) and 5
 //! (FindTriangleVee).
 
-use crate::blocks::approx_degree;
+use crate::blocks::approx_degrees;
 use crate::config::Tuning;
 use std::collections::HashSet;
 use triad_comm::{Payload, PlayerRequest, Recorder, Runtime};
@@ -58,6 +58,12 @@ pub fn sample_uniform_from_btilde<R: Recorder>(
 /// replacement from `B̃_i` — same total bits, one pass per player. A
 /// first small batch usually suffices; the full budget is fetched only
 /// if the degree filter starves.
+///
+/// Suspects are estimated in waves ([`approx_degrees`]): the next
+/// `min(target − found, budget − examined)` unseen ones together. One at
+/// a time, the search would examine every one of them whatever their
+/// estimates, so a wave sends no request it would not, and the
+/// candidates come out in the same order.
 pub fn get_full_candidates<R: Recorder>(
     rt: &mut Runtime<R>,
     bucket: usize,
@@ -78,20 +84,24 @@ pub fn get_full_candidates<R: Recorder>(
     let tag = rt.fresh_tag();
     loop {
         let samples = suspect_batch(rt, bucket, tag, batch);
-        for v in samples.iter().skip(examined) {
-            if out.len() >= target || examined >= budget {
-                break;
+        let end = samples.len().min(budget);
+        while out.len() < target && examined < end {
+            let mut wave = Vec::new();
+            while wave.len() < target - out.len() && examined < end {
+                let v = samples[examined];
+                examined += 1;
+                if seen.insert(v) {
+                    wave.push(v);
+                }
             }
-            examined += 1;
-            if !seen.insert(*v) {
-                continue;
-            }
-            let est = rt.phase("approx-degree", |rt| approx_degree(rt, *v, tuning));
-            if est.value >= lo && est.value <= hi {
-                out.push(Candidate {
-                    vertex: *v,
-                    degree_estimate: est.value,
-                });
+            let estimates = rt.phase("approx-degree", |rt| approx_degrees(rt, &wave, tuning));
+            for (vertex, est) in wave.into_iter().zip(estimates) {
+                if est.value >= lo && est.value <= hi {
+                    out.push(Candidate {
+                        vertex,
+                        degree_estimate: est.value,
+                    });
+                }
             }
         }
         let exhausted = samples.len() < batch;
@@ -138,22 +148,39 @@ pub fn sample_edges_at<R: Recorder>(
     candidate: Candidate,
     tuning: &Tuning,
 ) -> Vec<triad_graph::Edge> {
+    let req = incident_sample(rt, candidate, tuning);
+    rt.gather_edges(req)
+}
+
+/// Algorithm 4's request for one candidate, under a fresh tag.
+fn incident_sample<R: Recorder>(
+    rt: &mut Runtime<R>,
+    candidate: Candidate,
+    tuning: &Tuning,
+) -> PlayerRequest {
     let n = rt.n();
     // The estimate may be up to ×3 high; sampling for the pessimistic
     // (smaller) degree only raises p, preserving the vee guarantee.
     let p = tuning.edge_sample_probability(n, candidate.degree_estimate / FILTER_ALPHA);
     let cap = tuning.edge_sample_cap(candidate.degree_estimate * FILTER_ALPHA, p);
-    let tag = rt.fresh_tag();
-    rt.gather_edges(PlayerRequest::IncidentEdgesSampled {
+    PlayerRequest::IncidentEdgesSampled {
         v: candidate.vertex,
-        tag,
+        tag: rt.fresh_tag(),
         p,
         cap,
-    })
+    }
 }
 
 /// Algorithm 5: for each candidate, sample its edges, post them to all
 /// players, and let anyone holding a closing edge finish the triangle.
+///
+/// Candidates are tried in waves of 1, 2, 4, …: one round samples a
+/// wave's edges (tags drawn in candidate order), one round posts every
+/// sample of at least two edges, and the first witness in candidate
+/// order wins. On a triangle-free input every candidate is tried, as one
+/// at a time; when the `c`-th candidate closes, at most `c − 1` later
+/// ones were sampled and posted with it, charged under their usual
+/// labels because they crossed the wire.
 pub fn find_triangle_vee<R: Recorder>(
     rt: &mut Runtime<R>,
     bucket: usize,
@@ -162,22 +189,42 @@ pub fn find_triangle_vee<R: Recorder>(
     let candidates = rt.phase("find-candidates", |rt| {
         get_full_candidates(rt, bucket, tuning)
     });
-    for candidate in candidates {
-        let sampled = rt.phase("sample-edges", |rt| sample_edges_at(rt, candidate, tuning));
-        if sampled.len() < 2 {
-            continue; // no vee can exist among fewer than two edges
+    let mut rest = candidates.as_slice();
+    let mut width = 1;
+    while !rest.is_empty() {
+        let (wave, later) = rest.split_at(width.min(rest.len()));
+        rest = later;
+        width *= 2;
+        let sampled = rt.phase("sample-edges", |rt| {
+            let reqs: Vec<PlayerRequest> = wave
+                .iter()
+                .map(|&c| incident_sample(rt, c, tuning))
+                .collect();
+            rt.gather_edges_all(reqs)
+        });
+        let closings: Vec<PlayerRequest> = sampled
+            .into_iter()
+            // No vee can exist among fewer than two edges.
+            .filter(|edges| edges.len() >= 2)
+            .map(|edges| PlayerRequest::FindClosingTriangle { edges })
+            .collect();
+        if closings.is_empty() {
+            continue;
         }
         rt.next_round();
-        let found = rt.phase("close-triangle", |rt| {
-            rt.broadcast(PlayerRequest::FindClosingTriangle { edges: sampled })
-                .into_iter()
-                .find_map(|resp| match resp {
-                    Payload::Triangle(Some(t)) => Some(t),
-                    _ => None,
-                })
+        let mut found = None;
+        rt.phase("close-triangle", |rt| {
+            rt.broadcast_each(closings, |row| {
+                if found.is_none() {
+                    found = row.into_iter().find_map(|resp| match resp {
+                        Payload::Triangle(Some(t)) => Some(t),
+                        _ => None,
+                    });
+                }
+            });
         });
-        if let Some(t) = found {
-            return Some(t);
+        if found.is_some() {
+            return found;
         }
     }
     None

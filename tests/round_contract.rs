@@ -3,8 +3,11 @@
 //! `try_broadcast` calls — same payloads, same first fault, same
 //! `CommStats` and the same per-phase/player/round/direction rollups —
 //! under every cost model, whether the transport delivers one request
-//! at a time (`LocalTransport`, `FaultyTransport`) or the whole round
-//! at once (`TcpTransport` over loopback).
+//! at a time (`LocalTransport`, `FaultyTransport`) or a frame of the
+//! round at once (`TcpTransport` over loopback). The same holds for
+//! gathers: `gather_edges_all(reqs)` returns, charges and fails as one
+//! `gather_edges` per request. A round larger than
+//! `MAX_FRAME_REQUESTS` travels as several frames.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -12,10 +15,10 @@ use std::time::Duration;
 use triad::comm::{
     CostModel, FaultPlan, FaultRates, FaultyTransport, LocalTransport, Payload, PlayerRequest,
     PlayerSession, PlayerState, RunError, RunErrorKind, Runtime, ServeConfig, SharedRandomness,
-    SharedTransport, SimMessage, Tally, TcpCoordinator, Transport,
+    SharedTransport, SimMessage, Tally, TcpCoordinator, Transport, MAX_FRAME_REQUESTS,
 };
 use triad::graph::generators::gnp_with_average_degree;
-use triad::graph::partition::random_disjoint;
+use triad::graph::partition::with_duplication;
 use triad::graph::{Edge, VertexId};
 
 use rand::SeedableRng;
@@ -30,54 +33,125 @@ const MODELS: [CostModel; 3] = [
     CostModel::MessagePassing,
 ];
 
+/// Shares with duplicated edges, so the blackboard's dedup of gathered
+/// edges has something to save.
 fn shares() -> Vec<Vec<Edge>> {
     let mut rng = ChaCha8Rng::seed_from_u64(5);
     let g = gnp_with_average_degree(N, 6.0, &mut rng);
-    random_disjoint(&g, K, &mut rng).shares().to_vec()
+    with_duplication(&g, K, 0.4, &mut rng).shares().to_vec()
 }
+
+/// A script: rounds of requests, each sent under its own phase.
+type Script = Vec<(&'static str, Vec<PlayerRequest>)>;
 
 /// Rounds of every shape the protocols send: a guess's degree
 /// experiments, edge-count experiments, a mix of request kinds
-/// (edge-producing ones included), a round of one and an empty round.
-fn script() -> Vec<Vec<PlayerRequest>> {
+/// (edge-producing ones included), a round of one, an empty round and a
+/// round of 300 that travels as several frames.
+fn script() -> Script {
     let v = VertexId(3);
     let e = Edge::new(VertexId(1), VertexId(2));
     vec![
-        (1..=20)
-            .map(|tag| PlayerRequest::SampleHit { v, tag, p: 0.25 })
-            .collect(),
-        (21..=25)
-            .map(|tag| PlayerRequest::GlobalSampleHit { tag, p: 0.05 })
-            .collect(),
-        vec![
-            PlayerRequest::DegreeMsb { v },
-            PlayerRequest::LocalEdgeCount,
-            PlayerRequest::HasEdge(e),
-            PlayerRequest::InducedEdges {
-                tag: 26,
-                p: 0.5,
-                cap: 100,
-            },
-            PlayerRequest::LocalDegree { v },
-        ],
-        vec![PlayerRequest::EdgeCountMsb],
-        Vec::new(),
+        (
+            "experiments",
+            (1..=20)
+                .map(|tag| PlayerRequest::SampleHit { v, tag, p: 0.25 })
+                .collect(),
+        ),
+        (
+            "edge-count",
+            (21..=25)
+                .map(|tag| PlayerRequest::GlobalSampleHit { tag, p: 0.05 })
+                .collect(),
+        ),
+        (
+            "mixed",
+            vec![
+                PlayerRequest::DegreeMsb { v },
+                PlayerRequest::LocalEdgeCount,
+                PlayerRequest::HasEdge(e),
+                PlayerRequest::InducedEdges {
+                    tag: 26,
+                    p: 0.5,
+                    cap: 100,
+                },
+                PlayerRequest::LocalDegree { v },
+            ],
+        ),
+        ("one", vec![PlayerRequest::EdgeCountMsb]),
+        ("empty", Vec::new()),
+        (
+            "large",
+            (0..300u32)
+                .map(|i| PlayerRequest::SampleHit {
+                    v: VertexId(i % N as u32),
+                    tag: 100 + u64::from(i),
+                    p: 0.3,
+                })
+                .collect(),
+        ),
     ]
 }
 
+/// Rounds of edge-producing requests: both kinds mixed, a round of one
+/// and an empty round.
+fn gather_script() -> Script {
+    let incident = |i: u32| PlayerRequest::IncidentEdgesSampled {
+        v: VertexId(i),
+        tag: 40 + u64::from(i),
+        p: 0.7,
+        cap: 5,
+    };
+    vec![
+        (
+            "gather-mixed",
+            (0..8)
+                .map(incident)
+                .chain([PlayerRequest::InducedEdges {
+                    tag: 50,
+                    p: 0.3,
+                    cap: 100,
+                }])
+                .collect(),
+        ),
+        (
+            "gather-one",
+            vec![PlayerRequest::InducedEdges {
+                tag: 51,
+                p: 1.0,
+                cap: 1000,
+            }],
+        ),
+        ("gather-empty", Vec::new()),
+    ]
+}
+
+/// Frames per player that sending `script` round by round takes.
+fn frames_of(script: &Script) -> usize {
+    script
+        .iter()
+        .map(|(_, reqs)| reqs.len().div_ceil(MAX_FRAME_REQUESTS))
+        .sum()
+}
+
+/// Logical requests in `script`.
+fn requests_of(script: &Script) -> usize {
+    script.iter().map(|(_, reqs)| reqs.len()).sum()
+}
+
 type Rows = Vec<Vec<Payload<'static>>>;
+type Unions = Vec<Vec<Edge>>;
 
 /// Runs `round` once per script round, each in its own phase and round
 /// of the recorder, so every rollup has something to compare.
 fn drive<T>(
     rt: &mut Runtime<Tally>,
+    script: Script,
     mut round: impl FnMut(&mut Runtime<Tally>, &[PlayerRequest]) -> T,
 ) -> Vec<T> {
-    const PHASES: [&str; 5] = ["experiments", "edge-count", "mixed", "one", "empty"];
-    script()
+    script
         .iter()
-        .zip(PHASES)
-        .map(|(reqs, phase)| {
+        .map(|(phase, reqs)| {
             let out = rt.phase(phase, |rt| round(rt, reqs));
             rt.next_round();
             out
@@ -87,28 +161,42 @@ fn drive<T>(
 
 /// The round through `broadcast_all`.
 fn as_rounds(rt: &mut Runtime<Tally>) -> Vec<Rows> {
-    drive(rt, |rt, reqs| rt.broadcast_all(reqs))
+    drive(rt, script(), |rt, reqs| rt.broadcast_all(reqs))
 }
 
 /// The same requests through one `broadcast` each.
 fn one_by_one(rt: &mut Runtime<Tally>) -> Vec<Rows> {
-    drive(rt, |rt, reqs| {
+    drive(rt, script(), |rt, reqs| {
         reqs.iter().map(|r| rt.broadcast(r.clone())).collect()
     })
 }
 
 /// The round through `try_broadcast_all`.
 fn try_as_rounds(rt: &mut Runtime<Tally>) -> Vec<Result<Rows, RunError>> {
-    drive(rt, |rt, reqs| rt.try_broadcast_all(reqs))
+    drive(rt, script(), |rt, reqs| rt.try_broadcast_all(reqs))
 }
 
 /// The same requests through one `try_broadcast` each, stopping at the
 /// first failure as the round does.
 fn try_one_by_one(rt: &mut Runtime<Tally>) -> Vec<Result<Rows, RunError>> {
-    drive(rt, |rt, reqs| {
+    drive(rt, script(), |rt, reqs| {
         reqs.iter()
             .map(|r| rt.try_broadcast(r.clone()))
             .collect::<Result<Rows, RunError>>()
+    })
+}
+
+/// The gathers through `gather_edges_all`.
+fn gathers_as_rounds(rt: &mut Runtime<Tally>) -> Vec<Unions> {
+    drive(rt, gather_script(), |rt, reqs| {
+        rt.gather_edges_all(reqs.to_vec())
+    })
+}
+
+/// The same gathers through one `gather_edges` each.
+fn gathers_one_by_one(rt: &mut Runtime<Tally>) -> Vec<Unions> {
+    drive(rt, gather_script(), |rt, reqs| {
+        reqs.iter().map(|r| rt.gather_edges(r.clone())).collect()
     })
 }
 
@@ -156,6 +244,17 @@ fn rounds_match_separate_broadcasts_in_process() {
             "{label}: fallible"
         );
         assert_same_accounting(&format!("{label}, fallible"), &round, &single);
+
+        let mut round = runtime(local(), model);
+        let mut single = runtime(local(), model);
+        let unions = gathers_as_rounds(&mut round);
+        assert_eq!(unions, gathers_one_by_one(&mut single), "{label}: gathers");
+        assert_eq!(round.take_fault(), None, "{label}: gathers");
+        assert_same_accounting(&format!("{label}, gathers"), &round, &single);
+        assert!(
+            unions.iter().flatten().filter(|u| u.len() > 1).count() > 3,
+            "{label}: the gathers return edges"
+        );
     }
 }
 
@@ -168,6 +267,7 @@ fn rounds_match_separate_broadcasts_under_injected_faults() {
     let plan = FaultPlan::new(77, FaultRates::mixed(0.08));
     let mut crashed = 0;
     let mut recovered = 0;
+    let mut gather_crashed = 0;
     for rep in 0..12u32 {
         for model in MODELS {
             let label = format!("rep {rep}, {model:?}");
@@ -197,8 +297,34 @@ fn rounds_match_separate_broadcasts_under_injected_faults() {
                 "{label}: fallible"
             );
             assert_same_accounting(&format!("{label}, fallible"), &round, &single);
+
+            let round_faults = FaultyTransport::new(local(), plan, rep);
+            let round_counters = round_faults.counters();
+            let mut round = runtime(round_faults, model);
+            let single_faults = FaultyTransport::new(local(), plan, rep);
+            let single_counters = single_faults.counters();
+            let mut single = runtime(single_faults, model);
+            assert_eq!(
+                gathers_as_rounds(&mut round),
+                gathers_one_by_one(&mut single),
+                "{label}: gathers"
+            );
+            let fault = round.take_fault();
+            assert_eq!(fault, single.take_fault(), "{label}: gather fault");
+            assert_same_accounting(&format!("{label}, gathers"), &round, &single);
+            assert_eq!(
+                round_counters.snapshot(),
+                single_counters.snapshot(),
+                "{label}: gather faults"
+            );
+            gather_crashed +=
+                usize::from(fault.is_some_and(|f| f.kind() == RunErrorKind::Transport));
         }
     }
+    assert!(
+        gather_crashed > 0,
+        "the plan should crash a player mid-gather"
+    );
     assert!(
         crashed > 0,
         "the plan should crash a player in some repetition"
@@ -264,7 +390,25 @@ fn rounds_over_tcp_match_separate_broadcasts_in_process() {
             "{label}: separate"
         );
         assert_same_accounting(&format!("{label}, separate"), &separate, &single);
-        logical += 3 * script().iter().map(Vec::len).sum::<usize>();
+
+        let mut round = tcp(model);
+        let mut single = runtime(local(), model);
+        assert_eq!(
+            gathers_as_rounds(&mut round),
+            gathers_one_by_one(&mut single),
+            "{label}: gathers"
+        );
+        assert_eq!(round.take_fault(), None, "{label}: gathers");
+        assert_same_accounting(&format!("{label}, gathers"), &round, &single);
+        let mut separate = tcp(model);
+        let mut single = runtime(local(), model);
+        assert_eq!(
+            gathers_one_by_one(&mut separate),
+            gathers_one_by_one(&mut single),
+            "{label}: separate gathers"
+        );
+        assert_same_accounting(&format!("{label}, separate gathers"), &separate, &single);
+        logical += 3 * requests_of(&script()) + 2 * requests_of(&gather_script());
     }
     handle.lock().unwrap().goodbye("done");
     let mut requests = 0;
@@ -280,9 +424,13 @@ fn rounds_over_tcp_match_separate_broadcasts_in_process() {
         K * logical,
         "every logical request was answered once"
     );
-    // Two of the three passes send one frame per non-empty round; the
-    // one-by-one pass sends one frame per request.
-    let rounds = script().iter().filter(|r| !r.is_empty()).count();
-    let singles = script().iter().map(Vec::len).sum::<usize>();
-    assert_eq!(frames as usize, K * MODELS.len() * (2 * rounds + singles));
+    // A round pass sends ⌈len / MAX_FRAME_REQUESTS⌉ frames per round
+    // (three for the round of 300); a one-by-one pass sends one frame
+    // per request.
+    assert_eq!(script().iter().map(|(_, reqs)| reqs.len()).max(), Some(300));
+    let per_model = 2 * frames_of(&script())
+        + requests_of(&script())
+        + frames_of(&gather_script())
+        + requests_of(&gather_script());
+    assert_eq!(frames as usize, K * MODELS.len() * per_model);
 }

@@ -260,15 +260,35 @@ fn collect_and_referee(
     Ok((TestOutcome::from(output), stats))
 }
 
-/// Parses a `--session-file` left by a previous incarnation of this
-/// player: one line, `{slot} {nonce}`. Anything unreadable or malformed
-/// is treated as no credential (the client registers fresh).
+/// The longest `--session-file` read: twice the longest text `connect`
+/// writes, `"{u32} {u64}\n"` (32 bytes).
+const MAX_SESSION_FILE: u64 = 64;
+
+/// The `--session-file` text for a claim on `slot` with `nonce`: what
+/// `connect` writes, and the only text it accepts back.
+fn session_claim_text(slot: u32, nonce: u64) -> String {
+    format!("{slot} {nonce}\n")
+}
+
+/// Reads a `--session-file` left by a previous incarnation of this
+/// player. Anything unreadable, longer than [`MAX_SESSION_FILE`], or not
+/// exactly what [`session_claim_text`] writes is treated as no
+/// credential (the client registers fresh).
 fn read_session_claim(path: &std::path::Path) -> Option<ResumeClaim> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut fields = text.split_whitespace();
-    let slot = fields.next()?.parse().ok()?;
-    let nonce = fields.next()?.parse().ok()?;
-    Some(ResumeClaim {
+    use std::io::Read;
+    let mut bytes = Vec::new();
+    let mut file = std::fs::File::open(path).ok()?.take(MAX_SESSION_FILE);
+    file.read_to_end(&mut bytes).ok()?;
+    parse_session_claim(&bytes)
+}
+
+/// Parses exactly the text [`session_claim_text`] writes for some claim
+/// (at most 32 bytes).
+fn parse_session_claim(bytes: &[u8]) -> Option<ResumeClaim> {
+    let text = std::str::from_utf8(bytes).ok()?;
+    let (slot, nonce) = text.strip_suffix('\n')?.split_once(' ')?;
+    let (slot, nonce) = (slot.parse().ok()?, nonce.parse().ok()?);
+    (session_claim_text(slot, nonce) == text).then_some(ResumeClaim {
         slot,
         nonce,
         // A relaunched process has no request log; replay is driven by
@@ -325,7 +345,7 @@ pub fn connect(args: &ArgMap) -> Result<String, CliError> {
     let w = session.welcome().clone();
     if let Some(path) = &session_file {
         if w.resume_nonce != 0 {
-            std::fs::write(path, format!("{} {}\n", w.player, w.resume_nonce))?;
+            std::fs::write(path, session_claim_text(w.player, w.resume_nonce))?;
         }
     }
     let path = format!("{prefix}.{}", w.player);
@@ -429,4 +449,116 @@ fn sim_closure(w: &triad_comm::Welcome) -> Result<SimResponder, CliError> {
             ))))
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_claim_shape_round_trips() {
+        for slot in [0, 1, 7, 4096, u32::MAX] {
+            for nonce in [0, 1, 0x5EED, u64::from(u32::MAX) + 1, u64::MAX] {
+                let text = session_claim_text(slot, nonce);
+                let claim = parse_session_claim(text.as_bytes()).expect("a written claim parses");
+                assert_eq!(
+                    (claim.slot, claim.nonce, claim.last_acked),
+                    (slot, nonce, 0)
+                );
+            }
+        }
+        let longest = session_claim_text(u32::MAX, u64::MAX);
+        assert_eq!(longest.len(), 32);
+        assert!(longest.len() as u64 <= MAX_SESSION_FILE);
+    }
+
+    #[test]
+    fn text_connect_never_writes_is_no_credential() {
+        for text in [
+            "3 5 junk\n",
+            "3 5",
+            " 3 5\n",
+            "3  5\n",
+            "3 5 \n",
+            "3\t5\n",
+            "3 5\r\n",
+            "3 5\n\n",
+            "+3 5\n",
+            "03 5\n",
+            "3 05\n",
+            "-3 5\n",
+            "4294967296 5\n",
+            "3 18446744073709551616\n",
+            "3\n",
+            "\n",
+            "",
+        ] {
+            assert!(
+                parse_session_claim(text.as_bytes()).is_none(),
+                "accepted {text:?}"
+            );
+        }
+        let long = format!("3 5\n{}", " ".repeat(MAX_SESSION_FILE as usize));
+        assert!(parse_session_claim(long.as_bytes()).is_none());
+    }
+
+    #[test]
+    fn a_session_file_is_read_only_up_to_its_bound() {
+        let dir = std::env::temp_dir().join(format!("triad-session-claim-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("session.0");
+        std::fs::write(&path, session_claim_text(2, 99)).unwrap();
+        let claim = read_session_claim(&path).expect("a written claim reads back");
+        assert_eq!((claim.slot, claim.nonce), (2, 99));
+        // A valid claim followed by enough padding to pass the bound.
+        let padded = format!("2 99\n{}", "0".repeat(MAX_SESSION_FILE as usize));
+        std::fs::write(&path, padded).unwrap();
+        assert!(read_session_claim(&path).is_none());
+        assert!(read_session_claim(&dir.join("missing")).is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+        // An endless file ends the read at the bound.
+        let endless = std::path::Path::new("/dev/zero");
+        if endless.exists() {
+            assert!(read_session_claim(endless).is_none());
+        }
+    }
+
+    #[test]
+    fn every_accepted_mutation_re_encodes_to_itself() {
+        let mut state = 0x5E55_1011_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            triad_comm::mix64(state)
+        };
+        let alphabet = b"0123456789 \n+-x\t";
+        let mut accepted = 0;
+        for case in 0..20_000u64 {
+            let slot = [0, 1, 42, u32::MAX][(next() % 4) as usize];
+            let nonce = [0, 7, 1 << 40, u64::MAX][(next() % 4) as usize];
+            let mut bytes = session_claim_text(slot, nonce).into_bytes();
+            for _ in 0..1 + next() % 3 {
+                let at = (next() % (bytes.len() as u64 + 1)) as usize;
+                let byte = alphabet[(next() % alphabet.len() as u64) as usize];
+                match next() % 3 {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.insert(at, byte),
+                }
+            }
+            if let Some(claim) = parse_session_claim(&bytes) {
+                accepted += 1;
+                assert_eq!(
+                    session_claim_text(claim.slot, claim.nonce).as_bytes(),
+                    &bytes[..],
+                    "case {case}: accepted text does not re-encode to itself"
+                );
+            }
+        }
+        assert!(
+            accepted > 100,
+            "the mutations should keep some claims valid"
+        );
+    }
 }

@@ -1153,7 +1153,7 @@ mod tests {
             .try_deliver_round(&round)
             .expect("tcp delivers rounds")
             .into_iter()
-            .map(|a| a.unwrap().into_iter().map(|f| f.into_payload()).collect())
+            .map(Result::unwrap)
             .collect();
         assert_eq!(
             answers,

@@ -6,12 +6,13 @@
 //! treats message loss as first-class. This module makes faults *measurable*: a
 //! [`FaultPlan`] decides, reproducibly per `(seed, rep, player,
 //! request-index)`, whether a delivery is dropped, delayed, duplicated,
-//! corrupted, or whether the player crashes outright; a
-//! [`FaultyTransport`] decorator injects those decisions under any inner
-//! [`Transport`]. Corruption is detected by checksummed payload framing
-//! ([`Framed`]), and recovery cost is charged to the active recorder
-//! under the [`RETRANSMIT_LABEL`] label so chaos runs stay honest about
-//! `CC(Π)` (see `docs/FAULTS.md`).
+//! corrupted, or whether the player crashes outright. The
+//! [`Runtime`](crate::runtime::Runtime) draws those decisions before
+//! every delivery attempt, over any transport
+//! ([`Runtime::with_faults`](crate::runtime::Runtime::with_faults)), and
+//! charges recovery traffic to the active recorder under the
+//! [`RETRANSMIT_LABEL`] label so chaos runs stay honest about `CC(Π)`
+//! (see `docs/FAULTS.md`).
 //!
 //! Determinism guarantee: every fault decision is a pure function of the
 //! plan seed and the delivery coordinates. Re-running the same plan over
@@ -22,17 +23,15 @@ use crate::message::Payload;
 use crate::player::PlayerState;
 use crate::rand::{mix64, SharedRandomness};
 use crate::recorder::Recorder;
-use crate::runtime::{RunError, Transport, TransportError};
+use crate::runtime::{RunError, TransportError};
 use crate::simultaneous::{SimMessage, SimRun, SimultaneousProtocol};
 use crate::transcript::{CommStats, Direction};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use triad_graph::{Edge, VertexId};
 
 /// Label (and phase) under which all fault-recovery traffic is charged:
-/// retransmitted requests, duplicate deliveries, and garbled responses
-/// that crossed the wire before their checksum failed. Recorders roll it
-/// up via [`Recorder::retransmit_bits`].
+/// retransmitted requests, duplicate deliveries, and garbled responses,
+/// all of which crossed the wire. Recorders roll it up via
+/// [`Recorder::retransmit_bits`].
 pub const RETRANSMIT_LABEL: &str = "retransmit";
 
 /// The kinds of injectable faults.
@@ -46,8 +45,8 @@ pub enum FaultKind {
     /// The response is delivered twice; the extra copy is charged as
     /// retransmitted bits.
     Duplicate,
-    /// The response payload is bit-flipped in flight; the checksum frame
-    /// detects it on arrival.
+    /// The response payload is bit-flipped in flight; the attempt fails
+    /// with [`RunError::Corrupt`].
     Corrupt,
     /// The player crashes and stays dead for the rest of the run.
     Crash,
@@ -127,8 +126,8 @@ impl FaultPlan {
         FaultPlan { seed, rates }
     }
 
-    /// The fault-free plan (rate 0 everywhere): decorating a transport
-    /// with it is byte-identical to not decorating at all.
+    /// The fault-free plan (rate 0 everywhere): a runtime under it is
+    /// byte-identical to one without a plan.
     pub fn fault_free(seed: u64) -> Self {
         FaultPlan::new(seed, FaultRates::none())
     }
@@ -240,160 +239,6 @@ impl FaultStats {
     }
 }
 
-/// Shared atomic fault counters: a [`FaultyTransport`] moves into a
-/// `Box<dyn Transport>` inside the runtime, so callers keep a handle to
-/// its counters through this cloneable cell instead.
-#[derive(Debug, Default)]
-pub struct FaultCounters {
-    drops: AtomicU64,
-    corruptions: AtomicU64,
-    duplicates: AtomicU64,
-    delays: AtomicU64,
-    crashes: AtomicU64,
-}
-
-impl FaultCounters {
-    fn bump(&self, kind: FaultKind) {
-        let slot = match kind {
-            FaultKind::Drop => &self.drops,
-            FaultKind::Corrupt => &self.corruptions,
-            FaultKind::Duplicate => &self.duplicates,
-            FaultKind::Delay => &self.delays,
-            FaultKind::Crash => &self.crashes,
-        };
-        slot.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> FaultStats {
-        FaultStats {
-            drops: self.drops.load(Ordering::Relaxed),
-            corruptions: self.corruptions.load(Ordering::Relaxed),
-            duplicates: self.duplicates.load(Ordering::Relaxed),
-            delays: self.delays.load(Ordering::Relaxed),
-            crashes: self.crashes.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A checksum-framed payload: what a transport actually puts on the
-/// wire. The checksum is computed sender-side over the payload content;
-/// the coordinator verifies on arrival, so in-flight corruption is
-/// detected instead of silently mis-parsed. `deliveries > 1` models a
-/// duplicated delivery (the extra copies are charged as retransmitted
-/// bits but handed to the protocol once).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Framed {
-    payload: Payload<'static>,
-    checksum: u64,
-    deliveries: u32,
-    delayed: bool,
-}
-
-impl Framed {
-    /// Frames an honest payload: checksum matches, one delivery.
-    pub fn seal(payload: Payload<'static>) -> Self {
-        let checksum = checksum_payload(&payload);
-        Framed {
-            payload,
-            checksum,
-            deliveries: 1,
-            delayed: false,
-        }
-    }
-
-    /// Whether the payload still matches its sender-side checksum.
-    pub fn verify(&self) -> bool {
-        checksum_payload(&self.payload) == self.checksum
-    }
-
-    /// The framed payload (possibly corrupted; check [`verify`] first).
-    ///
-    /// [`verify`]: Self::verify
-    pub fn payload(&self) -> &Payload<'static> {
-        &self.payload
-    }
-
-    /// Unwraps the payload.
-    pub fn into_payload(self) -> Payload<'static> {
-        self.payload
-    }
-
-    /// How many times this frame was delivered (≥ 1).
-    pub fn deliveries(&self) -> u32 {
-        self.deliveries
-    }
-
-    /// Whether the frame arrived late (within deadline).
-    pub fn delayed(&self) -> bool {
-        self.delayed
-    }
-
-    /// Replaces the payload *without* updating the checksum — the
-    /// fault injector's model of in-flight corruption.
-    pub fn tamper(&mut self, garbled: Payload<'static>) {
-        self.payload = garbled;
-    }
-
-    /// Marks the frame as delivered `extra` additional times.
-    pub fn duplicate(&mut self, extra: u32) {
-        self.deliveries += extra;
-    }
-
-    /// Marks the frame as delayed.
-    pub fn mark_delayed(&mut self) {
-        self.delayed = true;
-    }
-}
-
-fn fold(acc: u64, x: u64) -> u64 {
-    mix64(acc ^ x.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-/// A 64-bit checksum over a payload's content (variant tag + values),
-/// independent of ownership and of `n`. Collision-resistant enough for
-/// fault *detection* (this is framing, not cryptography).
-pub fn checksum_payload(p: &Payload<'_>) -> u64 {
-    match p {
-        Payload::Empty => fold(1, 0),
-        Payload::Bit(b) => fold(2, u64::from(*b)),
-        Payload::Bits(v, w) => fold(fold(3, *v), u64::from(*w)),
-        Payload::Count(c) => fold(4, *c),
-        Payload::Vertex(o) => match o {
-            None => fold(5, 0),
-            Some(v) => fold(5, 1 + u64::from(v.0)),
-        },
-        Payload::Vertices(vs) => vs
-            .iter()
-            .fold(fold(6, vs.len() as u64), |a, v| fold(a, u64::from(v.0))),
-        Payload::Edge(o) => match o {
-            None => fold(7, 0),
-            Some(e) => fold(fold(7, 1 + u64::from(e.u().0)), u64::from(e.v().0)),
-        },
-        Payload::Edges(es) => es.iter().fold(fold(8, es.len() as u64), |a, e| {
-            fold(fold(a, u64::from(e.u().0)), u64::from(e.v().0))
-        }),
-        // Folded over the canonical edge iteration, so the checksum is
-        // independent of which rows happen to be sparse or dense — but
-        // the leading tag keeps it distinct from an `Edges` payload
-        // holding the same set (a representation flip is corruption).
-        Payload::EdgeBits(set) => set.edges().fold(fold(11, set.len() as u64), |a, e| {
-            fold(fold(a, u64::from(e.u().0)), u64::from(e.v().0))
-        }),
-        Payload::Triangle(o) => match o {
-            None => fold(9, 0),
-            Some(t) => {
-                let [a, b, c] = t.vertices();
-                fold(
-                    fold(fold(9, 1 + u64::from(a.0)), u64::from(b.0)),
-                    u64::from(c.0),
-                )
-            }
-        },
-        Payload::Probability(p) => fold(10, p.to_bits()),
-    }
-}
-
 /// Flips one endpoint bit of `e`, avoiding the self-loop that
 /// `Edge::new` rejects.
 fn flip_edge(e: Edge) -> Edge {
@@ -407,10 +252,9 @@ fn flip_edge(e: Edge) -> Edge {
 }
 
 /// Deterministically garbles a payload — the model of in-flight
-/// bit-flips. The result always differs from the input under
-/// [`checksum_payload`], so a [`Framed::verify`] on the tampered frame
-/// fails. Corrupted payloads never reach protocol logic: the runtime
-/// verifies the frame before handing the payload on.
+/// bit-flips. The result always differs from the input. Corrupted
+/// payloads never reach protocol logic: the runtime bills the garbled
+/// response and fails the attempt with [`RunError::Corrupt`].
 pub fn corrupt_payload(p: Payload<'static>, salt: u64) -> Payload<'static> {
     match p {
         Payload::Empty => Payload::Bit(true),
@@ -474,112 +318,45 @@ pub fn corrupt_payload(p: Payload<'static>, salt: u64) -> Payload<'static> {
     }
 }
 
-/// A [`Transport`] decorator injecting the faults a [`FaultPlan`]
-/// schedules. Crashed players stay crashed for the rest of the run;
-/// every other fault is per-delivery. Deterministic: the i-th delivery
-/// to player `j` is faulted identically on every replay.
-///
-/// # Example
-///
-/// Wrapping any inner transport (here a [`LocalTransport`][lt]; a
-/// [`TcpTransport`][tt] works identically — that is the TCP conformance
-/// suite) and driving it through a [`Runtime`](crate::runtime::Runtime).
-/// Keep the [`counters`](Self::counters) handle: the transport itself
-/// moves into the runtime.
-///
-/// ```
-/// use triad_comm::fault::{FaultPlan, FaultRates, FaultyTransport};
-/// use triad_comm::{
-///     CostModel, LocalTransport, PlayerRequest, Runtime, SharedRandomness,
-/// };
-/// use triad_graph::{Edge, VertexId};
-///
-/// let e = |a, b| Edge::new(VertexId(a), VertexId(b));
-/// let shares = vec![vec![e(0, 1)], vec![e(1, 2)]];
-/// let shared = SharedRandomness::new(7);
-/// let inner = LocalTransport::new(3, &shares, shared);
-/// let faulty = FaultyTransport::new(inner, FaultPlan::new(1, FaultRates::mixed(0.5)), 0);
-/// let stats = faulty.counters();
-/// let mut rt = Runtime::new(Box::new(faulty), 3, shared, CostModel::Coordinator);
-/// for _ in 0..16 {
-///     rt.request(0, PlayerRequest::LocalEdgeCount);
-/// }
-/// // Either a fault was injected (and counted) or the run stayed clean;
-/// // an unrecovered one is parked on the runtime, never panicked.
-/// let injected = stats.snapshot().total();
-/// let _ = rt.take_fault();
-/// assert!(injected > 0, "a 50% mixed rate over 16 deliveries injects something");
-/// ```
-///
-/// [lt]: crate::runtime::LocalTransport
-/// [tt]: crate::runtime::TcpTransport
+/// The faults a [`FaultPlan`] schedules for one repetition, drawn one
+/// delivery attempt at a time: each player's attempts are numbered in
+/// the order they are made, so the i-th attempt to player `j` meets the
+/// same fault on every replay and over every transport. Crashed players
+/// stay crashed for the rest of the run.
 #[derive(Debug)]
-pub struct FaultyTransport<T> {
-    inner: T,
+pub(crate) struct FaultInjector {
     plan: FaultPlan,
     rep: u32,
-    counters: Vec<u64>,
+    next: Vec<u64>,
     crashed: Vec<bool>,
-    stats: Arc<FaultCounters>,
+    /// The faults injected so far.
+    pub(crate) stats: FaultStats,
 }
 
-impl<T: Transport> FaultyTransport<T> {
-    /// Decorates `inner` with the faults `plan` schedules for
-    /// repetition `rep`.
-    pub fn new(inner: T, plan: FaultPlan, rep: u32) -> Self {
-        let k = inner.k();
-        FaultyTransport {
-            inner,
+impl FaultInjector {
+    /// The schedule `plan` draws for repetition `rep` over `k` players.
+    pub(crate) fn new(plan: FaultPlan, rep: u32, k: usize) -> Self {
+        FaultInjector {
             plan,
             rep,
-            counters: vec![0; k],
+            next: vec![0; k],
             crashed: vec![false; k],
-            stats: Arc::new(FaultCounters::default()),
+            stats: FaultStats::default(),
         }
     }
 
-    /// A handle to the injected-fault counters that outlives the
-    /// transport's move into the runtime.
-    pub fn counters(&self) -> Arc<FaultCounters> {
-        Arc::clone(&self.stats)
-    }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: Transport> Transport for FaultyTransport<T> {
-    fn k(&self) -> usize {
-        self.inner.k()
-    }
-
-    fn try_deliver(
-        &mut self,
-        player: usize,
-        req: &crate::request::PlayerRequest,
-    ) -> Result<Payload<'static>, RunError> {
-        let framed = self.try_deliver_framed(player, req)?;
-        if framed.verify() {
-            Ok(framed.into_payload())
-        } else {
-            Err(RunError::Corrupt { player })
-        }
-    }
-
-    fn try_deliver_framed(
-        &mut self,
-        player: usize,
-        req: &crate::request::PlayerRequest,
-    ) -> Result<Framed, RunError> {
+    /// Draws the fault of the next delivery attempt to `player`. A drop
+    /// or a crash is counted here and fails the attempt; once `player`
+    /// has crashed, every attempt to it fails uncounted. Any other fault
+    /// comes back with its corruption salt, to act on the response, and
+    /// is counted by [`arrived`](Self::arrived) when the response does.
+    pub(crate) fn draw(&mut self, player: usize) -> Result<Option<(FaultKind, u64)>, RunError> {
         if self.crashed[player] {
             return Err(RunError::Transport(TransportError { player }));
         }
-        let idx = self.counters[player];
-        self.counters[player] += 1;
-        let fault = self.plan.fault_at(self.rep, player, idx);
-        match fault {
+        let idx = self.next[player];
+        self.next[player] += 1;
+        match self.plan.fault_at(self.rep, player, idx) {
             Some(FaultKind::Drop) => {
                 self.stats.bump(FaultKind::Drop);
                 Err(RunError::Timeout { player })
@@ -589,32 +366,13 @@ impl<T: Transport> Transport for FaultyTransport<T> {
                 self.crashed[player] = true;
                 Err(RunError::Transport(TransportError { player }))
             }
-            _ => {
-                let mut framed = self.inner.try_deliver_framed(player, req)?;
-                match fault {
-                    Some(FaultKind::Corrupt) => {
-                        self.stats.bump(FaultKind::Corrupt);
-                        let salt = self.plan.corruption_salt(self.rep, player, idx);
-                        let garbled = corrupt_payload(framed.payload().clone(), salt);
-                        framed.tamper(garbled);
-                    }
-                    Some(FaultKind::Duplicate) => {
-                        self.stats.bump(FaultKind::Duplicate);
-                        framed.duplicate(1);
-                    }
-                    Some(FaultKind::Delay) => {
-                        self.stats.bump(FaultKind::Delay);
-                        framed.mark_delayed();
-                    }
-                    _ => {}
-                }
-                Ok(framed)
-            }
+            fault => Ok(fault.map(|kind| (kind, self.plan.corruption_salt(self.rep, player, idx)))),
         }
     }
 
-    fn adopt_shared(&mut self, shared: SharedRandomness) {
-        self.inner.adopt_shared(shared);
+    /// Counts a drawn fault whose response arrived.
+    pub(crate) fn arrived(&mut self, kind: FaultKind) {
+        self.stats.bump(kind);
     }
 }
 
@@ -657,43 +415,29 @@ pub fn run_simultaneous_chaos<P: SimultaneousProtocol, R: Recorder>(
         .iter()
         .map(|p| protocol.message(p, &shared))
         .collect();
-    let mut injected = FaultStats::default();
+    let mut injector = FaultInjector::new(*plan, rep, players.len());
     let mut fault: Option<RunError> = None;
     let mut duplicated: Vec<usize> = Vec::new();
-    for (j, m) in messages.iter().enumerate() {
-        match plan.fault_at(rep, j, 0) {
-            Some(FaultKind::Drop) => {
-                injected.bump(FaultKind::Drop);
-                fault.get_or_insert(RunError::Timeout { player: j });
+    for j in 0..messages.len() {
+        match injector.draw(j) {
+            Err(e) => {
+                fault.get_or_insert(e);
             }
-            Some(FaultKind::Crash) => {
-                injected.bump(FaultKind::Crash);
-                fault.get_or_insert(RunError::Transport(TransportError { player: j }));
-            }
-            Some(FaultKind::Corrupt) => {
-                injected.bump(FaultKind::Corrupt);
-                // Exercise the framing machinery: the garbled first
-                // payload must fail verification.
-                if let Some(p) = m.payloads().first() {
-                    let mut frame = Framed::seal(p.clone().into_owned());
-                    frame.tamper(corrupt_payload(
-                        p.clone().into_owned(),
-                        plan.corruption_salt(rep, j, 0),
-                    ));
-                    debug_assert!(!frame.verify(), "tampered frame must fail verification");
+            Ok(Some((kind, _))) => {
+                // Every message is sent, so a drawn fault always arrives.
+                injector.arrived(kind);
+                match kind {
+                    FaultKind::Corrupt => {
+                        fault.get_or_insert(RunError::Corrupt { player: j });
+                    }
+                    FaultKind::Duplicate => duplicated.push(j),
+                    _ => {}
                 }
-                fault.get_or_insert(RunError::Corrupt { player: j });
             }
-            Some(FaultKind::Duplicate) => {
-                injected.bump(FaultKind::Duplicate);
-                duplicated.push(j);
-            }
-            Some(FaultKind::Delay) => {
-                injected.bump(FaultKind::Delay);
-            }
-            None => {}
+            Ok(None) => {}
         }
     }
+    let injected = injector.stats;
     if fault.is_some() {
         // The referee cannot decide; the messages are paid for anyway.
         let run = crate::simultaneous::charge(n, &messages, None);
@@ -732,7 +476,7 @@ pub fn run_simultaneous_chaos<P: SimultaneousProtocol, R: Recorder>(
 mod tests {
     use super::*;
     use crate::request::PlayerRequest;
-    use crate::runtime::LocalTransport;
+    use crate::runtime::{CostModel, Runtime, DEFAULT_RETRY_BUDGET};
 
     fn e(a: u32, b: u32) -> Edge {
         Edge::new(VertexId(a), VertexId(b))
@@ -768,7 +512,7 @@ mod tests {
     }
 
     #[test]
-    fn checksum_detects_every_corruption() {
+    fn corrupt_payload_always_changes_the_payload() {
         let payloads: Vec<Payload<'static>> = vec![
             Payload::Empty,
             Payload::Bit(true),
@@ -811,114 +555,139 @@ mod tests {
             for salt in [0u64, 1, 17, u64::MAX] {
                 let garbled = corrupt_payload(p.clone(), salt);
                 assert_ne!(
-                    checksum_payload(&p),
-                    checksum_payload(&garbled),
-                    "corruption of {p:?} (salt {salt}) must change the checksum"
+                    garbled, p,
+                    "corruption of {p:?} (salt {salt}) must change it"
                 );
-                let mut frame = Framed::seal(p.clone());
-                assert!(frame.verify());
-                frame.tamper(garbled);
-                assert!(!frame.verify());
             }
         }
     }
 
+    /// A coordinator-model runtime over `shares` (n = 3) under `rates`.
+    fn faulted(shares: &[Vec<Edge>], rates: FaultRates) -> Runtime {
+        Runtime::local(3, shares, SharedRandomness::new(3), CostModel::Coordinator)
+            .with_faults(FaultPlan::new(5, rates), 0)
+    }
+
     #[test]
-    fn faulty_transport_at_rate_zero_is_transparent() {
+    fn a_fault_free_plan_is_transparent() {
         let shares = vec![vec![e(0, 1)], vec![e(1, 2)]];
-        let shared = SharedRandomness::new(3);
-        let mut plain = LocalTransport::new(3, &shares, shared);
-        let mut faulty = FaultyTransport::new(
-            LocalTransport::new(3, &shares, shared),
-            FaultPlan::fault_free(1),
-            0,
-        );
+        let mut plain =
+            Runtime::local(3, &shares, SharedRandomness::new(3), CostModel::Coordinator);
+        let mut rt = faulted(&shares, FaultRates::none());
         for req in [
             PlayerRequest::LocalEdgeCount,
             PlayerRequest::HasEdge(e(0, 1)),
         ] {
             for j in 0..2 {
-                assert_eq!(
-                    plain.try_deliver(j, &req).unwrap(),
-                    faulty.try_deliver(j, &req).unwrap()
-                );
+                assert_eq!(plain.request(j, req.clone()), rt.request(j, req.clone()));
             }
+            assert_eq!(plain.broadcast(req.clone()), rt.broadcast(req));
         }
-        assert_eq!(faulty.counters().snapshot(), FaultStats::default());
+        assert_eq!(rt.take_fault(), None);
+        assert_eq!(rt.stats(), plain.stats());
+        let (got, want) = (rt.recorder().tally(), plain.recorder().tally());
+        assert_eq!(got.by_phase(), want.by_phase());
+        assert_eq!(got.by_player(), want.by_player());
+        assert_eq!(got.by_round(), want.by_round());
+        assert_eq!(got.by_direction(), want.by_direction());
+        assert_eq!(rt.injected(), FaultStats::default());
     }
 
     #[test]
-    fn crash_is_sticky_and_drop_is_timeout() {
+    fn a_crash_is_sticky_and_a_drop_times_out_unbilled() {
         let shares = vec![vec![e(0, 1)]];
-        let shared = SharedRandomness::new(3);
-        // Crash with probability 1 on every delivery.
-        let crash_all = FaultPlan::new(
-            5,
+        let req = PlayerRequest::LocalEdgeCount;
+        let req_bits = req.bit_len(3).get();
+        let mut rt = faulted(
+            &shares,
             FaultRates {
                 crash: 1.0,
                 ..FaultRates::default()
             },
         );
-        let mut t = FaultyTransport::new(LocalTransport::new(3, &shares, shared), crash_all, 0);
-        let err = t
-            .try_deliver(0, &PlayerRequest::LocalEdgeCount)
-            .unwrap_err();
+        let err = rt.try_request(0, req.clone()).unwrap_err();
         assert!(matches!(err, RunError::Transport(_)), "{err:?}");
-        // Stays dead even though the plan is consulted per delivery.
-        let err = t
-            .try_deliver(0, &PlayerRequest::LocalEdgeCount)
-            .unwrap_err();
+        // Stays dead though the plan is drawn per attempt; neither
+        // request is retried, and the crash is counted once.
+        let err = rt.try_request(0, req.clone()).unwrap_err();
         assert!(matches!(err, RunError::Transport(_)), "{err:?}");
-        assert_eq!(t.counters().snapshot().crashes, 1, "crash injected once");
+        let crashes = FaultStats {
+            crashes: 1,
+            ..FaultStats::default()
+        };
+        assert_eq!(rt.injected(), crashes);
+        assert_eq!(rt.stats().total_bits, 2 * req_bits);
+        assert_eq!(rt.recorder().retransmit_bits(), 0);
 
-        let drop_all = FaultPlan::new(5, FaultRates::omission(1.0));
-        let mut t = FaultyTransport::new(LocalTransport::new(3, &shares, shared), drop_all, 0);
-        let err = t
-            .try_deliver(0, &PlayerRequest::LocalEdgeCount)
-            .unwrap_err();
+        let mut rt = faulted(&shares, FaultRates::omission(1.0));
+        let err = rt.try_request(0, req).unwrap_err();
         assert_eq!(err, RunError::Timeout { player: 0 });
+        let drops = FaultStats {
+            drops: u64::from(DEFAULT_RETRY_BUDGET) + 1,
+            ..FaultStats::default()
+        };
+        assert_eq!(rt.injected(), drops);
+        // No retry was delivered, so only the first copy is billed.
+        assert_eq!(rt.stats().total_bits, req_bits);
+        assert_eq!(rt.recorder().retransmit_bits(), 0);
     }
 
     #[test]
-    fn corruption_surfaces_as_corrupt_error() {
+    fn corruption_is_billed_and_surfaces_as_corrupt() {
         let shares = vec![vec![e(0, 1), e(1, 2)]];
-        let shared = SharedRandomness::new(3);
-        let corrupt_all = FaultPlan::new(
-            5,
-            FaultRates {
-                corrupt: 1.0,
-                ..FaultRates::default()
-            },
-        );
-        let mut t = FaultyTransport::new(LocalTransport::new(3, &shares, shared), corrupt_all, 0);
-        let err = t
-            .try_deliver(0, &PlayerRequest::LocalEdgeCount)
-            .unwrap_err();
+        let rates = FaultRates {
+            corrupt: 1.0,
+            ..FaultRates::default()
+        };
+        let req = PlayerRequest::LocalEdgeCount;
+        let mut rt = faulted(&shares, rates);
+        let err = rt.try_request(0, req.clone()).unwrap_err();
         assert_eq!(err, RunError::Corrupt { player: 0 });
-        // The framed path hands back the garbled frame for inspection.
-        let frame = t
-            .try_deliver_framed(0, &PlayerRequest::LocalEdgeCount)
-            .unwrap();
-        assert!(!frame.verify());
+        let attempts = u64::from(DEFAULT_RETRY_BUDGET) + 1;
+        let corruptions = FaultStats {
+            corruptions: attempts,
+            ..FaultStats::default()
+        };
+        assert_eq!(rt.injected(), corruptions);
+        // Each garbled response crossed the wire, and so did each retry
+        // that brought one back.
+        let plan = FaultPlan::new(5, rates);
+        let garbled: u64 = (0..attempts)
+            .map(|i| corrupt_payload(Payload::Count(2), plan.corruption_salt(0, 0, i)))
+            .map(|p| p.bit_len(3).get())
+            .sum();
+        let resent = (attempts - 1) * req.bit_len(3).get();
+        assert_eq!(rt.recorder().retransmit_bits(), garbled + resent);
+        assert_eq!(
+            rt.stats().total_bits,
+            req.bit_len(3).get() + garbled + resent
+        );
     }
 
     #[test]
-    fn duplicate_marks_extra_delivery() {
+    fn a_duplicate_is_handed_on_once_and_billed_once_more() {
         let shares = vec![vec![e(0, 1)]];
-        let shared = SharedRandomness::new(3);
-        let dup_all = FaultPlan::new(
-            5,
+        let mut plain =
+            Runtime::local(3, &shares, SharedRandomness::new(3), CostModel::Coordinator);
+        let mut rt = faulted(
+            &shares,
             FaultRates {
                 duplicate: 1.0,
                 ..FaultRates::default()
             },
         );
-        let mut t = FaultyTransport::new(LocalTransport::new(3, &shares, shared), dup_all, 0);
-        let frame = t
-            .try_deliver_framed(0, &PlayerRequest::LocalEdgeCount)
-            .unwrap();
-        assert_eq!(frame.deliveries(), 2);
-        assert!(frame.verify());
+        let req = PlayerRequest::LocalEdgeCount;
+        let resp = rt.try_request(0, req.clone()).unwrap();
+        assert_eq!(resp, plain.request(0, req));
+        let duplicates = FaultStats {
+            duplicates: 1,
+            ..FaultStats::default()
+        };
+        assert_eq!(rt.injected(), duplicates);
+        let extra = resp.bit_len(3).get();
+        assert_eq!(rt.recorder().retransmit_bits(), extra);
+        assert_eq!(rt.stats().total_bits, plain.stats().total_bits + extra);
+        assert_eq!(rt.stats().messages, plain.stats().messages + 1);
     }
 
     #[test]

@@ -68,8 +68,8 @@ pub use daemon::{
     TcpCoordinator, ACCEPT_POLL_INTERVAL,
 };
 pub use fault::{
-    checksum_payload, corrupt_payload, run_simultaneous_chaos, FaultCounters, FaultKind, FaultPlan,
-    FaultRates, FaultStats, FaultyTransport, Framed, SimChaos, RETRANSMIT_LABEL,
+    corrupt_payload, run_simultaneous_chaos, FaultKind, FaultPlan, FaultRates, FaultStats,
+    SimChaos, RETRANSMIT_LABEL,
 };
 pub use message::{Payload, PayloadEdges, PayloadRepr};
 pub use oneway::{run_one_way, OneWayProtocol, OneWayRun};

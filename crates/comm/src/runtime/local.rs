@@ -94,11 +94,11 @@ mod tests {
         let mut t = LocalTransport::new(3, &[vec![e01], vec![e12]], shared);
         assert_eq!(t.k(), 2);
         assert_eq!(
-            t.deliver(0, &PlayerRequest::HasEdge(e01)),
+            t.try_deliver(0, &PlayerRequest::HasEdge(e01)).unwrap(),
             Payload::Bit(true)
         );
         assert_eq!(
-            t.deliver(1, &PlayerRequest::HasEdge(e01)),
+            t.try_deliver(1, &PlayerRequest::HasEdge(e01)).unwrap(),
             Payload::Bit(false)
         );
         assert_eq!(t.players()[1].edge_count(), 1);

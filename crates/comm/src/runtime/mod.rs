@@ -20,6 +20,7 @@ pub use local::LocalTransport;
 pub use tcp::{SharedTransport, TcpTransport, DEFAULT_NET_TIMEOUT};
 
 use crate::bits::{bits_for_count, bits_per_edge, BitCost};
+use crate::fault::{corrupt_payload, FaultInjector, FaultKind, FaultPlan, FaultStats};
 use crate::message::Payload;
 use crate::rand::SharedRandomness;
 use crate::recorder::Recorder;
@@ -173,10 +174,9 @@ impl From<TransportError> for RunError {
 /// path instead, where messages never cross an ownership boundary.
 ///
 /// Delivery is fallible by design — [`try_deliver`](Self::try_deliver)
-/// is the required method — because even the in-process transport can be
-/// decorated with injected faults ([`crate::fault::FaultyTransport`]).
-/// The panicking [`deliver`](Self::deliver) convenience survives for
-/// tests only.
+/// is the required method — because a real channel can fail. Injected
+/// faults are not a transport's business: the runtime draws them before
+/// each attempt ([`Runtime::with_faults`]).
 ///
 /// # Example
 ///
@@ -233,46 +233,23 @@ pub trait Transport: Send {
         player: usize,
         req: &PlayerRequest,
     ) -> Result<Payload<'static>, RunError>;
-    /// Checksum-framed delivery: what the runtime actually uses, so
-    /// duplicate deliveries and in-flight corruption are observable.
-    /// The default seals an honest [`try_deliver`](Self::try_deliver)
-    /// response; fault-injecting transports override it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_deliver`](Self::try_deliver) failures.
-    fn try_deliver_framed(
-        &mut self,
-        player: usize,
-        req: &PlayerRequest,
-    ) -> Result<crate::fault::Framed, RunError> {
-        Ok(crate::fault::Framed::seal(self.try_deliver(player, req)?))
-    }
     /// Delivers one round of independent requests to every player at
-    /// once: for each player in order, the framed answers to every
-    /// request of `reqs`, in request order, or the failure that cut the
-    /// player's round short. The runtime charges, retries and classifies
-    /// each (request, player) exchange exactly as it would a separate
-    /// delivery, so a round changes how requests travel, never what they
-    /// cost.
+    /// once: for each player in order, the answers to every request of
+    /// `reqs`, in request order, or the failure that cut the player's
+    /// round short. The runtime charges, retries and classifies each
+    /// (request, player) exchange exactly as it would a separate
+    /// delivery, and draws injected faults in the order it consumes the
+    /// answers, so a round changes how requests travel, never what they
+    /// cost or which faults they meet.
     ///
     /// The default returns `None`: this transport delivers one request
-    /// at a time, and the runtime calls
-    /// [`try_deliver_framed`](Self::try_deliver_framed) request by
-    /// request, players in order. Fault-injecting transports keep that
-    /// order, because their schedule is drawn per logical request.
+    /// at a time, and the runtime calls [`try_deliver`](Self::try_deliver)
+    /// request by request, players in order.
     fn try_deliver_round(
         &mut self,
         _reqs: &[PlayerRequest],
-    ) -> Option<Vec<Result<Vec<crate::fault::Framed>, RunError>>> {
+    ) -> Option<Vec<Result<Vec<Payload<'static>>, RunError>>> {
         None
-    }
-    /// Infallible delivery for tests and trusted harness code: panics on
-    /// any delivery failure. Production paths go through
-    /// [`try_deliver`](Self::try_deliver).
-    fn deliver(&mut self, player: usize, req: &PlayerRequest) -> Payload<'static> {
-        self.try_deliver(player, req)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
     /// Switches every player to a new shared-randomness seed (Newman's
     /// conversion). Default: unsupported, panics — implement on
@@ -293,6 +270,7 @@ pub struct Runtime<R: Recorder = Transcript> {
     cost_model: CostModel,
     tag_counter: u64,
     fault: Option<RunError>,
+    faults: Option<FaultInjector>,
 }
 
 /// Number of retries per delivery for retryable faults (timeouts,
@@ -356,7 +334,40 @@ impl<R: Recorder> Runtime<R> {
             cost_model,
             tag_counter: 0,
             fault: None,
+            faults: None,
         }
+    }
+
+    /// Injects the faults `plan` schedules for repetition `rep`, over
+    /// any transport: each delivery attempt draws its fault before it is
+    /// made, retryable faults are retried within the
+    /// [budget](DEFAULT_RETRY_BUDGET), and recovery traffic is billed
+    /// under [`RETRANSMIT_LABEL`](crate::fault::RETRANSMIT_LABEL).
+    ///
+    /// ```
+    /// use triad_comm::{CostModel, FaultPlan, FaultRates, PlayerRequest, Runtime, SharedRandomness};
+    /// use triad_graph::{Edge, VertexId};
+    ///
+    /// let shares = vec![vec![Edge::new(VertexId(0), VertexId(1))], vec![]];
+    /// let mut rt = Runtime::local(3, &shares, SharedRandomness::new(7), CostModel::Coordinator)
+    ///     .with_faults(FaultPlan::new(1, FaultRates::mixed(0.5)), 0);
+    /// for _ in 0..16 {
+    ///     rt.request(0, PlayerRequest::LocalEdgeCount);
+    /// }
+    /// // A 50% mixed rate over 16 requests injects something, and the
+    /// // unrecovered fault is parked on the runtime, never panicked.
+    /// assert!(rt.injected().total() > 0);
+    /// assert!(rt.take_fault().is_some());
+    /// ```
+    pub fn with_faults(mut self, plan: FaultPlan, rep: u32) -> Self {
+        self.faults = Some(FaultInjector::new(plan, rep, self.k()));
+        self
+    }
+
+    /// The faults injected so far, recovered ones included; all zero
+    /// without a plan.
+    pub fn injected(&self) -> FaultStats {
+        self.faults.as_ref().map(|f| f.stats).unwrap_or_default()
     }
 
     /// The first unrecovered delivery failure, if any. A faulted runtime
@@ -495,21 +506,21 @@ impl<R: Recorder> Runtime<R> {
         }
     }
 
-    /// One framed delivery with bounded retry. The caller has already
-    /// charged the first copy of the request; this method charges only
+    /// One delivery with bounded retry. The caller has already charged
+    /// the first copy of the request; this method charges only
     /// fault-recovery traffic — retransmitted requests, duplicate
     /// deliveries, and garbled responses that crossed the wire — under
-    /// [`crate::fault::RETRANSMIT_LABEL`]. On a fault-free transport it
+    /// [`crate::fault::RETRANSMIT_LABEL`]. Without injected faults it
     /// records nothing, so the fast path is byte-identical to the
     /// pre-fault-layer accounting.
     ///
     /// Only *delivered* retransmissions are charged: a retried request is
-    /// accounted for when a subsequent attempt produces a frame (delivered
-    /// or garbled), never when the exchange ultimately dies with
-    /// [`RunError::Timeout`] or another terminal fault. A request the
+    /// accounted for when a subsequent attempt produces a response
+    /// (delivered or garbled), never when the exchange ultimately dies
+    /// with [`RunError::Timeout`] or another terminal fault. A request the
     /// network swallowed whole cost the protocol nothing measurable, and
     /// charging it inflated chaos-mode rollups relative to the
-    /// [`FaultStats`](crate::FaultStats) injection counts.
+    /// [`FaultStats`] injection counts.
     ///
     /// `first` is the outcome of a first attempt the transport already
     /// made as part of a round; retries always go one request at a time.
@@ -518,23 +529,19 @@ impl<R: Recorder> Runtime<R> {
         player: usize,
         req: &PlayerRequest,
         ovh: BitCost,
-        mut first: Option<Result<crate::fault::Framed, RunError>>,
+        mut first: Option<Result<Payload<'static>, RunError>>,
     ) -> Result<Payload<'static>, RunError> {
         use crate::fault::RETRANSMIT_LABEL;
         let mut attempts = 0u32;
         // Retried requests whose delivery outcome is not yet known.
         let mut pending_retransmits = 0u32;
         loop {
-            let attempt = match first.take() {
-                Some(attempt) => attempt,
-                None => self.transport.try_deliver_framed(player, req),
-            };
-            let err = match attempt {
-                Ok(framed) => {
-                    // A frame came back, so every retransmitted copy of
-                    // the request that led here reached the player.
+            let err = match self.attempt(player, req, first.take()) {
+                Ok((resp, fault)) => {
+                    // A response came back, so every retransmitted copy
+                    // of the request that led here reached the player.
                     let req_bits = req.bit_len(self.n) + ovh;
-                    for _ in 0..pending_retransmits {
+                    for _ in 0..std::mem::take(&mut pending_retransmits) {
                         self.recorder.record(
                             Some(player),
                             Direction::ToPlayer,
@@ -542,29 +549,27 @@ impl<R: Recorder> Runtime<R> {
                             RETRANSMIT_LABEL,
                         );
                     }
-                    pending_retransmits = 0;
-                    let resp_bits = framed.payload().bit_len(self.n) + ovh;
-                    for _ in 1..framed.deliveries() {
-                        // Extra copies of a duplicated delivery crossed
-                        // the wire too: charged, handed on once.
-                        self.recorder.record(
-                            Some(player),
-                            Direction::ToCoordinator,
-                            resp_bits,
-                            RETRANSMIT_LABEL,
-                        );
-                    }
-                    if framed.verify() {
-                        return Ok(framed.into_payload());
-                    }
-                    // A corrupted response still consumed bandwidth.
+                    // A duplicate's extra copy and a garbled response
+                    // crossed the wire too: charged, and the duplicate
+                    // handed on once.
+                    let (bits, out) = match fault {
+                        Some((FaultKind::Duplicate, _)) => (resp.bit_len(self.n), Ok(resp)),
+                        Some((FaultKind::Corrupt, salt)) => (
+                            corrupt_payload(resp, salt).bit_len(self.n),
+                            Err(RunError::Corrupt { player }),
+                        ),
+                        _ => return Ok(resp),
+                    };
                     self.recorder.record(
                         Some(player),
                         Direction::ToCoordinator,
-                        resp_bits,
+                        bits + ovh,
                         RETRANSMIT_LABEL,
                     );
-                    RunError::Corrupt { player }
+                    match out {
+                        Ok(resp) => return Ok(resp),
+                        Err(e) => e,
+                    }
                 }
                 Err(e) => e,
             };
@@ -576,6 +581,27 @@ impl<R: Recorder> Runtime<R> {
             attempts += 1;
             pending_retransmits += 1;
         }
+    }
+
+    /// One delivery attempt: draws its injected fault, then delivers `req`
+    /// or takes `first`, the answer a round already brought. A drop or a
+    /// crash fails the attempt, discarding that answer; any other fault
+    /// comes back with the response it acts on.
+    fn attempt(
+        &mut self,
+        player: usize,
+        req: &PlayerRequest,
+        first: Option<Result<Payload<'static>, RunError>>,
+    ) -> Result<(Payload<'static>, Option<(FaultKind, u64)>), RunError> {
+        let fault = match &mut self.faults {
+            Some(faults) => faults.draw(player)?,
+            None => None,
+        };
+        let resp = first.unwrap_or_else(|| self.transport.try_deliver(player, req))?;
+        if let (Some(faults), Some((kind, _))) = (&mut self.faults, fault) {
+            faults.arrived(kind);
+        }
+        Ok((resp, fault))
     }
 
     /// Charges one coordinator message addressed to every player: once
@@ -688,7 +714,7 @@ impl<R: Recorder> Runtime<R> {
     }
 
     /// Sends the same request to every player: the round of one (see
-    /// [`try_broadcast_all`](Self::try_broadcast_all)).
+    /// [`broadcast_each`](Self::broadcast_each)).
     ///
     /// Charging: under [`CostModel::Coordinator`] the request is paid `k`
     /// times (one private channel each); under [`CostModel::Blackboard`]
@@ -724,8 +750,9 @@ impl<R: Recorder> Runtime<R> {
         }
     }
 
-    /// Sends one round of independent requests to every player and
-    /// returns one row of `k` responses per request.
+    /// Sends one round of independent requests to every player and hands
+    /// each request's row of `k` responses to `row_done` as soon as it is
+    /// complete, in request order.
     ///
     /// The round charges exactly what `reqs.len()` separate
     /// [`try_broadcast`](Self::try_broadcast) calls charge, request by
@@ -736,42 +763,12 @@ impl<R: Recorder> Runtime<R> {
     /// delivers a frame at once supplies each exchange's first attempt;
     /// retries go one request at a time.
     ///
-    /// # Errors
-    ///
-    /// Returns the first unrecovered [`RunError`]; what was gathered
-    /// before it stays charged, and nothing after it is charged.
-    pub fn try_broadcast_all(
-        &mut self,
-        reqs: &[PlayerRequest],
-    ) -> Result<Vec<Vec<Payload<'static>>>, RunError> {
-        let mut rows = Vec::with_capacity(reqs.len());
-        let fault = self.round(
-            &mut reqs.iter().cloned(),
-            &mut Rows::new(self.n, |row| rows.push(row)),
-        );
-        match fault {
-            None => Ok(rows),
-            Some(err) => Err(err),
-        }
-    }
-
-    /// Infallible [`try_broadcast_all`](Self::try_broadcast_all): an
-    /// unrecovered fault poisons the runtime; the rows gathered before it
-    /// keep their payloads and the rest degrade to `k` empty payloads
-    /// each, as separate [`broadcast`](Self::broadcast) calls would.
-    pub fn broadcast_all(&mut self, reqs: &[PlayerRequest]) -> Vec<Vec<Payload<'static>>> {
-        let mut rows = Vec::with_capacity(reqs.len());
-        self.broadcast_each(reqs.iter().cloned(), |row| rows.push(row));
-        rows
-    }
-
-    /// [`broadcast_all`](Self::broadcast_all) without collecting: hands
-    /// each request's row of `k` responses to `row_done` as soon as it
-    /// is complete, in request order, and builds each frame's requests
-    /// only when the frame is sent. A round of any size therefore holds
-    /// at most one frame of requests and one row at a time. After an
-    /// unrecovered fault the runtime is poisoned and every row not yet
-    /// handed over is `k` empty payloads.
+    /// Each frame's requests are built only when the frame is sent, so a
+    /// round of any size holds at most one frame of requests and one row
+    /// at a time. An unrecovered fault poisons the runtime (see
+    /// [`fault`](Self::fault)): what was gathered before it stays
+    /// charged, nothing after it is charged, and every row not yet handed
+    /// over is `k` empty payloads.
     pub fn broadcast_each<I>(&mut self, reqs: I, mut row_done: impl FnMut(Vec<Payload<'static>>))
     where
         I: IntoIterator<Item = PlayerRequest>,
@@ -824,7 +821,7 @@ impl<R: Recorder> Runtime<R> {
                     let mut answers = answers.into_iter();
                     (0..k)
                         .map(|j| match answers.next() {
-                            Some(Ok(framed)) if framed.len() == len => Ok(framed.into_iter()),
+                            Some(Ok(payloads)) if payloads.len() == len => Ok(payloads.into_iter()),
                             Some(Err(e)) => Err(e),
                             _ => Err(RunError::Aborted {
                                 reason: format!(
@@ -839,7 +836,7 @@ impl<R: Recorder> Runtime<R> {
                 self.charge_to_every_player(req.bit_len(self.n) + ovh, label);
                 for j in 0..k {
                     let first = delivered.as_mut().map(|answers| match &mut answers[j] {
-                        Ok(framed) => Ok(framed.next().expect("one answer per request")),
+                        Ok(payloads) => Ok(payloads.next().expect("one answer per request")),
                         Err(e) => Err(e.clone()),
                     });
                     match self.exchange(j, req, ovh, first) {
@@ -1161,7 +1158,7 @@ mod tests {
         shape: F,
     }
 
-    type Answers = Result<Vec<crate::fault::Framed>, RunError>;
+    type Answers = Result<Vec<Payload<'static>>, RunError>;
 
     impl<F: FnMut(usize, Answers) -> Answers + Send> Transport for Rounds<F> {
         fn k(&self) -> usize {
@@ -1180,10 +1177,7 @@ mod tests {
             Some(
                 (0..self.k())
                     .map(|j| {
-                        let answers = reqs
-                            .iter()
-                            .map(|r| self.inner.try_deliver_framed(j, r))
-                            .collect();
+                        let answers = reqs.iter().map(|r| self.inner.try_deliver(j, r)).collect();
                         (self.shape)(j, answers)
                     })
                     .collect(),
@@ -1209,19 +1203,20 @@ mod tests {
             let transport = Rounds {
                 inner: LocalTransport::new(4, &shares(), shared),
                 shape: move |j, answers: Answers| match (j, answers) {
-                    (1, Ok(mut framed)) if drop_or_add => {
-                        framed.pop();
-                        Ok(framed)
+                    (1, Ok(mut payloads)) if drop_or_add => {
+                        payloads.pop();
+                        Ok(payloads)
                     }
-                    (1, Ok(mut framed)) => {
-                        framed.push(crate::fault::Framed::seal(Payload::Empty));
-                        Ok(framed)
+                    (1, Ok(mut payloads)) => {
+                        payloads.push(Payload::Empty);
+                        Ok(payloads)
                     }
                     (_, answers) => answers,
                 },
             };
             let mut rt = Runtime::new(Box::new(transport), 4, shared, CostModel::Coordinator);
-            let err = rt.try_broadcast_all(&round_reqs()).unwrap_err();
+            rt.broadcast_each(round_reqs(), |_| {});
+            let err = rt.take_fault().expect("the round faults");
             assert_eq!(err.kind(), RunErrorKind::Aborted);
             assert!(err.to_string().contains("player 1"), "{err}");
             // Player 0's first answer was charged before player 1's failed.
@@ -1256,7 +1251,9 @@ mod tests {
             },
         };
         let mut rt = Runtime::new(Box::new(transport), 4, shared, CostModel::Coordinator);
-        let rows = rt.try_broadcast_all(&round_reqs()).unwrap();
+        let mut rows = Vec::new();
+        rt.broadcast_each(round_reqs(), |row| rows.push(row));
+        assert_eq!(rt.take_fault(), None);
         let mut separate = Runtime::local(4, &shares(), shared, CostModel::Coordinator);
         let want: Vec<_> = round_reqs()
             .into_iter()

@@ -21,7 +21,6 @@
 //! (protocol, seed, k).
 
 use crate::daemon::{SessionHost, ACCEPT_POLL_INTERVAL};
-use crate::fault::Framed;
 use crate::message::Payload;
 use crate::rand::SharedRandomness;
 use crate::request::PlayerRequest;
@@ -530,7 +529,7 @@ impl Transport for TcpTransport {
     fn try_deliver_round(
         &mut self,
         reqs: &[PlayerRequest],
-    ) -> Option<Vec<Result<Vec<Framed>, RunError>>> {
+    ) -> Option<Vec<Result<Vec<Payload<'static>>, RunError>>> {
         if self.pending_fault.is_some() {
             return None;
         }
@@ -557,7 +556,7 @@ impl Transport for TcpTransport {
         }
         let mut out = Vec::with_capacity(sent.len());
         for (player, sent) in sent.into_iter().enumerate() {
-            let answers = match sent {
+            out.push(match sent {
                 Some(Ok(id)) => {
                     let first = self
                         .active(player)
@@ -572,8 +571,7 @@ impl Transport for TcpTransport {
                 }
                 Some(Err(e)) => Err(e),
                 None => self.replay_batch(player, reqs),
-            };
-            out.push(answers.map(|answers| answers.into_iter().map(Framed::seal).collect()));
+            });
         }
         Some(out)
     }
@@ -632,12 +630,11 @@ impl Transport for TcpTransport {
 /// [`Runtime`](crate::runtime::Runtime) consumes its transport as
 /// `Box<dyn Transport>`, which would strand a [`TcpTransport`]'s
 /// connections inside the finished runtime — no way to send the final
-/// [`goodbye`](TcpTransport::goodbye) or inspect fault counters.
+/// [`goodbye`](TcpTransport::goodbye).
 /// `SharedTransport` keeps the inner transport behind an
 /// `Arc<Mutex<…>>`: hand one clone to the runtime, keep the `Arc`.
-/// All trait methods delegate — including `try_deliver_framed`, so a
-/// wrapped fault-injecting transport keeps its override, and
-/// `try_deliver_round`, so a wrapped [`TcpTransport`] keeps its rounds.
+/// All trait methods delegate — including `try_deliver_round`, so a
+/// wrapped [`TcpTransport`] keeps its rounds.
 pub struct SharedTransport<T: Transport> {
     inner: Arc<Mutex<T>>,
 }
@@ -674,18 +671,10 @@ impl<T: Transport> Transport for SharedTransport<T> {
         self.lock().try_deliver(player, req)
     }
 
-    fn try_deliver_framed(
-        &mut self,
-        player: usize,
-        req: &PlayerRequest,
-    ) -> Result<Framed, RunError> {
-        self.lock().try_deliver_framed(player, req)
-    }
-
     fn try_deliver_round(
         &mut self,
         reqs: &[PlayerRequest],
-    ) -> Option<Vec<Result<Vec<Framed>, RunError>>> {
+    ) -> Option<Vec<Result<Vec<Payload<'static>>, RunError>>> {
         self.lock().try_deliver_round(reqs)
     }
 
@@ -823,14 +812,7 @@ mod tests {
         let round = t
             .try_deliver_round(&sample_round(2))
             .expect("tcp delivers rounds");
-        let answers: Vec<_> = round
-            .into_iter()
-            .next()
-            .unwrap()
-            .unwrap()
-            .into_iter()
-            .map(Framed::into_payload)
-            .collect();
+        let answers = round.into_iter().next().unwrap().unwrap();
         assert_eq!(answers, vec![Payload::Bit(true); 2]);
         drop(server.join().unwrap());
     }
@@ -896,12 +878,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind(), RunErrorKind::Transport);
         assert!(!err.is_retryable());
-        // The panicking convenience names the dead player too.
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            t.deliver(0, &PlayerRequest::LocalEdgeCount)
-        }));
-        let msg = *caught.unwrap_err().downcast::<String>().unwrap();
-        assert!(msg.contains("player 0"), "{msg}");
+        assert_eq!(err.player(), Some(0));
     }
 
     #[test]

@@ -71,9 +71,8 @@ const FRAME_PREALLOC_BYTES: usize = 64 << 10;
 pub const MAX_BITSET_VERTICES: u32 = 1 << 20;
 
 /// Checksum of a byte string: a [`mix64`] fold over 8-byte chunks with
-/// the length mixed in last — the same diffusion family as
-/// [`checksum_payload`](crate::fault::checksum_payload), applied to wire
-/// bytes instead of payload structure.
+/// the length mixed in last. It is what catches a frame corrupted on a
+/// real connection.
 pub fn checksum_bytes(bytes: &[u8]) -> u64 {
     let mut h = 0x5452_4941_4457_4952u64; // "TRIADWIR"
     for chunk in bytes.chunks(8) {

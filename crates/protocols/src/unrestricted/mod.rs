@@ -28,10 +28,7 @@ use crate::amplify::{PreparedInput, Repeatable};
 use crate::blocks;
 use crate::config::Tuning;
 use crate::outcome::{ProtocolError, ProtocolRun, Rep, TestOutcome};
-use triad_comm::{
-    CostModel, FaultPlan, FaultStats, FaultyTransport, LocalTransport, Recorder, Runtime,
-    SharedRandomness, Transport,
-};
+use triad_comm::{CostModel, FaultPlan, LocalTransport, Recorder, Runtime, SharedRandomness};
 use triad_graph::buckets;
 use triad_graph::partition::Partition;
 use triad_graph::Graph;
@@ -138,11 +135,11 @@ impl UnrestrictedTester {
 
     /// The one body behind [`run`](Self::run) and
     /// [`Repeatable::run_prepared`]: a runtime over the prepared players,
-    /// recording into any recorder. With a fault plan the local
-    /// transport is wrapped in a [`FaultyTransport`]; the runtime
-    /// retries retryable delivery faults (charged under
-    /// [`triad_comm::RETRANSMIT_LABEL`]) and an unrecovered one poisons
-    /// it, which the repetition reports as its fault.
+    /// recording into any recorder. With a fault plan the runtime
+    /// injects its faults ([`Runtime::with_faults`]), retries retryable
+    /// ones (charged under [`triad_comm::RETRANSMIT_LABEL`]) and an
+    /// unrecovered one poisons it, which the repetition reports as its
+    /// fault.
     pub(crate) fn run_recorded<R: Recorder>(
         &self,
         input: &PreparedInput<'_>,
@@ -151,17 +148,13 @@ impl UnrestrictedTester {
     ) -> Rep<R> {
         let shared = SharedRandomness::new(seed);
         let local = LocalTransport::from_shared(input.shared_players(), shared);
-        let (transport, counters): (Box<dyn Transport>, _) = match faults {
-            None => (Box::new(local), None),
-            Some((plan, rep)) => {
-                let faulty = FaultyTransport::new(local, *plan, rep);
-                let counters = faulty.counters();
-                (Box::new(faulty), Some(counters))
-            }
-        };
-        let mut rt = Runtime::<R>::new_with(transport, input.n(), shared, self.cost_model);
+        let mut rt = Runtime::<R>::new_with(Box::new(local), input.n(), shared, self.cost_model);
+        if let Some((plan, rep)) = faults {
+            rt = rt.with_faults(*plan, rep);
+        }
         let outcome = self.run_on(&mut rt);
         let fault = rt.take_fault();
+        let injected = rt.injected();
         Rep {
             run: ProtocolRun {
                 outcome,
@@ -169,7 +162,7 @@ impl UnrestrictedTester {
                 transcript: rt.into_recorder(),
             },
             fault,
-            injected: counters.map_or_else(FaultStats::default, |c| c.snapshot()),
+            injected,
         }
     }
 

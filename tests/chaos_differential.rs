@@ -12,6 +12,10 @@
 //!    or an explicit `Inconclusive`, but never the *opposite* verdict:
 //!    a reported triangle always exists, and a lost quorum never decays
 //!    into an accept.
+//!
+//! The quick chaos matrix is also pinned byte for byte
+//! (`tests/data/BENCH_chaos_quick.json`), so any moved fault, retry or
+//! retransmit bill fails here.
 
 use proptest::prelude::*;
 use triad::comm::pool::Pool;
@@ -348,4 +352,26 @@ fn bitset_frame_corruption_is_typed_and_never_flips() {
             }
         });
     }
+}
+
+/// The quick chaos matrix (no reconnect rows) is byte-identical to the
+/// checked-in golden: every injected fault, failure and retransmitted
+/// bit of its nine cells, on the multi-round and the one-round path.
+#[test]
+fn bench_chaos_quick_json_matches_golden() {
+    let cells = triad_bench::chaos::chaos_suite(triad_bench::experiments::Scale::Quick);
+    let dir = std::env::temp_dir().join(format!("triad-chaos-quick-{}", std::process::id()));
+    let path = triad_bench::chaos::write_chaos_json(&dir, &cells, &[]).unwrap();
+    let fresh = std::fs::read(&path).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let golden = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/BENCH_chaos_quick.json"
+    ))
+    .expect("golden BENCH_chaos_quick.json is checked in");
+    assert_eq!(
+        String::from_utf8(fresh).unwrap(),
+        String::from_utf8(golden).unwrap(),
+        "BENCH_chaos.json bytes drifted from the quick golden"
+    );
 }

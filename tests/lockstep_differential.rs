@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use triad::comm::{
-    CostModel, Framed, LocalTransport, Payload, PayloadRepr, PlayerRequest, RunError, Runtime,
+    CostModel, LocalTransport, Payload, PayloadRepr, PlayerRequest, RunError, Runtime,
     SharedRandomness, Tally, Transport,
 };
 use triad::graph::generators::far_graph;
@@ -88,7 +88,7 @@ impl Transport for Counting {
     fn try_deliver_round(
         &mut self,
         reqs: &[PlayerRequest],
-    ) -> Option<Vec<Result<Vec<Framed>, RunError>>> {
+    ) -> Option<Vec<Result<Vec<Payload<'static>>, RunError>>> {
         let mut census = self.census.lock().unwrap();
         for frames in &mut census.frames {
             *frames += 1;
@@ -99,11 +99,7 @@ impl Transport for Counting {
         drop(census);
         Some(
             (0..self.k())
-                .map(|j| {
-                    reqs.iter()
-                        .map(|r| self.inner.try_deliver_framed(j, r))
-                        .collect()
-                })
+                .map(|j| reqs.iter().map(|r| self.inner.try_deliver(j, r)).collect())
                 .collect(),
         )
     }

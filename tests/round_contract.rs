@@ -1,11 +1,13 @@
-//! The broadcast round's contract: `Runtime::try_broadcast_all(reqs)`
+//! The broadcast round's contract: `Runtime::broadcast_each(reqs, ..)`
 //! answers, charges and fails exactly as `reqs.len()` separate
-//! `try_broadcast` calls — same payloads, same first fault, same
+//! `broadcast` calls — same payloads, same first fault, same
 //! `CommStats` and the same per-phase/player/round/direction rollups —
 //! under every cost model, whether the transport delivers one request
-//! at a time (`LocalTransport`, `FaultyTransport`) or a frame of the
-//! round at once (`TcpTransport` over loopback). The same holds for
-//! gathers: `gather_edges_all(reqs)` returns, charges and fails as one
+//! at a time (`LocalTransport`) or a frame of the round at once
+//! (`TcpTransport` over loopback, or an in-process transport that
+//! answers whole frames). Under injected faults the round meets the same
+//! faults as the separate requests. The same holds for gathers:
+//! `gather_edges_all(reqs)` returns, charges and fails as one
 //! `gather_edges` per request. A round larger than
 //! `MAX_FRAME_REQUESTS` travels as several frames.
 
@@ -13,9 +15,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use triad::comm::{
-    CostModel, FaultPlan, FaultRates, FaultyTransport, LocalTransport, Payload, PlayerRequest,
-    PlayerSession, PlayerState, RunError, RunErrorKind, Runtime, ServeConfig, SharedRandomness,
-    SharedTransport, SimMessage, Tally, TcpCoordinator, Transport, MAX_FRAME_REQUESTS,
+    CostModel, FaultPlan, FaultRates, LocalTransport, Payload, PlayerRequest, PlayerSession,
+    PlayerState, RunError, RunErrorKind, Runtime, ServeConfig, SharedRandomness, SharedTransport,
+    SimMessage, Tally, TcpCoordinator, Transport, MAX_FRAME_REQUESTS,
 };
 use triad::graph::generators::gnp_with_average_degree;
 use triad::graph::partition::with_duplication;
@@ -159,30 +161,19 @@ fn drive<T>(
         .collect()
 }
 
-/// The round through `broadcast_all`.
+/// The round through `broadcast_each`.
 fn as_rounds(rt: &mut Runtime<Tally>) -> Vec<Rows> {
-    drive(rt, script(), |rt, reqs| rt.broadcast_all(reqs))
+    drive(rt, script(), |rt, reqs| {
+        let mut rows = Vec::new();
+        rt.broadcast_each(reqs.to_vec(), |row| rows.push(row));
+        rows
+    })
 }
 
 /// The same requests through one `broadcast` each.
 fn one_by_one(rt: &mut Runtime<Tally>) -> Vec<Rows> {
     drive(rt, script(), |rt, reqs| {
         reqs.iter().map(|r| rt.broadcast(r.clone())).collect()
-    })
-}
-
-/// The round through `try_broadcast_all`.
-fn try_as_rounds(rt: &mut Runtime<Tally>) -> Vec<Result<Rows, RunError>> {
-    drive(rt, script(), |rt, reqs| rt.try_broadcast_all(reqs))
-}
-
-/// The same requests through one `try_broadcast` each, stopping at the
-/// first failure as the round does.
-fn try_one_by_one(rt: &mut Runtime<Tally>) -> Vec<Result<Rows, RunError>> {
-    drive(rt, script(), |rt, reqs| {
-        reqs.iter()
-            .map(|r| rt.try_broadcast(r.clone()))
-            .collect::<Result<Rows, RunError>>()
     })
 }
 
@@ -221,6 +212,36 @@ fn local() -> LocalTransport {
     LocalTransport::new(N, &shares(), SharedRandomness::new(SEED))
 }
 
+/// A local transport that answers each frame of a round at once, as
+/// `TcpTransport` does.
+struct InRounds(LocalTransport);
+
+impl Transport for InRounds {
+    fn k(&self) -> usize {
+        self.0.k()
+    }
+
+    fn try_deliver(
+        &mut self,
+        player: usize,
+        req: &PlayerRequest,
+    ) -> Result<Payload<'static>, RunError> {
+        self.0.try_deliver(player, req)
+    }
+
+    fn try_deliver_round(
+        &mut self,
+        reqs: &[PlayerRequest],
+    ) -> Option<Vec<Result<Vec<Payload<'static>>, RunError>>> {
+        let k = self.k();
+        Some(
+            (0..k)
+                .map(|j| reqs.iter().map(|r| self.0.try_deliver(j, r)).collect())
+                .collect(),
+        )
+    }
+}
+
 #[test]
 fn rounds_match_separate_broadcasts_in_process() {
     for model in MODELS {
@@ -235,15 +256,6 @@ fn rounds_match_separate_broadcasts_in_process() {
             round.stats().total_bits > 0,
             "{label}: the script communicates"
         );
-
-        let mut round = runtime(local(), model);
-        let mut single = runtime(local(), model);
-        assert_eq!(
-            try_as_rounds(&mut round),
-            try_one_by_one(&mut single),
-            "{label}: fallible"
-        );
-        assert_same_accounting(&format!("{label}, fallible"), &round, &single);
 
         let mut round = runtime(local(), model);
         let mut single = runtime(local(), model);
@@ -262,8 +274,10 @@ fn rounds_match_separate_broadcasts_in_process() {
 fn rounds_match_separate_broadcasts_under_injected_faults() {
     // A crash-bearing mixed rate: drops, corruptions and duplicates are
     // retried and charged as retransmits, crashes end the round. The
-    // fault schedule is drawn per logical request, so the round must
-    // hit the same faults at the same requests as separate broadcasts.
+    // runtime draws the fault schedule per player and attempt, in the
+    // order it consumes answers, so a round answered a frame at once
+    // must hit the same faults at the same requests as separate
+    // broadcasts answered one at a time.
     let plan = FaultPlan::new(77, FaultRates::mixed(0.08));
     let mut crashed = 0;
     let mut recovered = 0;
@@ -271,39 +285,22 @@ fn rounds_match_separate_broadcasts_under_injected_faults() {
     for rep in 0..12u32 {
         for model in MODELS {
             let label = format!("rep {rep}, {model:?}");
-            let round_faults = FaultyTransport::new(local(), plan, rep);
-            let round_counters = round_faults.counters();
-            let mut round = runtime(round_faults, model);
-            let single_faults = FaultyTransport::new(local(), plan, rep);
-            let single_counters = single_faults.counters();
-            let mut single = runtime(single_faults, model);
+            let mut round = runtime(InRounds(local()), model).with_faults(plan, rep);
+            let mut single = runtime(local(), model).with_faults(plan, rep);
             assert_eq!(as_rounds(&mut round), one_by_one(&mut single), "{label}");
             let fault = round.take_fault();
             assert_eq!(fault, single.take_fault(), "{label}: fault");
             assert_same_accounting(&label, &round, &single);
             assert_eq!(
-                round_counters.snapshot(),
-                single_counters.snapshot(),
+                round.injected(),
+                single.injected(),
                 "{label}: injected faults"
             );
             crashed += usize::from(fault.is_some_and(|f| f.kind() == RunErrorKind::Transport));
-            recovered += usize::from(round_counters.snapshot().drops > 0);
+            recovered += usize::from(round.injected().drops > 0);
 
-            let mut round = runtime(FaultyTransport::new(local(), plan, rep), model);
-            let mut single = runtime(FaultyTransport::new(local(), plan, rep), model);
-            assert_eq!(
-                try_as_rounds(&mut round),
-                try_one_by_one(&mut single),
-                "{label}: fallible"
-            );
-            assert_same_accounting(&format!("{label}, fallible"), &round, &single);
-
-            let round_faults = FaultyTransport::new(local(), plan, rep);
-            let round_counters = round_faults.counters();
-            let mut round = runtime(round_faults, model);
-            let single_faults = FaultyTransport::new(local(), plan, rep);
-            let single_counters = single_faults.counters();
-            let mut single = runtime(single_faults, model);
+            let mut round = runtime(InRounds(local()), model).with_faults(plan, rep);
+            let mut single = runtime(local(), model).with_faults(plan, rep);
             assert_eq!(
                 gathers_as_rounds(&mut round),
                 gathers_one_by_one(&mut single),
@@ -313,8 +310,8 @@ fn rounds_match_separate_broadcasts_under_injected_faults() {
             assert_eq!(fault, single.take_fault(), "{label}: gather fault");
             assert_same_accounting(&format!("{label}, gathers"), &round, &single);
             assert_eq!(
-                round_counters.snapshot(),
-                single_counters.snapshot(),
+                round.injected(),
+                single.injected(),
                 "{label}: gather faults"
             );
             gather_crashed +=
@@ -372,15 +369,6 @@ fn rounds_over_tcp_match_separate_broadcasts_in_process() {
         assert_eq!(round.take_fault(), None, "{label}");
         assert_same_accounting(&label, &round, &single);
 
-        let mut round = tcp(model);
-        let mut single = runtime(local(), model);
-        assert_eq!(
-            try_as_rounds(&mut round),
-            try_one_by_one(&mut single),
-            "{label}: fallible"
-        );
-        assert_same_accounting(&format!("{label}, fallible"), &round, &single);
-
         // Separate broadcasts over TCP are rounds of one.
         let mut separate = tcp(model);
         let mut single = runtime(local(), model);
@@ -408,7 +396,7 @@ fn rounds_over_tcp_match_separate_broadcasts_in_process() {
             "{label}: separate gathers"
         );
         assert_same_accounting(&format!("{label}, separate gathers"), &separate, &single);
-        logical += 3 * requests_of(&script()) + 2 * requests_of(&gather_script());
+        logical += 2 * requests_of(&script()) + 2 * requests_of(&gather_script());
     }
     handle.lock().unwrap().goodbye("done");
     let mut requests = 0;
@@ -428,7 +416,7 @@ fn rounds_over_tcp_match_separate_broadcasts_in_process() {
     // (three for the round of 300); a one-by-one pass sends one frame
     // per request.
     assert_eq!(script().iter().map(|(_, reqs)| reqs.len()).max(), Some(300));
-    let per_model = 2 * frames_of(&script())
+    let per_model = frames_of(&script())
         + requests_of(&script())
         + frames_of(&gather_script())
         + requests_of(&gather_script());

@@ -12,9 +12,10 @@
 //!    panic), and the single-run verdict degrades to `Inconclusive`
 //!    exactly as the in-process quorum machinery does. A verdict never
 //!    flips to an accept on a faulted run.
-//! 3. **Chaos conformance** — `FaultyTransport<TcpTransport>` over
-//!    loopback injects the same deterministic fault schedule as
-//!    `FaultyTransport<LocalTransport>` and produces identical
+//! 3. **Chaos conformance** — a runtime with a fault plan
+//!    (`Runtime::with_faults`) over `TcpTransport` on loopback, which
+//!    sends its rounds as batch frames, injects the same deterministic
+//!    fault schedule as the local chaos run and produces identical
 //!    outcomes, stats, and injected-fault counts, repetition by
 //!    repetition.
 
@@ -24,10 +25,10 @@ use std::time::Duration;
 
 use triad::comm::{
     run_simultaneous_collected, run_simultaneous_prepared, ConnectOptions, CostModel, FaultPlan,
-    FaultRates, FaultyTransport, LocalTransport, Payload, PayloadRepr, PlayerRequest,
-    PlayerSession, PlayerState, Recorder, ResumeClaim, RunError, RunErrorKind, Runtime,
-    ServeConfig, SessionOptions, SharedRandomness, SharedTransport, SimMessage,
-    SimultaneousProtocol, Tally, TcpCoordinator, TcpTransport, Transport, Welcome,
+    FaultRates, LocalTransport, Payload, PayloadRepr, PlayerRequest, PlayerSession, PlayerState,
+    Recorder, ResumeClaim, RunError, RunErrorKind, Runtime, ServeConfig, SessionOptions,
+    SharedRandomness, SharedTransport, SimMessage, SimultaneousProtocol, Tally, TcpCoordinator,
+    TcpTransport, Transport, Welcome,
 };
 use triad::graph::generators::gnp_with_average_degree;
 use triad::graph::partition::{random_disjoint, Partition};
@@ -698,10 +699,11 @@ fn window_expiry_degrades_to_inconclusive_and_later_runs_recover() {
 
 #[test]
 fn faulty_tcp_transport_matches_faulty_local_rep_by_rep() {
-    // The chaos harness is the conformance suite: the deterministic
-    // fault schedule is injected *above* the transport, so wrapping the
-    // TCP transport must reproduce the local chaos runs exactly —
-    // verdict, fault, stats, and injected-fault counts, per repetition.
+    // The chaos harness is the conformance suite: the runtime draws the
+    // deterministic fault schedule *above* the transport, in the order
+    // it consumes answers, so a faulted runtime over TCP rounds must
+    // reproduce the local chaos runs exactly — verdict, fault, stats,
+    // and injected-fault counts, per repetition.
     let (g, parts) = workload(200, 3, 9);
     let input = PreparedInput::new(&g, &parts).unwrap();
     let tester = UnrestrictedTester::new(Tuning::practical(0.2));
@@ -715,14 +717,13 @@ fn faulty_tcp_transport_matches_faulty_local_rep_by_rep() {
         let shares = Arc::new(parts.shares().to_vec());
         let cfg = config("unrestricted", 3, g.vertex_count(), seed, 0.2, 6.0);
         let (transport, players) = loopback_transport(&cfg, shares, None);
-        let faulty = FaultyTransport::new(transport, plan, rep);
-        let counters = faulty.counters();
         let mut rt: Runtime<Tally> = Runtime::new_with(
-            Box::new(faulty),
+            Box::new(transport),
             g.vertex_count(),
             SharedRandomness::new(seed),
             CostModel::Coordinator,
-        );
+        )
+        .with_faults(plan, rep);
         let outcome = tester.run_on(&mut rt);
         // Every repetition's fault is compared, including one a witness
         // survived.
@@ -735,7 +736,7 @@ fn faulty_tcp_transport_matches_faulty_local_rep_by_rep() {
         );
         assert_eq!(rt.stats(), reference.run.stats, "rep {rep}: stats");
         assert_eq!(
-            counters.snapshot(),
+            rt.injected(),
             reference.injected,
             "rep {rep}: injected faults"
         );

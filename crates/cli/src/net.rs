@@ -209,9 +209,9 @@ pub fn serve(args: &ArgMap) -> Result<String, CliError> {
 }
 
 /// One simultaneous round over TCP: collect every player's (single)
-/// message, then run the referee locally. Charging happens in the same
-/// `finish` the in-process paths use, so accounting matches
-/// `run_simultaneous_prepared` bit for bit.
+/// message, then run the referee locally. Charging happens in
+/// `run_simultaneous_collected`, which the in-process paths use too, so
+/// accounting matches `run_simultaneous_prepared` bit for bit.
 ///
 /// The wire decoder cannot bound endpoints by `n`, so every gathered
 /// edge is checked here: a remote edge outside `0..n` aborts the run

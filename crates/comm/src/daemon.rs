@@ -20,22 +20,24 @@
 
 use crate::player::PlayerState;
 use crate::rand::{mix64, SharedRandomness};
-use crate::runtime::{CostModel, TcpTransport};
+use crate::runtime::{CostModel, RunError, TcpTransport};
 use crate::simultaneous::SimMessage;
 use crate::wire::{self, ErrorCode, ResumeClaim, Welcome, WireError, WireMessage};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How long the daemon's census and rejoin loops sleep between
-/// non-blocking accept polls. Short enough that a claimant in the
-/// backlog is picked up promptly; long enough not to spin a core.
+/// How long the daemon's one accept loop, which serves the census and
+/// every reconnect wait, sleeps between non-blocking accept polls.
+/// Short enough that a claimant in the backlog is picked up promptly;
+/// long enough not to spin a core. It is also the least time a
+/// claimant's `Hello` read is given, so a late claim still learns its
+/// typed answer.
 pub const ACCEPT_POLL_INTERVAL: Duration = Duration::from_millis(5);
 
 /// Failures of session establishment and player-side serving — the
-/// pre-run phase, before the [`RunError`](crate::runtime::RunError)
-/// taxonomy of an executing protocol applies.
+/// pre-run phase, before the [`RunError`] taxonomy of an executing
+/// protocol applies.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum NetError {
@@ -109,21 +111,6 @@ pub struct ServeConfig {
     pub params: String,
 }
 
-impl ServeConfig {
-    fn welcome_for(&self, player: u32, resume_nonce: u64) -> Welcome {
-        Welcome {
-            player,
-            k: self.k as u32,
-            n: self.n as u64,
-            seed: self.seed,
-            cost_model: self.cost_model,
-            protocol: self.protocol.clone(),
-            params: self.params.clone(),
-            resume_nonce,
-        }
-    }
-}
-
 /// Session-layer policy for
 /// [`accept_players_with`](TcpCoordinator::accept_players_with): the
 /// shared secret required of every `Hello`, and the reconnect window a
@@ -182,21 +169,45 @@ fn issue_nonce(seed: u64, slot: u32) -> u64 {
     mix64(mix64(seed ^ 0x4E4F_4E43_4530_5F5Fu64) ^ (u64::from(slot) << 32) ^ pid ^ (count << 48))
 }
 
-/// The daemon-side session state that outlives the census: a clone of
-/// the listening socket (kept non-blocking), the run template for
-/// rejoin `Welcome`s, the auth policy, the per-slot resume nonces, and
-/// the seed currently in force (updated on every reseed so a rejoining
-/// player reconstructs the right shared randomness).
+/// One slot of the daemon's slot table, the only record of who holds
+/// which player slot from the census to the end of the run (normative
+/// diagram in `docs/NETWORKING.md`). Without a reconnect window slots
+/// never detach: the first failure surfaces directly.
+pub(crate) enum Slot {
+    /// No player has registered for the slot yet; the census is open.
+    Vacant,
+    /// A live handshaken connection.
+    Active(TcpStream),
+    /// The connection died at `since`; `cause` is the failure that
+    /// detached it. Deliveries poll for a rejoin until
+    /// `since + window`, after which the run degrades with a typed
+    /// `Aborted`.
+    Detached { since: Instant, cause: RunError },
+}
+
+impl Slot {
+    pub(crate) fn is_active(&self) -> bool {
+        matches!(self, Slot::Active(_))
+    }
+}
+
+/// The daemon-side session state: a clone of the listening socket (kept
+/// non-blocking), the run template for `Welcome`s, the auth policy, the
+/// per-slot resume nonces, and the seed in force (updated on every
+/// reseed so a rejoining player reconstructs the right shared
+/// randomness).
 ///
-/// Owned by [`TcpTransport`](crate::runtime::TcpTransport) behind an
-/// `Arc`; the transport's delivery loop polls
-/// [`poll_claimants`](Self::poll_claimants) while any slot is detached.
+/// Every claimant, from the census to the end of the run, is admitted
+/// through its one accept loop ([`poll`](Self::poll)) and its one
+/// handshake ([`admit`](Self::admit)). [`TcpTransport`] keeps the host
+/// while a reconnect window is armed and polls it whenever a slot is
+/// detached.
 pub(crate) struct SessionHost {
     listener: TcpListener,
     cfg: ServeConfig,
     options: SessionOptions,
     nonces: Vec<u64>,
-    current_seed: Mutex<u64>,
+    seed: u64,
 }
 
 impl std::fmt::Debug for SessionHost {
@@ -219,125 +230,181 @@ impl SessionHost {
     /// Called by the transport *before* it propagates a reseed, so a
     /// player that detaches mid-reseed still learns the new seed on
     /// rejoin.
-    pub(crate) fn note_seed(&self, seed: u64) {
-        *self.current_seed.lock().unwrap_or_else(|p| p.into_inner()) = seed;
+    pub(crate) fn note_seed(&mut self, seed: u64) {
+        self.seed = seed;
     }
 
-    /// Drains the accept backlog once. Claimants presenting a valid
-    /// resume claim for a slot marked in `detached` (and not in
-    /// `expired`) are handshaken — the first such claimant is returned
-    /// with its `Welcome` already written. Everyone else is answered
-    /// with a typed `Error` frame and dropped: bad token or nonce →
-    /// [`ErrorCode::Unauthorized`], expired slot →
-    /// [`ErrorCode::WindowExpired`], attached slot →
-    /// [`ErrorCode::SlotAttached`] (the retryable race), fresh `Hello`
-    /// after the census → [`ErrorCode::Generic`]. Returns `None` once
-    /// the backlog is empty (or only held rejects).
-    pub(crate) fn poll_claimants(
+    /// The one accept loop: accepts claimants and [`admit`](Self::admit)s
+    /// them into `slots` until the backlog is empty and `done(slots)`
+    /// holds (`Ok(true)`), or the backlog is empty and `deadline` has
+    /// passed (`Ok(false)`). Sleeps [`ACCEPT_POLL_INTERVAL`] between
+    /// empty polls. Each handshake reads for at most
+    /// `min(timeout, time left before deadline)` and at least one poll
+    /// interval; an admitted connection is armed with `timeout` as its
+    /// per-response deadline.
+    ///
+    /// # Errors
+    ///
+    /// A failure of the listener itself.
+    pub(crate) fn poll(
         &self,
-        detached: &[bool],
-        expired: &[bool],
-        io_timeout: Duration,
-    ) -> Option<(usize, TcpStream)> {
+        slots: &mut [Slot],
+        deadline: Instant,
+        timeout: Duration,
+        done: impl Fn(&[Slot]) -> bool,
+    ) -> std::io::Result<bool> {
         loop {
-            let (stream, _) = match self.listener.accept() {
-                Ok(accepted) => accepted,
-                Err(_) => return None, // WouldBlock or a dying listener: nothing to do
-            };
-            if let Some(claimed) = self.vet_claimant(stream, detached, expired, io_timeout) {
-                return Some(claimed);
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    let read = timeout.min(left).max(ACCEPT_POLL_INTERVAL);
+                    if let Some((slot, stream)) = self.admit(stream, slots, read) {
+                        let _ = stream.set_read_timeout(Some(timeout));
+                        slots[slot] = Slot::Active(stream);
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    if done(slots) {
+                        return Ok(true);
+                    }
+                    if Instant::now() >= deadline {
+                        return Ok(false);
+                    }
+                    std::thread::sleep(ACCEPT_POLL_INTERVAL);
+                }
+                Err(e) => return Err(e),
             }
         }
     }
 
-    /// Handshakes one accepted connection against the rejoin rules.
-    /// Never propagates an error: a hostile or garbled claimant costs
-    /// only itself.
-    fn vet_claimant(
+    /// The one handshake: reads the claimant's `Hello` for at most
+    /// `read`, and either writes its `Welcome` (the seed in force, and
+    /// the slot's nonce when a window is armed) and returns the slot it
+    /// won, or answers a typed `Error` frame ([`assign`](Self::assign))
+    /// and drops it. Never propagates an error: a hostile, silent or
+    /// garbled claimant costs only itself and its handshake window,
+    /// never the listener.
+    fn admit(
         &self,
         mut stream: TcpStream,
-        detached: &[bool],
-        expired: &[bool],
-        io_timeout: Duration,
+        slots: &[Slot],
+        read: Duration,
     ) -> Option<(usize, TcpStream)> {
-        let reject = |stream: &mut TcpStream, code: ErrorCode, reason: String| {
-            let _ = wire::write_frame(stream, &WireMessage::Error { code, reason });
-        };
+        // The accepted socket may inherit the listener's non-blocking
+        // mode; the handshake wants a plain bounded read. A socket that
+        // dies during setup, or a garbled or silent dialer, is a
+        // rejected claimant, not a dead run.
         stream
             .set_nonblocking(false)
             .and_then(|()| stream.set_nodelay(true))
-            .and_then(|()| stream.set_read_timeout(Some(io_timeout)))
+            .and_then(|()| stream.set_read_timeout(Some(read)))
             .ok()?;
-        let (token, resume) = match wire::read_frame(&mut stream) {
-            Ok(WireMessage::Hello { token, resume, .. }) => (token, resume),
-            Ok(other) => {
-                reject(
-                    &mut stream,
-                    ErrorCode::Generic,
-                    format!("expected hello, got {}", other.kind()),
-                );
+        let hello = wire::read_frame(&mut stream).ok()?;
+        let slot = match self.assign(hello, slots) {
+            Ok(slot) => slot,
+            Err((code, reason)) => {
+                let _ = wire::write_frame(&mut stream, &WireMessage::Error { code, reason });
                 return None;
             }
-            Err(_) => return None,
+        };
+        // The resume nonce is only a live credential when a reconnect
+        // window exists; without one it is 0 so players know not to try.
+        let resume_nonce = if self.window().is_zero() {
+            0
+        } else {
+            self.nonces[slot]
+        };
+        let welcome = Welcome {
+            player: slot as u32,
+            k: self.cfg.k as u32,
+            n: self.cfg.n as u64,
+            seed: self.seed,
+            cost_model: self.cfg.cost_model,
+            protocol: self.cfg.protocol.clone(),
+            params: self.cfg.params.clone(),
+            resume_nonce,
+        };
+        // A peer that hangs up between its Hello and our Welcome must
+        // not kill the listener: drop it and leave the slot for a real
+        // claimant.
+        wire::write_frame(&mut stream, &WireMessage::Welcome(welcome)).ok()?;
+        Some((slot, stream))
+    }
+
+    /// Which slot a first frame wins, or the typed rejection it gets.
+    /// While any slot is vacant the census rules apply: a fresh `Hello`
+    /// gets the slot it asked for or the lowest vacant one. Once none
+    /// is, only a resume claim for a detached slot inside its window
+    /// wins. Bad token or nonce → [`ErrorCode::Unauthorized`], expired
+    /// slot → [`ErrorCode::WindowExpired`], attached slot →
+    /// [`ErrorCode::SlotAttached`] (the retryable race), anything else →
+    /// [`ErrorCode::Generic`].
+    fn assign(&self, hello: WireMessage, slots: &[Slot]) -> Result<usize, (ErrorCode, String)> {
+        let (asked, token, resume) = match hello {
+            WireMessage::Hello {
+                slot,
+                token,
+                resume,
+            } => (slot, token, resume),
+            other => {
+                let reason = format!("expected hello, got {}", other.kind());
+                return Err((ErrorCode::Generic, reason));
+            }
         };
         if !token_ok(self.options.auth_token.as_deref(), token.as_deref()) {
-            reject(
-                &mut stream,
-                ErrorCode::Unauthorized,
-                "invalid or missing auth token".into(),
-            );
-            return None;
+            let reason = "invalid or missing auth token".into();
+            return Err((ErrorCode::Unauthorized, reason));
         }
-        let Some(claim) = resume else {
-            reject(
-                &mut stream,
-                ErrorCode::Generic,
-                "census is closed; only resume claims are accepted".into(),
-            );
-            return None;
+        let k = self.cfg.k;
+        let vacant = slots.iter().position(|s| matches!(s, Slot::Vacant));
+        let claim = match (vacant, resume) {
+            (Some(_), Some(_)) => {
+                let reason = "nothing to resume: the census is still open".into();
+                return Err((ErrorCode::Unauthorized, reason));
+            }
+            (Some(lowest), None) => {
+                return match asked.map(|s| s as usize) {
+                    None => Ok(lowest),
+                    Some(s) if s >= k => Err((
+                        ErrorCode::Generic,
+                        format!("slot {s} out of range for k={k}"),
+                    )),
+                    Some(s) if !matches!(slots[s], Slot::Vacant) => {
+                        Err((ErrorCode::Generic, format!("slot {s} already taken")))
+                    }
+                    Some(s) => Ok(s),
+                }
+            }
+            (None, None) => {
+                let reason = "census is closed; only resume claims are accepted".into();
+                return Err((ErrorCode::Generic, reason));
+            }
+            (None, Some(claim)) => claim,
         };
         let slot = claim.slot as usize;
-        if slot >= self.cfg.k {
-            reject(
-                &mut stream,
-                ErrorCode::Generic,
-                format!("resume slot {slot} out of range for k={}", self.cfg.k),
-            );
-            return None;
+        if slot >= k {
+            let reason = format!("resume slot {slot} out of range for k={k}");
+            return Err((ErrorCode::Generic, reason));
         }
         if claim.nonce != self.nonces[slot] {
-            reject(
-                &mut stream,
-                ErrorCode::Unauthorized,
-                format!("invalid resume nonce for slot {slot}"),
-            );
-            return None;
+            let reason = format!("invalid resume nonce for slot {slot}");
+            return Err((ErrorCode::Unauthorized, reason));
         }
-        if expired[slot] {
-            reject(
-                &mut stream,
+        let window = self.window();
+        match &slots[slot] {
+            Slot::Detached { since, .. } if Instant::now() >= *since + window => Err((
                 ErrorCode::WindowExpired,
                 format!(
                     "slot {slot} reconnect window ({} ms) has expired",
-                    self.options.reconnect_window.as_millis()
+                    window.as_millis()
                 ),
-            );
-            return None;
-        }
-        if !detached[slot] {
-            reject(
-                &mut stream,
+            )),
+            Slot::Detached { .. } => Ok(slot),
+            _ => Err((
                 ErrorCode::SlotAttached,
                 format!("slot {slot} is still attached; back off and retry"),
-            );
-            return None;
+            )),
         }
-        let mut welcome = self.cfg.welcome_for(claim.slot, self.nonces[slot]);
-        welcome.seed = *self.current_seed.lock().unwrap_or_else(|p| p.into_inner());
-        if wire::write_frame(&mut stream, &WireMessage::Welcome(welcome)).is_err() {
-            return None;
-        }
-        Some((slot, stream))
     }
 }
 
@@ -397,9 +464,13 @@ impl TcpCoordinator {
     /// [`accept_players`](Self::accept_players) with an explicit
     /// session-layer policy: an auth token every `Hello` must present,
     /// and a reconnect window during which a slot that dies mid-run may
-    /// be resumed (see `docs/NETWORKING.md`). With a non-zero window the
-    /// listener stays open for the transport's lifetime, polling for
-    /// resume claims whenever a slot is detached.
+    /// be resumed (see `docs/NETWORKING.md`). The census runs the same
+    /// accept loop and handshake that later admit rejoins, until every
+    /// slot is active and the backlog is empty: a claimant already
+    /// queued when the last slot fills is told the census is closed.
+    /// With a non-zero window the listener stays open for the
+    /// transport's lifetime, polling for resume claims whenever a slot
+    /// is detached.
     ///
     /// # Errors
     ///
@@ -415,199 +486,37 @@ impl TcpCoordinator {
             return Err(NetError::Protocol("k must be at least 1".into()));
         }
         let deadline = Instant::now() + timeout;
-        self.listener.set_nonblocking(true)?;
-        let nonces: Vec<u64> = (0..cfg.k as u32)
-            .map(|slot| issue_nonce(cfg.seed, slot))
-            .collect();
-        let mut slots: Vec<Option<TcpStream>> = (0..cfg.k).map(|_| None).collect();
-        let mut filled = 0usize;
-        while filled < cfg.k {
-            let (stream, _) = match self.listener.accept() {
-                Ok(accepted) => accepted,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        let present: Vec<usize> = slots
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(j, s)| s.is_some().then_some(j))
-                            .collect();
-                        let missing: Vec<usize> = slots
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(j, s)| s.is_none().then_some(j))
-                            .collect();
-                        return Err(NetError::Protocol(format!(
-                            "timed out with {filled}/{} players registered \
-                             (registered slots {present:?}, missing {missing:?})",
-                            cfg.k
-                        )));
-                    }
-                    std::thread::sleep(ACCEPT_POLL_INTERVAL);
-                    continue;
-                }
-                Err(e) => return Err(NetError::Io(e)),
-            };
-            if let Some((slot, stream)) =
-                self.register(stream, cfg, options, &nonces, &slots, deadline, timeout)?
-            {
-                slots[slot] = Some(stream);
-                filled += 1;
-            }
-        }
-        // `filled == k` implies every slot is occupied, but a hostile
-        // network must never be one invariant away from a panic: an
-        // empty slot is a typed protocol error, not a crash.
-        let mut conns = Vec::with_capacity(cfg.k);
-        for (slot, stream) in slots.into_iter().enumerate() {
-            match stream {
-                Some(s) => conns.push(s),
-                None => {
-                    return Err(NetError::Protocol(format!(
-                        "slot {slot} empty after census of {} players",
-                        cfg.k
-                    )))
-                }
-            }
-        }
-        if options.reconnect_window.is_zero() {
-            self.listener.set_nonblocking(false)?;
-            return Ok(TcpTransport::from_conns(conns, timeout));
-        }
-        // The reconnect window needs the listener for the transport's
-        // lifetime. The clone shares the underlying socket (including
-        // its non-blocking flag), so it must stay non-blocking — the
-        // rejoin poll relies on it.
+        // The clone shares the underlying socket, including its
+        // non-blocking flag, which the accept loop relies on.
         let host = SessionHost {
             listener: self.listener.try_clone()?,
             cfg: cfg.clone(),
             options: options.clone(),
-            nonces,
-            current_seed: Mutex::new(cfg.seed),
+            nonces: (0..cfg.k as u32)
+                .map(|slot| issue_nonce(cfg.seed, slot))
+                .collect(),
+            seed: cfg.seed,
         };
-        Ok(TcpTransport::from_conns_with_session(
-            conns,
-            timeout,
-            Arc::new(host),
-        ))
-    }
-
-    /// Handshakes one accepted connection. Returns `Ok(None)` when the
-    /// connection was rejected (bad slot, bad first frame, died during
-    /// setup, hung up before its `Welcome`) — the caller keeps
-    /// accepting. Nothing a single dialer does can surface an error
-    /// from here: a hostile client can cost the run at most its own
-    /// handshake window, never the listener.
-    #[allow(clippy::too_many_arguments)]
-    fn register(
-        &self,
-        mut stream: TcpStream,
-        cfg: &ServeConfig,
-        options: &SessionOptions,
-        nonces: &[u64],
-        slots: &[Option<TcpStream>],
-        deadline: Instant,
-        timeout: Duration,
-    ) -> Result<Option<(usize, TcpStream)>, NetError> {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            // The accept loop will notice the expired deadline and
-            // return the census error.
-            return Ok(None);
+        host.listener.set_nonblocking(true)?;
+        let mut slots: Vec<Slot> = (0..cfg.k).map(|_| Slot::Vacant).collect();
+        let filled = host.poll(&mut slots, deadline, timeout, |s| {
+            s.iter().all(Slot::is_active)
+        })?;
+        if !filled {
+            let (present, missing): (Vec<usize>, Vec<usize>) =
+                (0..cfg.k).partition(|&j| slots[j].is_active());
+            return Err(NetError::Protocol(format!(
+                "timed out with {}/{} players registered \
+                 (registered slots {present:?}, missing {missing:?})",
+                present.len(),
+                cfg.k
+            )));
         }
-        // The accepted socket may inherit the listener's non-blocking
-        // mode; the handshake wants a plain bounded read. A silent
-        // dialer gets at most the remaining registration window, so it
-        // cannot stall the census past the caller's deadline. A socket
-        // that dies during setup is a rejected dialer, not a dead run.
-        let setup = stream
-            .set_nonblocking(false)
-            .and_then(|()| stream.set_nodelay(true))
-            .and_then(|()| stream.set_read_timeout(Some(timeout.min(remaining))));
-        if setup.is_err() {
-            return Ok(None);
+        if options.reconnect_window.is_zero() {
+            self.listener.set_nonblocking(false)?;
+            return Ok(TcpTransport::new(slots, timeout, None));
         }
-        let reject = |stream: &mut TcpStream, code: ErrorCode, reason: String| {
-            let _ = wire::write_frame(stream, &WireMessage::Error { code, reason });
-        };
-        let (hello, token, resume) = match wire::read_frame(&mut stream) {
-            Ok(WireMessage::Hello {
-                slot,
-                token,
-                resume,
-            }) => (slot, token, resume),
-            Ok(other) => {
-                reject(
-                    &mut stream,
-                    ErrorCode::Generic,
-                    format!("expected hello, got {}", other.kind()),
-                );
-                return Ok(None);
-            }
-            // A garbled, silent or vanished dialer is not fatal to the
-            // run: drop it and keep waiting for a real player.
-            Err(_) => return Ok(None),
-        };
-        if !token_ok(options.auth_token.as_deref(), token.as_deref()) {
-            reject(
-                &mut stream,
-                ErrorCode::Unauthorized,
-                "invalid or missing auth token".into(),
-            );
-            return Ok(None);
-        }
-        if resume.is_some() {
-            reject(
-                &mut stream,
-                ErrorCode::Unauthorized,
-                "nothing to resume: the census is still open".into(),
-            );
-            return Ok(None);
-        }
-        let slot = match hello {
-            Some(s) => {
-                let s = s as usize;
-                if s >= cfg.k {
-                    reject(
-                        &mut stream,
-                        ErrorCode::Generic,
-                        format!("slot {s} out of range for k={}", cfg.k),
-                    );
-                    return Ok(None);
-                }
-                if slots[s].is_some() {
-                    reject(
-                        &mut stream,
-                        ErrorCode::Generic,
-                        format!("slot {s} already taken"),
-                    );
-                    return Ok(None);
-                }
-                s
-            }
-            None => match slots.iter().position(Option::is_none) {
-                Some(free) => free,
-                None => return Ok(None),
-            },
-        };
-        // The resume nonce is only a live credential when a reconnect
-        // window exists; without one it is 0 so players know not to try.
-        let nonce = if options.reconnect_window.is_zero() {
-            0
-        } else {
-            nonces[slot]
-        };
-        // A peer that hangs up between its Hello and our Welcome must
-        // not kill the listener: drop it and leave the slot free for a
-        // real claimant.
-        if wire::write_frame(
-            &mut stream,
-            &WireMessage::Welcome(cfg.welcome_for(slot as u32, nonce)),
-        )
-        .is_err()
-        {
-            return Ok(None);
-        }
-        Ok(Some((slot, stream)))
+        Ok(TcpTransport::new(slots, timeout, Some(host)))
     }
 }
 
@@ -683,12 +592,11 @@ impl Default for ConnectOptions {
     }
 }
 
-/// What one dial + handshake attempt produced: a registered session, a
-/// typed rejection frame, or a transport-level failure worth retrying.
+/// What one dial + handshake attempt produced: a registered session, or
+/// a failure the bounded backoff loop retries.
 enum Dial {
     Ok(PlayerSession),
-    Rejected { code: ErrorCode, reason: String },
-    Refused(std::io::Error),
+    Retry(NetError),
 }
 
 /// `true` for dial failures the bounded backoff loop should absorb: the
@@ -754,20 +662,7 @@ impl PlayerSession {
             token: opts.token.clone(),
             resume: None,
         };
-        let mut attempt = 0u32;
-        loop {
-            match Self::dial(&addr, opts, &hello)? {
-                Dial::Ok(session) => return Ok(session),
-                Dial::Rejected { code, reason } => return Err(rejection(code, reason)),
-                Dial::Refused(e) => {
-                    if attempt >= opts.retries {
-                        return Err(NetError::Io(e));
-                    }
-                    std::thread::sleep(opts.backoff_for(attempt));
-                    attempt += 1;
-                }
-            }
-        }
+        Self::dial_retrying(addr, opts, &hello)
     }
 
     /// Reattaches to a slot this client registered earlier in the
@@ -792,36 +687,35 @@ impl PlayerSession {
             token: opts.token.clone(),
             resume: Some(claim),
         };
+        Self::dial_retrying(addr, opts, &hello)
+    }
+
+    /// The one dial loop: [`dial`](Self::dial)s and retries each
+    /// [`Dial::Retry`] up to `opts.retries` times, sleeping
+    /// [`backoff_for`](ConnectOptions::backoff_for) in between. Every
+    /// other failure returns at once.
+    fn dial_retrying<A: ToSocketAddrs>(
+        addr: A,
+        opts: &ConnectOptions,
+        hello: &WireMessage,
+    ) -> Result<Self, NetError> {
         let mut attempt = 0u32;
         loop {
-            let retry_after = match Self::dial(&addr, opts, &hello)? {
+            match Self::dial(&addr, opts, hello)? {
                 Dial::Ok(session) => return Ok(session),
-                Dial::Rejected {
-                    code: ErrorCode::SlotAttached,
-                    reason,
-                } => {
-                    if attempt >= opts.retries {
-                        return Err(rejection(ErrorCode::SlotAttached, reason));
-                    }
-                    opts.backoff_for(attempt)
+                Dial::Retry(e) if attempt >= opts.retries => return Err(e),
+                Dial::Retry(_) => {
+                    std::thread::sleep(opts.backoff_for(attempt));
+                    attempt += 1;
                 }
-                Dial::Rejected { code, reason } => return Err(rejection(code, reason)),
-                Dial::Refused(e) => {
-                    if attempt >= opts.retries {
-                        return Err(NetError::Io(e));
-                    }
-                    opts.backoff_for(attempt)
-                }
-            };
-            std::thread::sleep(retry_after);
-            attempt += 1;
+            }
         }
     }
 
-    /// One dial + handshake attempt. Transport-level failures the
-    /// backoff loop may absorb come back as [`Dial::Refused`]; typed
-    /// `Error` frames as [`Dial::Rejected`]; hard local failures (e.g.
-    /// an unresolvable address) propagate.
+    /// One dial + handshake attempt. A refused dial and a
+    /// [`SlotAttached`](ErrorCode::SlotAttached) rejection come back as
+    /// [`Dial::Retry`]; every other typed rejection and hard local
+    /// failure (e.g. an unresolvable address) propagates.
     fn dial<A: ToSocketAddrs>(
         addr: &A,
         opts: &ConnectOptions,
@@ -829,17 +723,21 @@ impl PlayerSession {
     ) -> Result<Dial, NetError> {
         let mut stream = match TcpStream::connect(addr) {
             Ok(s) => s,
-            Err(e) if dial_retryable(&e) => return Ok(Dial::Refused(e)),
+            Err(e) if dial_retryable(&e) => return Ok(Dial::Retry(NetError::Io(e))),
             Err(e) => return Err(NetError::Io(e)),
         };
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(opts.timeout))?;
         if let Err(e) = wire::write_frame(&mut stream, hello) {
-            return Ok(Dial::Refused(e));
+            return Ok(Dial::Retry(NetError::Io(e)));
         }
         let welcome = match wire::read_frame(&mut stream) {
             Ok(WireMessage::Welcome(w)) => w,
-            Ok(WireMessage::Error { code, reason }) => return Ok(Dial::Rejected { code, reason }),
+            Ok(WireMessage::Error {
+                code: ErrorCode::SlotAttached,
+                reason,
+            }) => return Ok(Dial::Retry(rejection(ErrorCode::SlotAttached, reason))),
+            Ok(WireMessage::Error { code, reason }) => return Err(rejection(code, reason)),
             Ok(other) => {
                 return Err(NetError::Protocol(format!(
                     "expected welcome, got {}",
@@ -880,9 +778,8 @@ impl PlayerSession {
     /// session returns early and **drops the connection**: a player that
     /// walks away mid-round. This is
     /// deliberate conformance-test support: the coordinator observes the
-    /// hangup as a typed
-    /// [`RunError::Transport`](crate::runtime::RunError::Transport) and
-    /// its quorum machinery must degrade to `inconclusive`, never flip a
+    /// hangup as a typed [`RunError::Transport`] and its quorum
+    /// machinery must degrade to `inconclusive`, never flip a
     /// verdict (see `docs/NETWORKING.md` and the TCP differential
     /// suite).
     ///
@@ -1479,11 +1376,16 @@ mod tests {
         let accept = std::thread::spawn(move || {
             coordinator.accept_players_with(&cfg(1), Duration::from_secs(10), &options)
         });
-        // Wrong token.
+        // Wrong token. A retry budget must not be spent on a typed
+        // rejection: only refused dials and `SlotAttached` are retried,
+        // so this returns well before the first 1 s backoff would end.
+        let started = Instant::now();
         let err = PlayerSession::connect_with(
             addr,
             &ConnectOptions {
                 token: Some("wrong".into()),
+                retries: 5,
+                backoff: Duration::from_secs(1),
                 ..ConnectOptions::default()
             },
         )
@@ -1492,6 +1394,7 @@ mod tests {
             matches!(&err, NetError::Unauthorized(r) if r.contains("auth token")),
             "{err}"
         );
+        assert!(started.elapsed() < Duration::from_secs(1));
         // Missing token.
         let err = PlayerSession::connect(addr, None, Duration::from_secs(10)).unwrap_err();
         assert!(matches!(&err, NetError::Unauthorized(_)), "{err}");
@@ -1916,6 +1819,47 @@ mod tests {
             }
             other => panic!("expected error frame, got {}", other.kind()),
         }
+    }
+
+    #[test]
+    fn a_silent_dialer_cannot_hold_a_reconnect_wait_past_its_window() {
+        let coordinator = TcpCoordinator::bind("127.0.0.1:0").unwrap();
+        let addr = coordinator.local_addr().unwrap();
+        let first = std::thread::spawn(move || {
+            let session = PlayerSession::connect(addr, None, Duration::from_secs(10)).unwrap();
+            let state = PlayerState::new(0, 4, &[e(0, 1)]);
+            session
+                .serve_until(&state, |_, _| SimMessage::empty(), Some(1))
+                .unwrap()
+        });
+        // The response timeout is 10 s; the window is 250 ms.
+        let mut transport = coordinator
+            .accept_players_with(&cfg(1), Duration::from_secs(10), &windowed(250))
+            .unwrap();
+        assert_eq!(
+            transport.try_deliver(0, &PlayerRequest::HasEdge(e(0, 1))),
+            Ok(Payload::Bit(true))
+        );
+        first.join().unwrap();
+        // A dialer that connects and never sends its Hello: its handshake
+        // is bounded by the waiting slot's expiry, not the 10 s timeout.
+        let silent = TcpStream::connect(addr).unwrap();
+        let started = Instant::now();
+        let err = transport
+            .try_deliver(0, &PlayerRequest::LocalEdgeCount)
+            .unwrap_err();
+        let waited = started.elapsed();
+        match &err {
+            crate::runtime::RunError::Aborted { reason } => {
+                assert!(
+                    reason.contains("reconnect window expired after 250 ms"),
+                    "{reason}"
+                );
+            }
+            other => panic!("expected aborted, got {other}"),
+        }
+        assert!(waited < Duration::from_secs(2), "waited {waited:?}");
+        drop(silent);
     }
 
     #[test]

@@ -132,16 +132,6 @@ impl FaultPlan {
         FaultPlan::new(seed, FaultRates::none())
     }
 
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The plan's per-delivery rates.
-    pub fn rates(&self) -> &FaultRates {
-        &self.rates
-    }
-
     /// Whether this plan can never inject a fault.
     pub fn is_fault_free(&self) -> bool {
         self.rates.total() == 0.0

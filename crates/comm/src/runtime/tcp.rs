@@ -2,9 +2,9 @@
 //! sockets, speaking the framed wire protocol of [`crate::wire`]
 //! (specified in `docs/NETWORKING.md`).
 //!
-//! The transport holds one established, handshaken connection per
-//! player, ordered by player index — [`crate::daemon::TcpCoordinator`]
-//! produces it from the accept loop. A single delivery is one
+//! The transport keeps the daemon's slot table, one slot per player
+//! ordered by player index, which [`crate::daemon::TcpCoordinator`]'s
+//! census filled. A single delivery is one
 //! [`Request`](crate::wire::WireMessage::Request) frame tagged with a
 //! fresh correlation id; each frame of a round of independent requests
 //! (at most [`MAX_FRAME_REQUESTS`](super::MAX_FRAME_REQUESTS) of them) is
@@ -20,7 +20,7 @@
 //! [`LocalTransport`](super::LocalTransport) for the same
 //! (protocol, seed, k).
 
-use crate::daemon::{SessionHost, ACCEPT_POLL_INTERVAL};
+use crate::daemon::{SessionHost, Slot};
 use crate::message::Payload;
 use crate::rand::SharedRandomness;
 use crate::request::PlayerRequest;
@@ -57,8 +57,12 @@ fn map_wire(player: usize, e: WireError) -> RunError {
 /// A [`Transport`] over one TCP connection per player.
 ///
 /// Constructed by
-/// [`TcpCoordinator::accept_players`](crate::daemon::TcpCoordinator::accept_players)
-/// once every expected player has completed the handshake.
+/// [`TcpCoordinator::accept_players_with`](crate::daemon::TcpCoordinator::accept_players_with)
+/// once the census has filled every slot. It keeps the census's slot
+/// table for the rest of the run: with a reconnect window armed, a slot
+/// whose connection dies detaches, and the blocked delivery polls the
+/// listener itself, through the census's accept loop and handshake,
+/// until the slot is resumed or its window expires.
 ///
 /// # Example
 ///
@@ -111,42 +115,22 @@ fn map_wire(player: usize, e: WireError) -> RunError {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct TcpTransport {
-    conns: Vec<PlayerConn>,
+    slots: Vec<Slot>,
     next_id: u64,
     timeout: Duration,
     pending_fault: Option<RunError>,
-    session: Option<Arc<SessionHost>>,
-}
-
-/// The per-slot connection state machine (normative diagram in
-/// `docs/NETWORKING.md`): a slot is `Active` over a live handshaken
-/// socket, or `Detached` — its connection died mid-run while a
-/// reconnect window holds the slot open for a resume claim. Without a
-/// [`SessionHost`] (no reconnect window), slots never detach: the first
-/// failure surfaces directly, exactly the pre-session behavior.
-enum PlayerConn {
-    /// A live connection.
-    Active(TcpStream),
-    /// The connection died at `since`; `cause` is the failure that
-    /// detached it. Deliveries poll for a rejoin until
-    /// `since + window`, after which the run degrades with a typed
-    /// `Aborted`.
-    Detached { since: Instant, cause: RunError },
-}
-
-impl PlayerConn {
-    fn is_active(&self) -> bool {
-        matches!(self, PlayerConn::Active(_))
-    }
+    /// The accept loop and handshake rejoins go through; `None` when no
+    /// reconnect window is armed, so slots never detach.
+    session: Option<SessionHost>,
 }
 
 impl std::fmt::Debug for TcpTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpTransport")
-            .field("k", &self.conns.len())
+            .field("k", &self.slots.len())
             .field(
                 "detached",
-                &self.conns.iter().filter(|c| !c.is_active()).count(),
+                &self.slots.iter().filter(|s| !s.is_active()).count(),
             )
             .field("timeout", &self.timeout)
             .field("pending_fault", &self.pending_fault)
@@ -156,25 +140,12 @@ impl std::fmt::Debug for TcpTransport {
 }
 
 impl TcpTransport {
-    /// Wraps already-handshaken connections, ordered by player index,
-    /// arming each with the per-response read deadline.
-    pub(crate) fn from_conns(conns: Vec<TcpStream>, timeout: Duration) -> Self {
-        Self::build(conns, timeout, None)
-    }
-
-    /// [`from_conns`](Self::from_conns) plus the session host whose
+    /// Wraps the census's slot table, arming each live connection with
+    /// the per-response read deadline. `session` is the host whose
     /// reconnect window lets detached slots rejoin mid-run.
-    pub(crate) fn from_conns_with_session(
-        conns: Vec<TcpStream>,
-        timeout: Duration,
-        session: Arc<SessionHost>,
-    ) -> Self {
-        Self::build(conns, timeout, Some(session))
-    }
-
-    fn build(conns: Vec<TcpStream>, timeout: Duration, session: Option<Arc<SessionHost>>) -> Self {
+    pub(crate) fn new(slots: Vec<Slot>, timeout: Duration, session: Option<SessionHost>) -> Self {
         let mut t = TcpTransport {
-            conns: conns.into_iter().map(PlayerConn::Active).collect(),
+            slots,
             next_id: 0,
             timeout,
             pending_fault: None,
@@ -185,10 +156,10 @@ impl TcpTransport {
     }
 
     fn arm_timeouts(&mut self) {
-        for conn in &self.conns {
+        for slot in &self.slots {
             // A connection that cannot even accept a deadline is as good
             // as dead; the next delivery on it will surface the error.
-            if let PlayerConn::Active(stream) = conn {
+            if let Slot::Active(stream) = slot {
                 let _ = stream.set_read_timeout(Some(self.timeout));
             }
         }
@@ -199,107 +170,57 @@ impl TcpTransport {
     /// violations stay fatal-or-retryable exactly as before — they come
     /// from a *live* peer, so a rejoin would change nothing.
     fn detachable(&self, e: &RunError) -> bool {
-        self.session.as_ref().is_some_and(|s| !s.window().is_zero())
-            && matches!(e, RunError::Timeout { .. } | RunError::Transport(_))
+        self.session.is_some() && matches!(e, RunError::Timeout { .. } | RunError::Transport(_))
     }
 
     /// Marks `player`'s slot detached as of now, recording the failure
     /// that killed the connection.
     fn detach(&mut self, player: usize, cause: RunError) {
-        self.conns[player] = PlayerConn::Detached {
+        self.slots[player] = Slot::Detached {
             since: Instant::now(),
             cause,
         };
     }
 
     /// Ensures `player`'s slot has a live connection, blocking while its
-    /// reconnect window is open: polls the session listener, reattaches
-    /// any valid claimant (for *any* detached slot — rejoins are
-    /// accepted even for players the current delivery is not waiting
-    /// on), and fails with a typed `Aborted` once the window expires.
-    /// Late claimants arriving after expiry are answered with a
-    /// `WindowExpired` error frame by the same poll.
+    /// reconnect window is open: runs the session's accept loop, which
+    /// reattaches any valid claimant (for *any* detached slot — rejoins
+    /// are accepted even for players the current delivery is not
+    /// waiting on), and fails with a typed `Aborted` once the window
+    /// expires. The loop empties the backlog before it returns, so late
+    /// claimants and the loser of a rejoin race get their typed
+    /// rejections at once.
     fn ensure_active(&mut self, player: usize) -> Result<(), RunError> {
-        if self.conns[player].is_active() {
+        let (Slot::Detached { since, cause }, Some(session)) = (&self.slots[player], &self.session)
+        else {
+            // Live, or never detachable: `active` types the failure.
             return Ok(());
-        }
-        let Some(session) = self.session.clone() else {
-            // Unreachable by construction (slots only detach when a
-            // session exists), but typed rather than trusted.
-            return Err(RunError::Transport(TransportError { player }));
         };
         let window = session.window();
-        loop {
-            let now = Instant::now();
-            let mut detached = vec![false; self.conns.len()];
-            let mut expired = vec![false; self.conns.len()];
-            for (j, conn) in self.conns.iter().enumerate() {
-                if let PlayerConn::Detached { since, .. } = conn {
-                    detached[j] = true;
-                    expired[j] = now >= *since + window;
-                }
+        let (deadline, cause) = (*since + window, cause.clone());
+        let attached = session.poll(&mut self.slots, deadline, self.timeout, |s| {
+            s[player].is_active()
+        });
+        let reason = match attached {
+            Ok(true) => return Ok(()),
+            Ok(false) => format!(
+                "player {player} reconnect window expired after {} ms ({cause})",
+                window.as_millis()
+            ),
+            Err(e) => {
+                format!("player {player} reconnect wait failed: listener error {e} ({cause})")
             }
-            if let Some((slot, stream)) = session.poll_claimants(&detached, &expired, self.timeout)
-            {
-                let _ = stream.set_read_timeout(Some(self.timeout));
-                self.conns[slot] = PlayerConn::Active(stream);
-                if slot == player {
-                    // One final drain so claimants racing this rejoin
-                    // (the duplicate-claim race) get their typed
-                    // SlotAttached answer now, not at the next detach.
-                    self.drain_claimants(&session);
-                    return Ok(());
-                }
-                // Another slot rejoined; recompute the masks and keep
-                // draining without sleeping.
-                continue;
-            }
-            if expired[player] {
-                if let PlayerConn::Detached { cause, .. } = &self.conns[player] {
-                    return Err(RunError::Aborted {
-                        reason: format!(
-                            "player {player} reconnect window expired after {} ms ({cause})",
-                            window.as_millis()
-                        ),
-                    });
-                }
-            }
-            std::thread::sleep(ACCEPT_POLL_INTERVAL);
-        }
-    }
-
-    /// Empties the accept backlog once, attaching any valid claimant
-    /// for a still-detached slot and answering the rest with typed
-    /// rejections. Returns when the backlog is empty.
-    fn drain_claimants(&mut self, session: &Arc<SessionHost>) {
-        let window = session.window();
-        loop {
-            let now = Instant::now();
-            let mut detached = vec![false; self.conns.len()];
-            let mut expired = vec![false; self.conns.len()];
-            for (j, conn) in self.conns.iter().enumerate() {
-                if let PlayerConn::Detached { since, .. } = conn {
-                    detached[j] = true;
-                    expired[j] = now >= *since + window;
-                }
-            }
-            match session.poll_claimants(&detached, &expired, self.timeout) {
-                Some((slot, stream)) => {
-                    let _ = stream.set_read_timeout(Some(self.timeout));
-                    self.conns[slot] = PlayerConn::Active(stream);
-                }
-                None => return,
-            }
-        }
+        };
+        Err(RunError::Aborted { reason })
     }
 
     /// The live stream for `player`; typed failure if the slot is
-    /// detached (callers go through [`ensure_active`](Self::ensure_active)
-    /// first).
+    /// vacant or detached (callers go through
+    /// [`ensure_active`](Self::ensure_active) first).
     fn active(&mut self, player: usize) -> Result<&mut TcpStream, RunError> {
-        match &mut self.conns[player] {
-            PlayerConn::Active(stream) => Ok(stream),
-            PlayerConn::Detached { .. } => Err(RunError::Transport(TransportError { player })),
+        match &mut self.slots[player] {
+            Slot::Active(stream) => Ok(stream),
+            _ => Err(RunError::Transport(TransportError { player })),
         }
     }
 
@@ -340,7 +261,7 @@ impl TcpTransport {
         if let Some(f) = self.pending_fault.take() {
             return Err(f);
         }
-        (0..self.conns.len())
+        (0..self.slots.len())
             .map(|player| {
                 // A gather interrupted by a disconnect replays the sim
                 // request on the rejoined connection with a fresh id —
@@ -406,8 +327,8 @@ impl TcpTransport {
         let msg = WireMessage::Goodbye {
             summary: summary.to_owned(),
         };
-        for conn in &mut self.conns {
-            if let PlayerConn::Active(stream) = conn {
+        for slot in &mut self.slots {
+            if let Slot::Active(stream) = slot {
                 let _ = wire::write_frame(stream, &msg);
             }
         }
@@ -494,7 +415,7 @@ fn await_batch(
 
 impl Transport for TcpTransport {
     fn k(&self) -> usize {
-        self.conns.len()
+        self.slots.len()
     }
 
     fn try_deliver(
@@ -535,9 +456,9 @@ impl Transport for TcpTransport {
         }
         // The id each player's batch went out under; `None` for a slot
         // that is detached or whose write just detached it.
-        let mut sent = Vec::with_capacity(self.conns.len());
-        for player in 0..self.conns.len() {
-            if !self.conns[player].is_active() {
+        let mut sent = Vec::with_capacity(self.slots.len());
+        for player in 0..self.slots.len() {
+            if !self.slots[player].is_active() {
                 sent.push(None);
                 continue;
             }
@@ -587,14 +508,14 @@ impl Transport for TcpTransport {
         // Record the seed *before* telling anyone: a player that
         // detaches mid-reseed learns the new seed from its rejoin
         // Welcome instead of the lost AdoptShared frame.
-        if let Some(session) = &self.session {
+        if let Some(session) = &mut self.session {
             session.note_seed(seed);
         }
-        for player in 0..self.conns.len() {
+        for player in 0..self.slots.len() {
             // A detached slot owes no Ack: re-arm its window (each run
             // in persistent mode grants a fresh rejoin opportunity) and
             // let the rejoin Welcome carry the seed.
-            if let PlayerConn::Detached { since, .. } = &mut self.conns[player] {
+            if let Slot::Detached { since, .. } = &mut self.slots[player] {
                 *since = Instant::now();
                 continue;
             }
@@ -726,7 +647,7 @@ mod tests {
             s
         });
         let conn = TcpStream::connect(addr).unwrap();
-        let mut t = TcpTransport::from_conns(vec![conn], Duration::from_secs(10));
+        let mut t = TcpTransport::new(vec![Slot::Active(conn)], Duration::from_secs(10), None);
         // Burn an id so the server's `id - 1` is a valid stale id.
         t.next_id = 1;
         let resp = t.try_deliver(0, &PlayerRequest::LocalEdgeCount).unwrap();
@@ -759,7 +680,7 @@ mod tests {
                 s
             });
             let conn = TcpStream::connect(addr).unwrap();
-            let mut t = TcpTransport::from_conns(vec![conn], Duration::from_secs(10));
+            let mut t = TcpTransport::new(vec![Slot::Active(conn)], Duration::from_secs(10), None);
             let round = t
                 .try_deliver_round(&sample_round(3))
                 .expect("tcp delivers rounds");
@@ -805,7 +726,7 @@ mod tests {
             s
         });
         let conn = TcpStream::connect(addr).unwrap();
-        let mut t = TcpTransport::from_conns(vec![conn], Duration::from_secs(10));
+        let mut t = TcpTransport::new(vec![Slot::Active(conn)], Duration::from_secs(10), None);
         t.next_id = 1;
         let resp = t.try_deliver(0, &PlayerRequest::LocalEdgeCount).unwrap();
         assert_eq!(resp, Payload::Count(4));
@@ -822,7 +743,7 @@ mod tests {
         let (listener, addr) = pair();
         let conn = TcpStream::connect(addr).unwrap();
         let (held, _) = listener.accept().unwrap();
-        let mut t = TcpTransport::from_conns(vec![conn], Duration::from_millis(50));
+        let mut t = TcpTransport::new(vec![Slot::Active(conn)], Duration::from_millis(50), None);
         let err = t
             .try_deliver(0, &PlayerRequest::LocalEdgeCount)
             .unwrap_err();
@@ -858,7 +779,7 @@ mod tests {
             s
         });
         let conn = TcpStream::connect(addr).unwrap();
-        let mut t = TcpTransport::from_conns(vec![conn], Duration::from_secs(10));
+        let mut t = TcpTransport::new(vec![Slot::Active(conn)], Duration::from_secs(10), None);
         let err = t
             .try_deliver(0, &PlayerRequest::LocalEdgeCount)
             .unwrap_err();
@@ -872,7 +793,7 @@ mod tests {
         let (listener, addr) = pair();
         let conn = TcpStream::connect(addr).unwrap();
         drop(listener.accept().unwrap()); // peer hangs up immediately
-        let mut t = TcpTransport::from_conns(vec![conn], Duration::from_secs(10));
+        let mut t = TcpTransport::new(vec![Slot::Active(conn)], Duration::from_secs(10), None);
         let err = t
             .try_deliver(0, &PlayerRequest::LocalEdgeCount)
             .unwrap_err();
@@ -903,9 +824,10 @@ mod tests {
             s
         });
         let conn = TcpStream::connect(addr).unwrap();
-        let inner = Arc::new(Mutex::new(TcpTransport::from_conns(
-            vec![conn],
+        let inner = Arc::new(Mutex::new(TcpTransport::new(
+            vec![Slot::Active(conn)],
             Duration::from_secs(10),
+            None,
         )));
         let mut handle = SharedTransport::new(inner.clone());
         assert_eq!(handle.k(), 1);

@@ -152,27 +152,19 @@ pub fn run_simultaneous_prepared<P: SimultaneousProtocol, R: Recorder>(
         .iter()
         .map(|p| protocol.message(p, &shared))
         .collect();
-    finish(protocol, n, messages, shared)
+    run_simultaneous_collected(protocol, n, messages, shared)
 }
 
 /// Finishes a simultaneous run from **already-collected** messages —
 /// the referee-side entry point of networked runs: `triad serve` gathers
 /// each player's [`SimMessage`] over its socket (the remote player
 /// evaluated [`SimultaneousProtocol::message`] itself) and hands them
-/// here. Charging is *identical* to [`run_simultaneous_prepared`]: one
-/// `ToCoordinator` charge per payload at the payload's model bit cost,
-/// so a fault-free TCP run is byte-identical in its accounting to an
-/// in-process run of the same protocol (see `docs/NETWORKING.md`).
+/// here. Charging is *identical* to [`run_simultaneous_prepared`], which
+/// finishes through here too: one `ToCoordinator` charge per payload at
+/// the payload's model bit cost, so a fault-free TCP run is
+/// byte-identical in its accounting to an in-process run of the same
+/// protocol (see `docs/NETWORKING.md`).
 pub fn run_simultaneous_collected<P: SimultaneousProtocol, R: Recorder>(
-    protocol: &P,
-    n: usize,
-    messages: Vec<SimMessage<'_>>,
-    shared: SharedRandomness,
-) -> SimRun<P::Output, R> {
-    finish(protocol, n, messages, shared)
-}
-
-pub(crate) fn finish<P: SimultaneousProtocol, R: Recorder>(
     protocol: &P,
     n: usize,
     messages: Vec<SimMessage<'_>>,
